@@ -54,6 +54,7 @@ from .operator import (
     operator_matrix,
     rotation_split,
     semigroup_apply,
+    wick_matrix,
 )
 from .polynomials import (
     GradedBasis,

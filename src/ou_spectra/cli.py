@@ -5,8 +5,8 @@ Reports are JSON by default ("human" renders the same payload as text,
 values serialize as "p/q" strings because JSON numbers are doubles and
 exactness is the point; complex values serialize as {"re": .., "im": ..}.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical rank
-ambiguity.
+Exit codes: 0 success, 1 usage error, 2 validation error or another typed
+failure, 3 numerical rank ambiguity.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     OUSpectraError,
     RankDecisionAmbiguous,
     SchemaError,
@@ -230,6 +232,12 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1/2" as an option unless it looks like a negative
+        # number; negative fractions count as numbers here, so "--c -1/2" works
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -432,6 +440,10 @@ def _cmd_normalize(args, config: RunConfig) -> dict:
 
 def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
     model = _load_model(args, config)
+    if config.paths < 2:
+        raise InvalidParams(
+            f"--paths must be at least 2 for an empirical covariance, got {config.paths}"
+        )
     sim = SimConfig(
         model=model,
         step=config.step,

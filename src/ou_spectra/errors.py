@@ -27,7 +27,7 @@ class NotHurwitz(ValidationError):
     """Drift matrix has an eigenvalue with non-negative real part."""
 
 
-class InvalidParams(ValidationError):
+class InvalidParams(ValidationError, ValueError):
     """Parameter set violates its declared constraints."""
 
 

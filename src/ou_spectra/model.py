@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import exact
 from .errors import (
@@ -92,7 +91,7 @@ def _coerce_matrix(m, name: str):
             arr = np.array(m, dtype=float)
             if arr.ndim != 2:
                 raise ValidationError(f"{name} must be a 2-D matrix")
-            return arr, None
+            return _finite(arr, name), None
     else:
         rows = [list(r) for r in m]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -104,7 +103,15 @@ def _coerce_matrix(m, name: str):
         arr = np.array([[float(x) for x in r] for r in rows], dtype=float)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{name} has a non-numeric entry: {e}") from e
-    return arr, None
+    return _finite(arr, name), None
+
+
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"{name}[{i}][{j}] = {float(arr[i, j])} is not finite")
+    return arr
 
 
 def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL) -> OUModel:
@@ -353,6 +360,8 @@ def schur_triangularize(B) -> SchurResult:
     result is returned with ``complex_spectrum`` set so callers know the
     triangular reduction over the reals does not apply.
     """
+    import scipy.linalg  # on first use: loading it takes longer than the rest of the package
+
     B = np.array(B, dtype=float)
     n = B.shape[0]
     if _is_triangular(B, lower=True):

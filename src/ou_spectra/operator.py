@@ -15,7 +15,7 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -37,7 +37,7 @@ from .polynomials import (
     monomial_basis,
 )
 
-OPERATOR_TAGS = ("L", "A", "drift", "diffusion", "rotation-part", "nilpotent-part")
+OPERATOR_TAGS = ("L", "A", "drift", "diffusion", "rotation-part", "nilpotent-part", "wick")
 
 NORMALIZED_TOL = 1e-12
 
@@ -235,11 +235,42 @@ def _monomial_matrix(model, n, operator, homogeneous, ordering):
                 f"operator {operator!r} leaves the homogeneous degree-{n} space; "
                 f"use the full basis ({e})"
             ) from e
+    return _from_columns(basis, operator, cols, exact_entries)
+
+
+def _from_columns(basis: GradedBasis, operator: str, cols, exact_entries: bool) -> OperatorMatrix:
     if exact_entries:
         entries = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
         return OperatorMatrix(basis, "monomial", operator, entries, True)
     arr = np.array(cols, dtype=float).T
     return OperatorMatrix(basis, "monomial", operator, arr, False)
+
+
+def wick_matrix(model: OUModel, n: int) -> OperatorMatrix:
+    """Matrix of the Wick map W = exp(-K) on the graded-lex monomials of
+    degree <= n, where K = 1/2 tr(S D^2) is the diffusion part with Q replaced
+    by the stationary covariance S.
+
+    W intertwines the generator with its drift part D = <Bx, grad>:
+    L W = W D. The Lyapunov equation makes the commutator [K, D] equal to
+    minus the diffusion part of L, and that commutes with K, so
+    W D W^(-1) = D + 1/2 tr(Q D^2) = L. W maps each generalized eigenspace of a
+    homogeneous drift block onto one of L. K lowers the degree by two, so the
+    exponential series stops at the (n // 2)-th power; W is exact whenever
+    the model is.
+    """
+    cov = solve_lyapunov(model)
+    wick_model = replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
+    basis = monomial_basis(model.dim, n)
+    one = Fraction(1) if model.is_exact else 1.0
+    cols = []
+    for alpha in basis.indices:
+        term = total = SparsePolynomial.monomial(model.dim, alpha, one)
+        for k in range(1, sum(alpha) // 2 + 1):
+            term = apply_diffusion(wick_model, term) * (-one / k)
+            total = total + term
+        cols.append(poly_coordinates(total, basis))
+    return _from_columns(basis, "wick", cols, model.is_exact)
 
 
 def _check_normalized(model: OUModel, q_inf: CovarianceMatrix):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CholeskyFailure, UsageError
+from .errors import CholeskyFailure, InvalidParams, UsageError
 from .model import OUModel, covariance_at, matrix_exponential
 from .polynomials import SparsePolynomial
 
@@ -36,9 +36,11 @@ class SimConfig:
 
     def __post_init__(self):
         if not (self.step > 0):
-            raise ValueError("step must be positive")
+            raise InvalidParams(f"step must be positive, got {self.step}")
         if self.paths < 1 or (self.burn_in is not None and self.burn_in < 1):
-            raise ValueError("paths and burn_in must be positive")
+            raise InvalidParams(
+                f"paths and burn_in must be positive, got {self.paths} and {self.burn_in}"
+            )
 
     def resolved_burn_in(self) -> int:
         if self.burn_in is not None:

@@ -2,17 +2,26 @@
 
 The generator's spectrum on polynomials of degree <= n is the set of sums
 sum_j n_j * lambda_j over the distinct drift eigenvalues lambda_j with
-sum n_j <= n. The assembled operator matrix is block upper triangular in any
-graded monomial ordering, so its eigenvalues are collected degree block by
-degree block; blocks that are exactly triangular (Jordan-type drifts supplied
-in triangular form) have their eigenvalues read off the diagonal, which keeps
-defective cases accurate where a dense eigen-solver would scatter them.
+sum n_j <= n (Metafune, Pallara and Priola, J. Funct. Anal. 196, 2002).
+
+Generalized eigenspaces follow from the Wick intertwining L W = W D. Here
+D = <Bx, grad> is the drift part, which keeps the degree, and
+W = exp(-1/2 tr(S D^2)) is the Wick map of the stationary covariance S
+(operator.wick_matrix). Every generalized eigenspace of L is therefore W
+applied to generalized eigenspaces of the homogeneous drift blocks D_n, the
+diagonal degree blocks of the operator matrix. Blocks that are exactly
+triangular (Jordan-type drifts supplied in triangular form) have their
+eigenvalues read off the diagonal, which keeps defective cases accurate where
+a dense eigen-solver would scatter them. Rational models with triangular
+blocks get exact kernels; all others get a staircase of SVD kernels, one
+block at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as iter_product
 from math import acos, comb
 
@@ -33,6 +42,7 @@ from .operator import (
     degree_block_slices,
     operator_matrix,
     poly_from_coordinates,
+    wick_matrix,
 )
 from .polynomials import GradedBasis, SparsePolynomial
 
@@ -139,15 +149,15 @@ def drift_eigenvalues(B) -> list[complex]:
 
 def _cluster(values, tol: float):
     """Group complex values whose chain-distance is below tol; returns a list
-    of (representative, members)."""
-    ordered = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for v in ordered:
-        if clusters and abs(v - clusters[-1][-1]) <= tol:
-            clusters[-1].append(v)
+    of (mean, member indices)."""
+    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
+    clusters: list[list[int]] = []
+    for i in order:
+        if clusters and abs(values[i] - values[clusters[-1][-1]]) <= tol:
+            clusters[-1].append(i)
         else:
-            clusters.append([v])
-    return [(sum(c) / len(c), c) for c in clusters]
+            clusters.append([i])
+    return [(sum(values[i] for i in c) / len(c), c) for c in clusters]
 
 
 def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> SpectrumSet:
@@ -200,20 +210,21 @@ def _is_float_triangular(a: np.ndarray, lower: bool) -> bool:
     return not np.any(a[idx])
 
 
+def _block_eigenvalues(block: np.ndarray) -> list[complex]:
+    if _is_float_triangular(block, lower=True) or _is_float_triangular(block, lower=False):
+        return [complex(x) for x in np.diag(block)]
+    return [complex(z) for z in np.linalg.eigvals(block)]
+
+
 def operator_eigenvalues(om: OperatorMatrix) -> list[complex]:
     """Eigenvalues of a degree-graded operator matrix, block by block."""
     arr = om.as_array()
-    vals: list[complex] = []
-    for _, sl in degree_block_slices(om.basis):
-        block = arr[sl, sl]
-        if _is_float_triangular(block, lower=True) or _is_float_triangular(block, lower=False):
-            vals.extend(complex(x) for x in np.diag(block))
-        else:
-            vals.extend(complex(z) for z in np.linalg.eigvals(block))
-    return vals
+    return [z for _, sl in degree_block_slices(om.basis) for z in _block_eigenvalues(arr[sl, sl])]
 
 
-def _nullspace_bounded(mat: np.ndarray, lo_nullity: int, hi_nullity: int, rank_rtol: float):
+def _nullspace_bounded(
+    mat: np.ndarray, lo_nullity: int, hi_nullity: int, rank_rtol: float, scale: float = 0.0
+):
     """Nullity and an orthonormal kernel basis, with the nullity known a
     priori to lie in [lo_nullity, hi_nullity].
 
@@ -222,21 +233,38 @@ def _nullspace_bounded(mat: np.ndarray, lo_nullity: int, hi_nullity: int, rank_r
     genuine singular values too widely for a fixed threshold). A decision is
     only accepted when the winning gap is decisive; otherwise the rank call
     is reported as ambiguous rather than guessed.
+
+    ``scale`` is the size of the operator that mat was taken from; singular
+    values are judged against the larger of it and mat's own largest one, so
+    a matrix that is roundoff at that scale has a full kernel.
     """
     n = mat.shape[1]
-    u, s, vh = np.linalg.svd(mat)
+    try:
+        _, s, vh = np.linalg.svd(mat)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer driver (gesdd) fails to converge on some
+        # finite matrices that the QR-iteration driver (gesvd) handles
+        import scipy.linalg
+
+        try:
+            _, s, vh = scipy.linalg.svd(mat, lapack_driver="gesvd")
+        except (np.linalg.LinAlgError, ValueError) as e:
+            raise ConvergenceFailure(
+                f"SVD of a {mat.shape[0]}x{n} kernel matrix did not converge: {e}"
+            ) from e
     asc = s[::-1]  # ascending
-    if asc.size == 0 or asc[-1] == 0.0:
+    if asc.size == 0 or asc[-1] <= rank_rtol * scale:
         return n, np.eye(n, dtype=complex)
+    top = max(asc[-1], scale)
     hi_nullity = min(hi_nullity, n)
     lo_nullity = max(lo_nullity, 0)
-    floor = asc[-1] * max(rank_rtol * 1e-3, 1e-300)
+    floor = top * max(rank_rtol * 1e-3, 1e-300)
     best_nullity, best_gap = None, 0.0
     for nu in range(lo_nullity, hi_nullity + 1):
         low = asc[nu - 1] if nu >= 1 else None  # largest singular value called zero
         high = asc[nu] if nu < asc.size else None  # smallest called nonzero
         if high is None:
-            gap = math.inf if (low is None or low <= floor) else asc[-1] / low
+            gap = math.inf if (low is None or low <= floor) else top / low
         elif low is None or low == 0.0:
             gap = high / floor
         else:
@@ -254,34 +282,30 @@ def _nullspace_bounded(mat: np.ndarray, lo_nullity: int, hi_nullity: int, rank_r
     return best_nullity, vh[-best_nullity:].conj().T
 
 
-def _exact_clusters(om: OperatorMatrix):
-    """Exact eigenvalue groups (Fraction value, multiplicity) when every
-    degree block of the exact operator matrix is triangular; None otherwise."""
+def _exact_block_eigenvalues(om: OperatorMatrix, blocks: list[slice]):
+    """Diagonal of the exact operator matrix when every degree block is
+    triangular (drifts supplied in triangular or Jordan-type form), so that
+    it lists the eigenvalues in basis order; None otherwise."""
     if not om.is_exact:
         return None
     entries = om.entries
-    values: list = []
-    for _, sl in degree_block_slices(om.basis):
+    out = []
+    for sl in blocks:
         idx = range(sl.start, sl.stop)
         lower_ok = all(entries[i][j] == 0 for i in idx for j in idx if j > i)
         upper_ok = all(entries[i][j] == 0 for i in idx for j in idx if j < i)
         if not (lower_ok or upper_ok):
             return None
-        values.extend(entries[i][i] for i in idx)
-    out: dict = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return sorted(out.items(), key=lambda kv: (-kv[0], 0))
+        out.extend(entries[i][i] for i in idx)
+    return out
 
 
-def _exact_group(om: OperatorMatrix, mu, mult: int) -> EigenGroup:
-    """Exact generalized eigenspace: binary-search the nilpotency index on
-    exact ranks, then read the kernel basis off an exact RREF."""
-    size = len(om.basis)
-    P = [
-        [om.entries[i][j] - (mu if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
+def _exact_block_kernel(entries, sl: slice, mu, mult: int):
+    """Nilpotency index and exact kernel basis of (D_n - mu)^k on one degree
+    block, mu having algebraic multiplicity mult there: binary search of the
+    index on exact ranks, then the basis off an exact RREF."""
+    idx = range(sl.start, sl.stop)
+    P = [[entries[i][j] - (mu if i == j else 0) for j in idx] for i in idx]
     P_int, _ = exact.common_denominator_scale(P)
     cache: dict[int, list] = {}
 
@@ -297,19 +321,28 @@ def _exact_group(om: OperatorMatrix, mu, mult: int) -> EigenGroup:
             hi = mid
         else:
             lo = mid + 1
-    index = lo
-    basis_exact = kernel(index)
-    vectors = np.array([[float(x) for x in v] for v in basis_exact], dtype=float).T
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    polys = tuple(poly_from_coordinates(v, om.basis) for v in basis_exact)
-    return EigenGroup(
-        eigenvalue=complex(float(mu)),
-        multiplicity=len(basis_exact),
-        nilpotency_index=index,
-        vectors=vectors.astype(complex),
-        polynomials=polys,
-        max_power_residual=0.0,
-    )
+    return lo, kernel(lo)
+
+
+def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float):
+    """Nilpotency index and orthonormal basis of ker (D - mu)^k on one degree
+    block D, which has mult eigenvalues in the cluster at mu.
+
+    Staircase: with P = D - mu, ker(P^(k+1)) = {v : P v in ker(P^k)} =
+    ker((I - V V*) P), which keeps every rank decision at the conditioning
+    of P itself. dim ker(P^k) grows strictly with k until it reaches mult,
+    so the nullity window at step k is [previous + 1, mult]. Ranks are
+    judged at the scale of D, so a block that is mu I up to roundoff has
+    index 1.
+    """
+    P = D - mu * np.eye(D.shape[0])
+    scale = float(np.linalg.norm(D))
+    nullity, basis, k = 0, None, 0
+    while nullity < mult:
+        k += 1
+        A = P if basis is None else P - basis @ (basis.conj().T @ P)
+        nullity, basis = _nullspace_bounded(A, nullity + 1, mult, rank_rtol, scale)
+    return k, basis
 
 
 def generalized_eigenspaces(
@@ -318,77 +351,48 @@ def generalized_eigenspaces(
     tol_eig: float = TOL_EIG,
     rank_rtol: float = RANK_RTOL,
 ) -> SpectralDecomposition:
-    """Group the operator matrix's eigenvalues and extract each generalized
-    eigenspace by iterating kernels of (M - mu I)^k until the dimension
-    stabilizes; k is capped by the group's algebraic multiplicity.
+    """Generalized eigenspaces of L on polynomials of degree <= cap, through
+    the Wick intertwining L W = W D (see operator.wick_matrix).
 
-    Exact models whose operator matrix is triangular degree block by degree
-    block (drifts supplied in triangular or Jordan-type form) take a fully
-    exact route: rational eigenvalues, exact ranks, and exact kernel bases
-    with zero residual.
+    D keeps the degree, so its matrix is the block diagonal of the operator
+    matrix M, one homogeneous drift block D_n per degree. The eigenvalues of
+    all blocks are clustered together, so a resonance across degrees lands
+    in one group. For each cluster the generalized eigenspace is found inside
+    every block where the cluster occurs and mapped through W; the group's
+    multiplicity is the sum over blocks and its nilpotency index the largest.
+
+    Exact models whose degree blocks are all triangular take an exact route:
+    rational eigenvalues, exact ranks, exact kernel bases and W in Fractions,
+    with zero residual. Otherwise the kernels come from the float staircase,
+    and each group's residual ||(M - mu)^k u|| is measured on M itself.
     """
     om = operator_matrix(model, degree_cap, "monomial", "L")
-    exact_clusters = _exact_clusters(om)
-    if exact_clusters is not None:
-        groups = [_exact_group(om, mu, mult) for mu, mult in exact_clusters]
-        groups.sort(key=lambda g: (-g.eigenvalue.real, g.eigenvalue.imag))
-        return SpectralDecomposition(
-            model=model,
-            degree_cap=degree_cap,
-            basis=om.basis,
-            matrix=om,
-            groups=tuple(groups),
-            tol_eig=tol_eig,
-        )
+    blocks = [sl for _, sl in degree_block_slices(om.basis)]  # blocks[n] holds degree n
+    degrees = om.basis.degrees()
+    W = wick_matrix(model, degree_cap)
 
-    M = om.as_array().astype(complex)
-    size = M.shape[0]
-    clusters = _cluster(operator_eigenvalues(om), tol_eig)
+    def per_block(members):
+        """Multiplicity in each block of a cluster, from basis positions."""
+        counts = [0] * len(blocks)
+        for i in members:
+            counts[degrees[i]] += 1
+        return counts
 
-    groups = []
-    for mu, members in clusters:
-        mult = len(members)
-        P = M - mu * np.eye(size)
-        prev_nullity = 0
-        basis_vecs = None
-        index = mult
-        # staircase: ker(P^(k+1)) = {v : P v in ker(P^k)} = ker((I - V V*) P),
-        # which keeps every rank decision at the conditioning of P itself.
-        # dim ker(P^k) grows strictly with k until it hits the algebraic
-        # multiplicity, so the nullity window at step k is [prev+1, mult].
-        for k in range(1, mult + 1):
-            if basis_vecs is None:
-                W = P
-            else:
-                W = P - basis_vecs @ (basis_vecs.conj().T @ P)
-            nullity, vecs = _nullspace_bounded(W, prev_nullity + 1, mult, rank_rtol)
-            prev_nullity, basis_vecs = nullity, vecs
-            index = k
-            if nullity >= mult:
-                break
-        if basis_vecs is None or prev_nullity == 0:
-            raise RankDecisionAmbiguous(
-                f"clustered eigenvalue {mu} shows an empty kernel; clustering "
-                f"tolerance {tol_eig} does not match the matrix"
-            )
-        Pk = np.linalg.matrix_power(P, index)
-        residual = float(
-            max(np.linalg.norm(Pk @ basis_vecs[:, c]) for c in range(basis_vecs.shape[1]))
-        )
-        polys = tuple(
-            _tidy_poly(poly_from_coordinates(basis_vecs[:, c], om.basis))
-            for c in range(basis_vecs.shape[1])
-        )
-        groups.append(
-            EigenGroup(
-                eigenvalue=mu,
-                multiplicity=prev_nullity,
-                nilpotency_index=index,
-                vectors=basis_vecs,
-                polynomials=polys,
-                max_power_residual=residual,
-            )
-        )
+    exact_eigs = _exact_block_eigenvalues(om, blocks)
+    if exact_eigs is not None:
+        clusters: dict = {}
+        for i, v in enumerate(exact_eigs):
+            clusters.setdefault(v, []).append(i)
+        groups = [
+            _exact_eigengroup(om, W, blocks, mu, per_block(m)) for mu, m in clusters.items()
+        ]
+    else:
+        M, Wf = om.as_array().astype(complex), W.as_array()
+        values = [z for sl in blocks for z in _block_eigenvalues(M[sl, sl])]
+        groups = [
+            _float_eigengroup(M, Wf, om.basis, blocks, mu, per_block(m), rank_rtol)
+            for mu, m in _cluster(values, tol_eig)
+        ]
     groups.sort(key=lambda g: (-g.eigenvalue.real, g.eigenvalue.imag))
     return SpectralDecomposition(
         model=model,
@@ -397,6 +401,57 @@ def generalized_eigenspaces(
         matrix=om,
         groups=tuple(groups),
         tol_eig=tol_eig,
+    )
+
+
+def _exact_eigengroup(om: OperatorMatrix, W: OperatorMatrix, blocks, mu, counts) -> EigenGroup:
+    index, coords = 1, []
+    for sl, mult in zip(blocks, counts):
+        if not mult:
+            continue
+        k, kernel = _exact_block_kernel(om.entries, sl, mu, mult)
+        index = max(index, k)
+        # W maps degree n into degrees <= n, so rows from sl.stop on are zero
+        for v in kernel:
+            head = [
+                sum(w * x for w, x in zip(W.entries[i][sl], v) if x)
+                for i in range(sl.stop)
+            ]
+            coords.append(head + [Fraction(0)] * (om.size - sl.stop))
+    vectors = np.array([[float(x) for x in v] for v in coords], dtype=float).T
+    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    return EigenGroup(
+        eigenvalue=complex(float(mu)),
+        multiplicity=len(coords),
+        nilpotency_index=index,
+        vectors=vectors.astype(complex),
+        polynomials=tuple(poly_from_coordinates(v, om.basis) for v in coords),
+        max_power_residual=0.0,
+    )
+
+
+def _float_eigengroup(M, W, basis, blocks, mu, counts, rank_rtol) -> EigenGroup:
+    index, parts = 1, []
+    for sl, mult in zip(blocks, counts):
+        if not mult:
+            continue
+        k, kernel = _float_block_kernel(M[sl, sl], mu, mult, rank_rtol)
+        index = max(index, k)
+        parts.append(W[:, sl] @ kernel)
+    V = np.hstack(parts)
+    V = V / np.linalg.norm(V, axis=0, keepdims=True)
+    R = V
+    for _ in range(index):
+        R = M @ R - mu * R
+    return EigenGroup(
+        eigenvalue=mu,
+        multiplicity=V.shape[1],
+        nilpotency_index=index,
+        vectors=V,
+        polynomials=tuple(
+            _tidy_poly(poly_from_coordinates(V[:, c], basis)) for c in range(V.shape[1])
+        ),
+        max_power_residual=float(np.linalg.norm(R, axis=0).max()),
     )
 
 

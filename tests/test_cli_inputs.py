@@ -1,0 +1,118 @@
+"""Bad command-line input ends in a one-line error and a documented exit
+code, never a traceback; numerical failures inside the SVD are typed."""
+
+import io
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from ou_spectra import cli
+from ou_spectra.errors import ConvergenceFailure
+from ou_spectra.spectral import _nullspace_bounded
+
+MODEL_1D = ["--Q", "[[1]]", "--B", "[[-1]]"]
+
+# a drift with spectrum -1..-4 under a random similarity: 25 eigen-groups
+# with multiplicities up to 18 at degree 6
+RESONANT_Q = (
+    "[[1.1256263188786682, 0.028631246766305622, 0.10813569642560385, -0.08959759592805361],"
+    " [0.028631246766305622, 1.1329829145666068, -0.07192377473891776, 0.08984463559369438],"
+    " [0.10813569642560385, -0.07192377473891776, 1.2463488090844514, -0.04503914286488522],"
+    " [-0.08959759592805361, 0.08984463559369438, -0.04503914286488522, 1.3413231370672711]]"
+)
+RESONANT_B = (
+    "[[-3.3398970105906596, 0.5680087185936008, -0.14274424995895094, 0.7916705017044011],"
+    " [0.6560114699930193, -2.583008000241997, -0.3916923771098272, 0.0808878689373872],"
+    " [-0.2773622931585019, -0.3446346908076018, -1.2878470971385065, 0.5640958209067051],"
+    " [0.5432344658799004, 0.04504274515056864, 0.6850659478403766, -2.789247892028837]]"
+)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, stream=out, err_stream=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_validation_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+class TestBadInput:
+    def test_nan_diffusion(self):
+        assert_validation_error(["analyze", "--Q", "[[NaN]]", "--B", "[[-1]]"])
+
+    def test_infinite_drift(self):
+        assert_validation_error(["analyze", "--Q", "[[1]]", "--B", "[[-Infinity]]"])
+
+    def test_zero_step(self):
+        assert_validation_error(["simulate", *MODEL_1D, "--step", "0"])
+
+    def test_negative_paths(self):
+        assert_validation_error(["simulate", *MODEL_1D, "--paths", "-5"])
+
+    def test_single_path(self):
+        assert_validation_error(["simulate", *MODEL_1D, "--paths", "1"])
+
+
+class TestNegativeFraction:
+    def test_separate_argument_parses_like_equals_form(self):
+        reports = []
+        for argv in (["--c", "-1/2"], ["--c=-1/2"]):
+            code, out, err = run_cli(["paper-example", "section5", *argv])
+            assert code == 0, err
+            reports.append(json.loads(out))
+        assert reports[0]["example"]["params"]["c"] == "-1/2"
+        assert reports[0] == reports[1]
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy(self):
+        code = "import sys, ou_spectra.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+class TestSvdConvergence:
+    def test_resonant_dense_drift_degree_6(self):
+        code, out, err = run_cli(
+            ["analyze", "--Q", RESONANT_Q, "--B", RESONANT_B, "--degree", "6"]
+        )
+        assert code == 0, err
+        groups = json.loads(out)["groups"]
+        assert len(groups) == 25
+        assert sum(g["multiplicity"] for g in groups) == 210
+        assert all(g["residual_within_tol"] for g in groups)
+
+    def test_falls_back_to_gesvd(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        nullity, basis = _nullspace_bounded(np.diag([1.0, 0.0, 2.0]), 0, 3, 1e-10)
+        assert nullity == 1
+        assert np.abs(np.abs(basis[:, 0]) - np.array([0, 1, 0])).max() < 1e-14
+
+    def test_both_drivers_failing_is_typed(self, monkeypatch):
+        import scipy.linalg
+
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        monkeypatch.setattr(scipy.linalg, "svd", fails)
+        with pytest.raises(ConvergenceFailure):
+            _nullspace_bounded(np.diag([1.0, 0.0, 2.0]), 0, 3, 1e-10)
+        code, out, err = run_cli(
+            ["analyze", "--Q", "[[1, 0], [0, 1]]", "--B", "[[-1, 0.5], [0.25, -2]]"]
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error: SVD") and out == ""
