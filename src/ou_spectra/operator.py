@@ -1,9 +1,17 @@
 """The generator on polynomial spaces and its matrix representations.
 
 The generator is L f = (1/2) tr(Q D^2 f) + <Bx, grad f>. Applied to
-polynomials it never raises the degree: the drift part preserves homogeneous
-degree and the diffusion part lowers it by exactly two, so every graded
-monomial basis yields a block upper triangular matrix.
+polynomials it never raises the degree: the drift part D = <Bx, grad>
+preserves homogeneous degree and the diffusion part lowers it by exactly two,
+so every graded monomial basis yields a block upper triangular matrix.
+
+The Wick map W = exp(-K), where K = 1/2 tr(S D^2) is the diffusion part with
+Q replaced by the stationary covariance S, intertwines the generator with its
+drift part: L W = W D. Two quantities come from that identity alone, with no
+Gaussian integral. For a normalized model the Hermite tensors are the Wick
+powers W x^alpha up to scale, so the matrix of L on them is a diagonal
+similarity of the drift matrix. The semigroup is
+e^(tL) = W (p -> p(e^(tB) x)) W^(-1), because e^(tD) p = p(e^(tB) x).
 
 The rotation machinery (split of A = 2L into a Hermite-diagonal part plus a
 skew rotation) uses the doubled operator A = 2L throughout, matching the
@@ -17,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -27,15 +34,8 @@ from .errors import (
     NotNormalized,
     UnsupportedDimension,
 )
-from .exact import rational_sqrt
-from .gaussian import MomentTable, inner_product
-from .model import OUModel, covariance_at, matrix_exponential, solve_lyapunov
-from .polynomials import (
-    GradedBasis,
-    SparsePolynomial,
-    hermite_tensor,
-    monomial_basis,
-)
+from .model import OUModel, matrix_exponential, solve_lyapunov
+from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
 
 OPERATOR_TAGS = ("L", "A", "drift", "diffusion", "rotation-part", "nilpotent-part", "wick")
 
@@ -208,11 +208,13 @@ def operator_matrix(
 ) -> OperatorMatrix:
     """Assemble the operator's matrix on a degree-capped basis.
 
-    Monomial bases keep exact entries for exact models. The Hermite route
-    needs a normalized model (Q = I, stationary covariance diagonal) and
-    returns coordinates with respect to the orthonormal dilated Hermite
-    family; it is assembled by projecting images onto the basis, exactly
-    whenever the dilations are rational.
+    Monomial bases carry every operator tag and keep exact entries for exact
+    models. The Hermite basis needs a normalized model (Q = I, stationary
+    covariance S diagonal) and carries only "L" and "A". Its elements are the
+    orthonormal Hermite tensors W x^alpha / sqrt(alpha! lambda^alpha), with
+    lambda = diag S, so by L W = W D its matrix is R D R^(-1): D is the
+    graded-lex drift matrix and R = diag(sqrt(alpha! lambda^alpha)). The
+    entries are floats.
     """
     if basis_kind == "monomial":
         return _monomial_matrix(model, n, operator, homogeneous, ordering or "graded-lex")
@@ -259,18 +261,34 @@ def wick_matrix(model: OUModel, n: int) -> OperatorMatrix:
     exponential series stops at the (n // 2)-th power; W is exact whenever
     the model is.
     """
-    cov = solve_lyapunov(model)
-    wick_model = replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
+    wick_model = _wick_model(model)
     basis = monomial_basis(model.dim, n)
     one = Fraction(1) if model.is_exact else 1.0
-    cols = []
-    for alpha in basis.indices:
-        term = total = SparsePolynomial.monomial(model.dim, alpha, one)
-        for k in range(1, sum(alpha) // 2 + 1):
-            term = apply_diffusion(wick_model, term) * (-one / k)
-            total = total + term
-        cols.append(poly_coordinates(total, basis))
+    cols = [
+        poly_coordinates(
+            _wick_series(wick_model, SparsePolynomial.monomial(model.dim, alpha, one), -1), basis
+        )
+        for alpha in basis.indices
+    ]
     return _from_columns(basis, "wick", cols, model.is_exact)
+
+
+def _wick_model(model: OUModel) -> OUModel:
+    """The model with Q replaced by the stationary covariance S, so that its
+    diffusion part is K = 1/2 tr(S D^2)."""
+    cov = solve_lyapunov(model)
+    return replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
+
+
+def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparsePolynomial:
+    """exp(sign * K) p with K the diffusion part of wick_model. K lowers the
+    degree by two, so the series stops after deg(p) // 2 terms; it is exact
+    when the model and p are."""
+    term = total = p
+    for k in range(1, p.degree // 2 + 1):
+        term = apply_diffusion(wick_model, term) * Fraction(sign, k)
+        total = total + term
+    return total
 
 
 def _check_normalized(model: OUModel, q_inf: CovarianceMatrix):
@@ -295,51 +313,26 @@ def _check_normalized(model: OUModel, q_inf: CovarianceMatrix):
 
 
 def _hermite_matrix(model, n, operator, homogeneous):
+    if operator not in ("L", "A"):
+        raise ValueError(f"the Hermite basis carries only 'L' and 'A', not {operator!r}")
     q_inf = solve_lyapunov(model)
     if not _check_normalized(model, q_inf):
         raise BasisUnavailable(
             "Hermite normal-form basis needs Q = I and a diagonal stationary covariance; "
             "run normalize_model first"
         )
-    dim = model.dim
-    if q_inf.is_exact:
-        lam = [q_inf.sigma_exact[i][i] for i in range(dim)]
-        dil = [rational_sqrt(1 / (2 * l)) for l in lam]
-        exact_route = model.is_exact and all(d is not None for d in dil)
-        dilations = (
-            dil if exact_route else [1.0 / math.sqrt(2.0 * float(l)) for l in lam]
-        )
-        sigma = q_inf.sigma_exact if exact_route else q_inf.sigma
-    else:
-        lam = list(np.diag(q_inf.sigma))
-        exact_route = False
-        dilations = [1.0 / math.sqrt(2.0 * float(l)) for l in lam]
-        sigma = q_inf.sigma
-
-    basis = monomial_basis(dim, n, "graded-lex", homogeneous)
-    polys = [hermite_tensor(k, dilations, normalized=False) for k in basis.indices]
-    table = MomentTable(sigma)
-    norms = [inner_product(h, h, sigma, table) for h in polys]
-    size = len(basis)
-    entries = np.zeros((size, size))
-    images = [_apply_operator(model, h, operator) for h in polys]
-    for j in range(size):
-        img = images[j]
-        if img.is_zero:
-            continue
-        for i in range(size):
-            c = inner_product(img, polys[i], sigma, table)
-            if c == 0:
-                continue
-            # coordinate in the orthonormal basis: (c / s_i) * sqrt(s_i / s_j)
-            if exact_route:
-                coord = c / norms[i]
-                ratio = norms[i] / norms[j]
-            else:
-                coord = float(c) / float(norms[i])
-                ratio = float(norms[i]) / float(norms[j])
-            entries[i, j] = float(coord) * math.sqrt(float(ratio))
-    return OperatorMatrix(basis, "hermite-normal-form", operator, entries, False)
+    drift = _monomial_matrix(model, n, "drift", homogeneous, "graded-lex")
+    lam = np.diag(q_inf.sigma)
+    r = np.array(
+        [
+            math.sqrt(math.prod(math.factorial(a) * l**a for a, l in zip(alpha, lam)))
+            for alpha in drift.basis.indices
+        ]
+    )
+    entries = r[:, None] * drift.as_array() / r[None, :]
+    if operator == "A":
+        entries = 2.0 * entries
+    return OperatorMatrix(drift.basis, "hermite-normal-form", operator, entries, False)
 
 
 def homogeneous_drift_matrix(
@@ -438,8 +431,9 @@ def hermite_rotation_matrix(split: RotationSplit, n: int) -> OperatorMatrix:
 def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePolynomial:
     """Closed-form action of the time-t semigroup on a polynomial.
 
-    Substitutes e^(tB) x - y into p and integrates the y-monomials against
-    the time-t Gaussian, so the only error is floating-point roundoff, not
+    By L = W D W^(-1) and e^(tD) q = q(e^(tB) x), the result is
+    W[(W^(-1) p)(e^(tB) x)]: two finite Wick series around a linear
+    substitution, so the only error is floating-point roundoff, not
     discretization. Degree never increases.
     """
     if p.dim != model.dim:
@@ -448,38 +442,21 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
         raise ValueError("t must be positive")
     if p.is_zero:
         return p
+    wick_model = _wick_model(model)
+    q = _wick_series(wick_model, p.to_float(), 1)
     E = matrix_exponential(model.B, t)
-    table = MomentTable(covariance_at(model, t).sigma)
     dim = model.dim
-    lin = [
-        SparsePolynomial(
-            dim, {tuple(int(j == k) for k in range(dim)): E[i, j] for j in range(dim) if E[i, j] != 0}
-        )
+    rows = [
+        SparsePolynomial(dim, {tuple(int(j == k) for k in range(dim)): E[i, j] for j in range(dim)})
         for i in range(dim)
     ]
-    max_exp = [max((a[i] for a in p.terms), default=0) for i in range(dim)]
-    powers = [[SparsePolynomial.constant(dim, 1.0)] for _ in range(dim)]
-    for i in range(dim):
-        for _ in range(max_exp[i]):
-            powers[i].append(powers[i][-1] * lin[i])
-
-    result = SparsePolynomial.zero(dim)
-    for alpha, coeff in p.terms.items():
-        coeff = complex(coeff) if isinstance(coeff, complex) else float(coeff)
-        for beta in product(*(range(a + 1) for a in alpha)):
-            if sum(beta) % 2 == 1:
-                continue
-            moment = table.moment(beta)
-            if moment == 0:
-                continue
-            weight = coeff * float(moment)
-            piece = SparsePolynomial.constant(dim, 1.0)
-            for i in range(dim):
-                weight *= math.comb(alpha[i], beta[i])
-                if alpha[i] - beta[i] > 0:
-                    piece = piece * powers[i][alpha[i] - beta[i]]
-            result = result + piece * weight
-    return result
+    moved = SparsePolynomial.zero(dim)
+    for alpha, c in q.terms.items():
+        piece = SparsePolynomial.constant(dim, c)
+        for row, a in zip(rows, alpha):
+            piece = piece * row**a
+        moved = moved + piece
+    return _wick_series(wick_model, moved, -1)
 
 
 def check_normal(M, tol: float = 1e-12) -> NormalCheck:

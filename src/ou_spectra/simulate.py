@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CholeskyFailure, InvalidParams, UsageError
-from .model import OUModel, covariance_at, matrix_exponential
+from .model import OUModel, covariance_at, drift_eigenvalues_raw, matrix_exponential
 from .polynomials import SparsePolynomial
 
 _CHUNK = 8192  # paths per work unit; fixed so chunking never depends on worker count
 BURN_IN_DECAY = 1e-6
+BURN_IN_CAP = 1_000_000  # most steps the burn-in search tries
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,25 @@ class PairingEstimate:
 
 def default_burn_in(model: OUModel, h: float, decay: float = BURN_IN_DECAY) -> int:
     """Smallest step count m with spectral norm ||e^(m h B)|| below the decay
-    target."""
+    target.
+
+    ||e^(m h B)|| >= e^(m h alpha), with alpha the largest real part of the
+    drift eigenvalues, so m > ln(decay) / (h alpha). A drift for which that
+    bound passes BURN_IN_CAP is rejected before the search starts.
+    """
+    alpha = max(z.real for z in drift_eigenvalues_raw(model.B))
+    if math.log(decay) / (h * alpha) > BURN_IN_CAP:
+        raise InvalidParams(
+            f"burn-in to {decay:g} needs more than {BURN_IN_CAP} steps of {h:g} "
+            f"(slowest drift rate {alpha:g}); pass --burn-in"
+        )
     E = matrix_exponential(model.B, h)
     power = np.eye(model.dim)
-    for m in range(1, 1_000_000):
+    for m in range(1, BURN_IN_CAP + 1):
         power = power @ E
         if np.linalg.norm(power, 2) < decay:
             return m
-    raise RuntimeError("burn-in search did not terminate; drift decays too slowly")
+    raise InvalidParams(f"burn-in search stopped at {BURN_IN_CAP} steps; pass --burn-in")
 
 
 def config_digest(config: SimConfig) -> str:

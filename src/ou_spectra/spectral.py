@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from math import acos, comb
 
 import numpy as np
@@ -44,7 +43,7 @@ from .operator import (
     poly_from_coordinates,
     wick_matrix,
 )
-from .polynomials import GradedBasis, SparsePolynomial
+from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
 
 TOL_EIG = 1e-8
 TOL_ORTH = 1e-9
@@ -139,7 +138,7 @@ def drift_eigenvalues(B) -> list[complex]:
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("drift must be square")
     if B.shape[0] > 12:
-        raise ValueError("drift eigenvalues supported for N <= 12")
+        raise UnsupportedDimension(f"drift eigenvalues supported for N <= 12, got N = {B.shape[0]}")
     try:
         vals = drift_eigenvalues_raw(B)
     except np.linalg.LinAlgError as e:
@@ -162,7 +161,10 @@ def _cluster(values, tol: float):
 
 def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> SpectrumSet:
     """Enumerate sum_j n_j lambda_j over distinct drift eigenvalues,
-    sum n_j <= cap, deduplicated within tol; witnesses are kept per value."""
+    sum n_j <= cap, deduplicated within tol; witnesses are kept per value.
+
+    The exponent vectors n are the compositions of each degree <= cap into
+    r parts, enumerated directly: C(r + cap, cap) of them."""
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
     eigs = drift_eigenvalues(model.B)
@@ -173,12 +175,11 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
         key=lambda z: (-z.real, z.imag),
     )
     r = len(distinct)
-    raw: list[tuple[complex, tuple[int, ...]]] = []
-    for n in iter_product(*(range(degree_cap + 1) for _ in range(r))):
-        if sum(n) > degree_cap:
-            continue
-        raw.append((sum(nj * lj for nj, lj in zip(n, distinct)), tuple(n)))
-    ordered = sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag))
+    raw = [
+        (sum(nj * lj for nj, lj in zip(n, distinct)), n)
+        for n in monomial_basis(r, degree_cap).indices
+    ]
+    ordered = sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag, vw[1]))
     clusters: list[list[tuple[complex, tuple[int, ...]]]] = []
     for v, n in ordered:
         if clusters and abs(v - clusters[-1][-1][0]) <= tol_eig:
@@ -448,27 +449,22 @@ def _float_eigengroup(M, W, basis, blocks, mu, counts, rank_rtol) -> EigenGroup:
         multiplicity=V.shape[1],
         nilpotency_index=index,
         vectors=V,
-        polynomials=tuple(
-            _tidy_poly(poly_from_coordinates(V[:, c], basis)) for c in range(V.shape[1])
-        ),
+        polynomials=tuple(_tidy_poly(V[:, c], basis) for c in range(V.shape[1])),
         max_power_residual=float(np.linalg.norm(R, axis=0).max()),
     )
 
 
-def _tidy_poly(p: SparsePolynomial) -> SparsePolynomial:
-    """Drop coefficients at roundoff level and the imaginary parts of a
-    polynomial that is real to machine precision."""
-    scale = max((abs(complex(c)) for c in p.terms.values()), default=0.0)
-    if scale == 0.0:
-        return p
-    cut = 1e-13 * scale
-    out = {}
-    for a, c in p.terms.items():
-        c = complex(c)
-        if abs(c) <= cut:
-            continue
-        out[a] = c.real if abs(c.imag) <= cut else c
-    return SparsePolynomial(p.dim, out)
+def _tidy_poly(vec: np.ndarray, basis: GradedBasis) -> SparsePolynomial:
+    """The polynomial with coordinates vec, without coefficients at roundoff
+    level and without the imaginary parts of coefficients that are real to
+    machine precision."""
+    mag = np.abs(vec)
+    cut = 1e-13 * mag.max()
+    terms = {}
+    for k in np.flatnonzero(mag > cut):
+        c = complex(vec[k])
+        terms[basis.indices[k]] = c.real if abs(c.imag) <= cut else c
+    return SparsePolynomial(basis.dim, terms)
 
 
 # -- orthogonality -----------------------------------------------------------
@@ -496,7 +492,9 @@ def orthogonality_report(
     product stays below tol.
 
     Works in basis coordinates: with G the moment matrix of the monomial
-    basis, <u, v> = u^T G conj(v) for coordinate vectors u, v.
+    basis, <u, v> = u^T G conj(v) for coordinate vectors u, v. The group
+    vectors are stacked into V and H = V^T G conj(V) is formed once; the
+    norms are read off its diagonal and every pair's block is a slice of it.
     """
     if sigma is None:
         sigma = solve_lyapunov(dec.model).sigma
@@ -507,19 +505,20 @@ def orthogonality_report(
     G = basis_moment_gram(dec.basis, sigma)
     groups = dec.groups
     mats = [np.asarray(g.vectors, dtype=complex) for g in groups]
-    norms = []
-    for V in mats:
-        gram = V.T @ G @ V.conj()
-        norms.append(np.sqrt(np.abs(np.diag(gram).real)))
+    V = np.hstack(mats)
+    H = V.T @ G @ V.conj()
+    norms = np.sqrt(np.abs(np.diag(H).real))
+    denom = np.outer(norms, norms)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normalized = np.where(denom > 0, np.abs(H) / denom, 0.0)
+    ends = np.cumsum([m.shape[1] for m in mats])
+    cols = [slice(end - m.shape[1], end) for m, end in zip(mats, ends)]
     pairs = []
     all_ok = True
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            block = mats[i].T @ G @ mats[j].conj()
-            denom = np.outer(norms[i], norms[j])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                normalized = np.where(denom > 0, np.abs(block) / denom, 0.0)
-            worst = float(normalized.max()) if normalized.size else 0.0
+            block = H[cols[i], cols[j]]
+            worst = float(normalized[cols[i], cols[j]].max())
             ok = worst < tol_orth
             all_ok = all_ok and ok
             pairs.append(PairVerdict(i=i, j=j, max_normalized=worst, orthogonal=ok, block=block))

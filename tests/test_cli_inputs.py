@@ -60,6 +60,20 @@ class TestBadInput:
     def test_single_path(self):
         assert_validation_error(["simulate", *MODEL_1D, "--paths", "1"])
 
+    def test_drift_too_slow_for_burn_in(self):
+        # e^(m h alpha) bounds ||e^(m h B)|| from below, so no step count under
+        # the search cap reaches the decay target; rejected before the search
+        assert_validation_error(["simulate", "--Q", "[[1]]", "--B", "[[-1e-9]]", "--paths", "10"])
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_thirteen_dimensional_model(self, command):
+        eye = np.eye(13, dtype=int)
+        Q, B = json.dumps(eye.tolist()), json.dumps((-eye).tolist())
+        code, out, err = run_cli([command, "--Q", Q, "--B", B, "--degree", "1"])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestNegativeFraction:
     def test_separate_argument_parses_like_equals_form(self):

@@ -82,6 +82,22 @@ class TestSpectrum:
         sp = spectrum(jordan2, 3)
         assert_multisets_close(sp.values(), [0j, -1 + 0j, -2 + 0j, -3 + 0j], 1e-12)
 
+    def test_twelve_distinct_eigenvalues_cap3(self):
+        # base-4 digits keep every sum of at most three eigenvalues distinct
+        lam = [-(4**j) for j in range(12)]
+        model = validate_model(np.eye(12, dtype=int).tolist(), np.diag(lam).tolist())
+        sp = spectrum(model, 3)
+        assert sp.distinct == tuple(complex(v) for v in lam)
+        assert len(sp.points) == math.comb(15, 3) == 455
+        witnesses = set()
+        for p in sp.points:
+            (n,) = p.witnesses
+            assert len(n) == 12 and min(n) >= 0 and p.degrees == (sum(n),) and sum(n) <= 3
+            assert p.value == sum(nj * lj for nj, lj in zip(n, lam))
+            witnesses.add(n)
+        # 455 distinct exponent vectors of degree <= 3 are all of them
+        assert len(witnesses) == 455
+
 
 class TestSpectrumConsistency:
     def test_operator_matrix_eigenvalues_match_formula(self):

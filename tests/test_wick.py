@@ -1,22 +1,35 @@
-"""Properties of the Wick intertwining L W = W D and of the eigenspaces
-built on it.
+"""Properties of the Wick intertwining L W = W D and of what is built on it.
 
 The oracle for the eigenspaces is the full operator matrix M: each group's
 span must equal ker (M - mu)^k, computed here from M directly (exact RREF of
 the matrix power for rational models, a kernel staircase of SVDs on all of M
 for float ones), with k the reported nilpotency index and k - 1 too small.
+The oracle for the Hermite-basis matrix projects images of the dilated
+Hermite tensors by Gaussian inner products; the oracle for the semigroup is
+its Taylor series on a generalized eigenvector, which is finite.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ou_spectra import exact
-from ou_spectra.model import validate_model
-from ou_spectra.operator import operator_matrix, poly_coordinates, wick_matrix
+from ou_spectra.gaussian import MomentTable, inner_product
+from ou_spectra.model import solve_lyapunov, validate_model
+from ou_spectra.operator import (
+    apply_L,
+    operator_matrix,
+    poly_coordinates,
+    semigroup_apply,
+    wick_matrix,
+)
+from ou_spectra.polynomials import hermite_tensor, monomial_basis
 from ou_spectra.spectral import _nullspace_bounded, generalized_eigenspaces
+from ou_spectra.worked_examples import section4_model
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -79,6 +92,26 @@ def resonant_float_models(draw):
     V = np.eye(n) + np.array([[draw(entries) for _ in range(n)] for _ in range(n)])
     Qh = np.array([[draw(entries) for _ in range(n)] for _ in range(n)])
     return validate_model(np.eye(n) + Qh @ Qh.T, V @ np.diag(lam) @ np.linalg.inv(V))
+
+
+@st.composite
+def normalized_rational_models(draw):
+    """Q = I, stationary covariance Lambda diagonal rational and
+    B = (-1/2 I + K) Lambda^-1 with K skew rational, which solves the
+    Lyapunov equation B Lambda + Lambda B^T + I = 0."""
+    n = draw(st.sampled_from((2, 3)))
+    variances = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+    lam = [draw(variances) for _ in range(n)]
+    K = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            K[i][j] = draw(small_fractions)
+            K[j][i] = -K[i][j]
+    B = [
+        [((Fraction(-1, 2) if i == j else 0) + K[i][j]) / lam[j] for j in range(n)]
+        for i in range(n)
+    ]
+    return validate_model(exact.identity(n), B)
 
 
 class TestIntertwining:
@@ -159,3 +192,73 @@ class TestEigenspacesMatchFullMatrix:
             V = np.asarray(g.vectors)
             outside = V - basis @ (basis.conj().T @ V)
             assert np.linalg.norm(outside, axis=0).max() <= 1e-8
+
+
+def _hermite_projection(model, n, operator, homogeneous):
+    """Matrix of the operator on the orthonormal Hermite tensors, each entry
+    <L h_j, h_i> / sqrt(<h_i, h_i> <h_j, h_j>) by Gaussian inner products,
+    with h_alpha = prod_i H_(alpha_i)(x_i / sqrt(2 lambda_i))."""
+    sigma = solve_lyapunov(model).sigma
+    dilations = [1 / math.sqrt(2 * sigma[i, i]) for i in range(model.dim)]
+    basis = monomial_basis(model.dim, n, "graded-lex", homogeneous)
+    polys = [hermite_tensor(a, dilations) for a in basis.indices]
+    table = MomentTable(sigma)
+    norms = [inner_product(h, h, sigma, table) for h in polys]
+    factor = 2 if operator == "A" else 1
+    images = [apply_L(model, h) * factor for h in polys]
+    return np.array(
+        [
+            [
+                inner_product(img, h, sigma, table) / math.sqrt(ni * nj)
+                for img, nj in zip(images, norms)
+            ]
+            for h, ni in zip(polys, norms)
+        ]
+    )
+
+
+class TestHermiteMatrix:
+    @SETTINGS
+    @given(
+        normalized_rational_models(),
+        st.integers(0, 4),
+        st.sampled_from(("L", "A")),
+        st.booleans(),
+    )
+    def test_matches_projection(self, model, n, operator, homogeneous):
+        n = min(n, 3) if model.dim == 3 else n
+        om = operator_matrix(model, n, "hermite-normal-form", operator, homogeneous)
+        oracle = _hermite_projection(model, n, operator, homogeneous)
+        assert np.abs(om.as_array() - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
+
+    def test_rejects_drift_tag(self):
+        with pytest.raises(ValueError):
+            operator_matrix(section4_model(), 2, "hermite-normal-form", "drift")
+
+
+class TestSemigroup:
+    @SETTINGS
+    @given(
+        st.one_of(triangular_rational_models(), rational_models(dims=(1, 2))),
+        st.integers(1, 3),
+        st.floats(min_value=0.05, max_value=2.0),
+    )
+    @example(validate_model([[1, 0], [0, 1]], [[-1, 0], [1, -1]]), 3, 1.0)  # Jordan block
+    def test_generalized_eigenvectors(self, model, cap, s):
+        """e^(tL) u = e^(t mu) sum_(j < k) t^j / j! (L - mu)^j u for u in
+        ker (L - mu)^k. Time is scaled so that |t mu| <= s <= 2, which keeps
+        e^(t mu) above e^(-2); at long times the result would shrink to the
+        roundoff of u, and a relative bound would measure only that."""
+        t = s / (1 + cap * np.abs(np.linalg.eigvals(model.B)).max())
+        for g in generalized_eigenspaces(model, cap).groups:
+            mu = g.eigenvalue
+            for u in g.polynomials:
+                term = u.to_float()
+                expected = term
+                for j in range(1, g.nilpotency_index):
+                    term = (apply_L(model, term) - term * mu) * (t / j)
+                    expected = expected + term
+                expected = expected * complex(np.exp(t * mu))
+                scale = max(abs(complex(c)) for c in expected.terms.values())
+                out = semigroup_apply(model, t, u)
+                assert out.max_coeff_diff(expected) <= 1e-9 * scale
