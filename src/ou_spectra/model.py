@@ -312,12 +312,27 @@ def solve_lyapunov(model: OUModel) -> CovarianceMatrix:
 
 def covariance_at(model: OUModel, t: float) -> CovarianceMatrix:
     """Covariance accumulated up to finite time t > 0:
-    S_t = S_inf - e^(tB) S_inf e^(tB^T)."""
+    S_t = int_0^t e^(sB) Q e^(sB^T) ds.
+
+    Van Loan's block exponential of [[-B, Q], [0, B^T]] gives S_h on a step
+    h = t / 2^m with |hB| <= 1/2, and S_2h = S_h + e^(hB) S_h e^(hB^T)
+    doubles it back to t. No term is subtracted, so S_t is accurate to its
+    own roundoff even when S_inf - e^(tB) S_inf e^(tB^T) would cancel to
+    nothing (a slow drift over a short time).
+    """
     if not (t > 0) or math.isinf(t):
         raise ValueError("t must be a positive finite number")
-    q_inf = solve_lyapunov(model).sigma
-    E = matrix_exponential(model.B, t)
-    sigma = q_inf - E @ q_inf @ E.T
+    n = model.dim
+    reach = float(np.linalg.norm(model.B, 1)) * t
+    doublings = math.ceil(math.log2(2.0 * reach)) if reach > 0.5 else 0
+    q = float(np.abs(model.Q).max())
+    block = np.block([[-model.B, model.Q / q], [np.zeros((n, n)), model.B.T]])
+    F = matrix_exponential(block, t / 2.0**doublings)
+    E = F[n:, n:].T  # e^(hB)
+    sigma = E @ F[:n, n:] * q
+    for _ in range(doublings):
+        sigma = sigma + E @ sigma @ E.T
+        E = E @ E
     return CovarianceMatrix(t=float(t), sigma=(sigma + sigma.T) / 2.0)
 
 

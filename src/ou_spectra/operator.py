@@ -7,11 +7,12 @@ so every graded monomial basis yields a block upper triangular matrix.
 
 The Wick map W = exp(-K), where K = 1/2 tr(S D^2) is the diffusion part with
 Q replaced by the stationary covariance S, intertwines the generator with its
-drift part: L W = W D. Two quantities come from that identity alone, with no
-Gaussian integral. For a normalized model the Hermite tensors are the Wick
-powers W x^alpha up to scale, so the matrix of L on them is a diagonal
-similarity of the drift matrix. The semigroup is
-e^(tL) = W (p -> p(e^(tB) x)) W^(-1), because e^(tD) p = p(e^(tB) x).
+drift part: L W = W D. For a normalized model the Hermite tensors are the
+Wick powers W x^alpha up to scale, so the matrix of L on them is a diagonal
+similarity of the drift matrix, with no Gaussian integral. The semigroup
+takes the same finite series with S replaced by the covariance S_t
+accumulated up to time t and the sign flipped (the heat series), followed by
+the substitution x -> e^(tB) x.
 
 The rotation machinery (split of A = 2L into a Hermite-diagonal part plus a
 skew rotation) uses the doubled operator A = 2L throughout, matching the
@@ -34,7 +35,7 @@ from .errors import (
     NotNormalized,
     UnsupportedDimension,
 )
-from .model import OUModel, matrix_exponential, solve_lyapunov
+from .model import OUModel, covariance_at, matrix_exponential, solve_lyapunov
 from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
 
 OPERATOR_TAGS = ("L", "A", "drift", "diffusion", "rotation-part", "nilpotent-part", "wick")
@@ -261,7 +262,8 @@ def wick_matrix(model: OUModel, n: int) -> OperatorMatrix:
     exponential series stops at the (n // 2)-th power; W is exact whenever
     the model is.
     """
-    wick_model = _wick_model(model)
+    cov = solve_lyapunov(model)
+    wick_model = replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
     basis = monomial_basis(model.dim, n)
     one = Fraction(1) if model.is_exact else 1.0
     cols = [
@@ -273,17 +275,11 @@ def wick_matrix(model: OUModel, n: int) -> OperatorMatrix:
     return _from_columns(basis, "wick", cols, model.is_exact)
 
 
-def _wick_model(model: OUModel) -> OUModel:
-    """The model with Q replaced by the stationary covariance S, so that its
-    diffusion part is K = 1/2 tr(S D^2)."""
-    cov = solve_lyapunov(model)
-    return replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
-
-
 def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparsePolynomial:
-    """exp(sign * K) p with K the diffusion part of wick_model. K lowers the
-    degree by two, so the series stops after deg(p) // 2 terms; it is exact
-    when the model and p are."""
+    """exp(sign * K) p with K = 1/2 tr(Q D^2) the diffusion part of
+    wick_model, whose Q is a covariance: S for W, S_t for the semigroup. K
+    lowers the degree by two, so the series stops after deg(p) // 2 terms; it
+    is exact when the model and p are."""
     term = total = p
     for k in range(1, p.degree // 2 + 1):
         term = apply_diffusion(wick_model, term) * Fraction(sign, k)
@@ -431,9 +427,11 @@ def hermite_rotation_matrix(split: RotationSplit, n: int) -> OperatorMatrix:
 def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePolynomial:
     """Closed-form action of the time-t semigroup on a polynomial.
 
-    By L = W D W^(-1) and e^(tD) q = q(e^(tB) x), the result is
-    W[(W^(-1) p)(e^(tB) x)]: two finite Wick series around a linear
-    substitution, so the only error is floating-point roundoff, not
+    e^(tL) p (x) = E p(e^(tB) x + Z_t) with Z_t ~ N(0, S_t), so the result
+    is the heat series exp(1/2 tr(S_t D^2)) p, the finite Wick series for S_t
+    with sign +1, followed by the substitution x -> e^(tB) x. Its terms scale
+    with S_t, not with the stationary covariance, so slow drifts over short
+    times lose nothing to cancellation: the error is roundoff, not
     discretization. Degree never increases.
     """
     if p.dim != model.dim:
@@ -442,8 +440,8 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
         raise ValueError("t must be positive")
     if p.is_zero:
         return p
-    wick_model = _wick_model(model)
-    q = _wick_series(wick_model, p.to_float(), 1)
+    heat_model = replace(model, Q=covariance_at(model, t).sigma)
+    q = _wick_series(heat_model, p.to_float(), 1)
     E = matrix_exponential(model.B, t)
     dim = model.dim
     rows = [
@@ -456,7 +454,7 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
         for row, a in zip(rows, alpha):
             piece = piece * row**a
         moved = moved + piece
-    return _wick_series(wick_model, moved, -1)
+    return moved
 
 
 def check_normal(M, tol: float = 1e-12) -> NormalCheck:

@@ -201,15 +201,6 @@ class SparsePolynomial:
             n >>= 1
         return result
 
-    def derivative(self, i: int) -> "SparsePolynomial":
-        out = {}
-        for a, c in self.terms.items():
-            if a[i] > 0:
-                b = list(a)
-                b[i] -= 1
-                out[tuple(b)] = c * a[i]
-        return SparsePolynomial(self.dim, out)
-
     def conjugate(self) -> "SparsePolynomial":
         return SparsePolynomial(self.dim, {a: _conj(c) for a, c in self.terms.items()})
 

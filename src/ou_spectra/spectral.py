@@ -237,7 +237,9 @@ def _nullspace_bounded(
 
     ``scale`` is the size of the operator that mat was taken from; singular
     values are judged against the larger of it and mat's own largest one, so
-    a matrix that is roundoff at that scale has a full kernel.
+    a matrix that is roundoff at that scale has a full kernel. Singular values
+    below a floor at rank_rtol * 1e-3 of it all count as zero, so the cut
+    never falls between two roundoff values (an exact 0 and a 1e-18, say).
     """
     n = mat.shape[1]
     try:
@@ -266,7 +268,7 @@ def _nullspace_bounded(
         high = asc[nu] if nu < asc.size else None  # smallest called nonzero
         if high is None:
             gap = math.inf if (low is None or low <= floor) else top / low
-        elif low is None or low == 0.0:
+        elif low is None or low <= floor:
             gap = high / floor
         else:
             gap = high / low

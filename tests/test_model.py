@@ -172,6 +172,17 @@ class TestCovarianceAt:
                 oracle = simpson_covariance(model, t)
                 assert np.abs(covariance_at(model, t).sigma - oracle).max() < 1e-8
 
+    @pytest.mark.parametrize(("rates", "t"), [((1e-9, 2e-9), 1.0), ((1 / 200, 1 / 300), 0.01)])
+    def test_slow_drift_short_time_relative(self, rates, t):
+        # diagonal B: S_t[i, j] = Q[i, j] (1 - e^((b_i + b_j) t)) / -(b_i + b_j), far
+        # below the stationary covariance, which is 5e8 and 100 for the first rates
+        Q = np.array([[1.0, 0.5], [0.5, 2.0]])
+        b = -np.array(rates)
+        rate = b[:, None] + b[None, :]
+        expected = Q * -np.expm1(rate * t) / -rate
+        sigma = covariance_at(validate_model(Q, np.diag(b)), t).sigma
+        assert np.abs(sigma / expected - 1).max() < 1e-13
+
     def test_monotonicity_in_time(self, model5):
         for s, t in [(0.1, 0.5), (0.5, 1.0), (1.0, 3.0)]:
             diff = covariance_at(model5, t).sigma - covariance_at(model5, s).sigma

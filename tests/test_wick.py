@@ -5,12 +5,15 @@ span must equal ker (M - mu)^k, computed here from M directly (exact RREF of
 the matrix power for rational models, a kernel staircase of SVDs on all of M
 for float ones), with k the reported nilpotency index and k - 1 too small.
 The oracle for the Hermite-basis matrix projects images of the dilated
-Hermite tensors by Gaussian inner products; the oracle for the semigroup is
-its Taylor series on a generalized eigenvector, which is finite.
+Hermite tensors by Gaussian inner products. The oracles for the semigroup are
+its Taylor series on a generalized eigenvector, which is finite, and on any
+polynomial the binomial expansion against the moments of the time-t
+Gaussian, whose covariance is summed as a Taylor series too.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from ou_spectra.operator import (
     semigroup_apply,
     wick_matrix,
 )
-from ou_spectra.polynomials import hermite_tensor, monomial_basis
+from ou_spectra.polynomials import SparsePolynomial, hermite_tensor, monomial_basis
 from ou_spectra.spectral import _nullspace_bounded, generalized_eigenspaces
 from ou_spectra.worked_examples import section4_model
 
@@ -194,6 +197,26 @@ class TestEigenspacesMatchFullMatrix:
             assert np.linalg.norm(outside, axis=0).max() <= 1e-8
 
 
+class TestRankFloor:
+    def test_roundoff_values_count_as_zero(self):
+        # the ratio 1e31 between the two smallest values is no rank gap
+        nullity, _ = _nullspace_bounded(np.diag([1e-49, 1e-18, 0.4, 1.0]), 1, 2, 1e-10)
+        assert nullity == 2
+
+    def test_float_route_on_diagonal_drift(self):
+        """V = I in resonant_float_models. At the resonance x1^3 ~ x2^2 the
+        full matrix M + 3 has singular values about 1e-49 and 1e-18, and the
+        oracle's staircase once cut between them, reading index 2. W x1^3 and
+        W x2^2 are eigenfunctions, so the index is 1."""
+        dec = generalized_eigenspaces(validate_model(np.eye(2), np.diag([-1.0, -1.5])), 3)
+        M = dec.matrix.as_array().astype(complex)
+        for g in dec.groups:
+            k, basis = _float_kernel(M, g.eigenvalue, g.multiplicity)
+            assert k == g.nilpotency_index == 1
+            V = np.asarray(g.vectors)
+            assert np.linalg.norm(V - basis @ (basis.conj().T @ V), axis=0).max() <= 1e-8
+
+
 def _hermite_projection(model, n, operator, homogeneous):
     """Matrix of the operator on the orthonormal Hermite tensors, each entry
     <L h_j, h_i> / sqrt(<h_i, h_i> <h_j, h_j>) by Gaussian inner products,
@@ -262,3 +285,66 @@ class TestSemigroup:
                 scale = max(abs(complex(c)) for c in expected.terms.values())
                 out = semigroup_apply(model, t, u)
                 assert out.max_coeff_diff(expected) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(("b", "t", "n"), [(-1 / 200, 0.01, 8), (-1e-9, 1.0, 4), (-1.0, 3.0, 6)])
+    def test_closed_form_scalar(self, b, t, n):
+        """e^(tL) x^n = sum_k C(n, 2k) a^(n-2k) x^(n-2k) (2k-1)!! S_t^k with
+        a = e^(bt), Q = 1. The first two drifts are slow: the stationary
+        variance (100, 5e8) dwarfs S_t, and each coefficient must still be
+        right to roundoff of its own size."""
+        a = math.exp(b * t)
+        s_t = math.expm1(2 * b * t) / (2 * b)
+        out = semigroup_apply(validate_model([[1]], [[b]]), t, SparsePolynomial.monomial(1, (n,), 1.0))
+        for k in range(n // 2 + 1):
+            expected = math.comb(n, 2 * k) * a ** (n - 2 * k) * math.prod(range(1, 2 * k, 2)) * s_t**k
+            assert out.terms[(n - 2 * k,)] == pytest.approx(expected, rel=1e-13)
+
+    @SETTINGS
+    @given(
+        rational_models(),
+        st.sampled_from((1, Fraction(1, 200), Fraction(1, 10**6))),
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.data(),
+    )
+    def test_matches_moment_expansion(self, model, slowdown, s, data):
+        """On random polynomials of degree <= 4, also for slow drifts (B scaled
+        down, so that S is up to about 10^6) over short times (|tB| <= 1),
+        where S_t is far smaller than S."""
+        model = validate_model(model.Q_exact, [[b * slowdown for b in row] for row in model.B_exact])
+        t = s / max(1.0, np.linalg.norm(model.B, 2))
+        basis = monomial_basis(model.dim, data.draw(st.integers(0, 4)))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+        p = SparsePolynomial(model.dim, {a: float(c) for a, c in zip(basis.indices, coeffs) if c})
+        expected = _moment_semigroup(model, t, p)
+        scale = max((abs(c) for c in expected.terms.values()), default=0.0)
+        assert semigroup_apply(model, t, p).max_coeff_diff(expected) <= 1e-9 * scale
+
+
+def _moment_semigroup(model, t, p):
+    """E p(e^(tB) x + Z_t) with Z_t ~ N(0, S_t): each monomial expanded
+    binomially, with the moments of Z_t for the y-powers. e^(tB) and
+    S_t = sum_(k >= 1) t^k / k! L^(k-1)(Q), L(X) = BX + XB^T, are Taylor
+    series, which converge fast for |tB| <= 1 and subtract nothing from S."""
+    dim = model.dim
+    E, term = np.eye(dim), np.eye(dim)
+    cov = X = model.Q * t
+    for k in range(1, 40):
+        term = term @ model.B * (t / k)
+        E = E + term
+        X = (model.B @ X + X @ model.B.T) * (t / (k + 1))
+        cov = cov + X
+    table = MomentTable(cov)
+    rows = [
+        SparsePolynomial(dim, {tuple(int(j == k) for k in range(dim)): E[i, j] for j in range(dim)})
+        for i in range(dim)
+    ]
+    result = SparsePolynomial.zero(dim)
+    for alpha, coeff in p.terms.items():
+        for beta in product(*(range(a + 1) for a in alpha)):
+            weight = coeff * float(table.moment(beta))
+            piece = SparsePolynomial.constant(dim, 1.0)
+            for row, a, b in zip(rows, alpha, beta):
+                weight *= math.comb(a, b)
+                piece = piece * row ** (a - b)
+            result = result + piece * weight
+    return result
