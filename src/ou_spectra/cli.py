@@ -50,7 +50,6 @@ from .simulate import (
     ensemble_to_csv,
     save_ensemble,
     stationary_ensemble,
-    worker_count,
 )
 from .spectral import (
     TOL_EIG,
@@ -152,8 +151,6 @@ def complex_json(z: complex):
 
 
 def matrix_json(m):
-    if isinstance(m, np.ndarray):
-        return [[scalar_json(x) for x in row] for row in m]
     return [[scalar_json(x) for x in row] for row in m]
 
 
@@ -219,9 +216,6 @@ class RunConfig:
     tol_nilp: float
     backend: str
     fmt: str
-    seed: int = 0
-    paths: int = 100_000
-    step: float = 0.5
 
     def __post_init__(self):
         if self.degree < 0:
@@ -440,16 +434,12 @@ def _cmd_normalize(args, config: RunConfig) -> dict:
 
 def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
     model = _load_model(args, config)
-    if config.paths < 2:
+    if args.paths < 2:
         raise InvalidParams(
-            f"--paths must be at least 2 for an empirical covariance, got {config.paths}"
+            f"--paths must be at least 2 for an empirical covariance, got {args.paths}"
         )
     sim = SimConfig(
-        model=model,
-        step=config.step,
-        paths=config.paths,
-        seed=config.seed,
-        burn_in=args.burn_in,
+        model=model, step=args.step, paths=args.paths, seed=args.seed, burn_in=args.burn_in
     )
     ensemble = stationary_ensemble(sim)
     q_inf = solve_lyapunov(model).sigma
@@ -460,7 +450,6 @@ def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
         "step": sim.step,
         "seed": sim.seed,
         "burn_in": sim.resolved_burn_in(),
-        "workers": worker_count(),
         "config_sha256": ensemble.provenance,
         "empirical_mean": [float(x) for x in ensemble.samples.mean(axis=0)],
         "empirical_covariance": matrix_json(emp),
@@ -647,9 +636,6 @@ def run(argv, stream=None, err_stream=None) -> int:
             tol_nilp=args.tol_nilp,
             backend=args.backend,
             fmt=args.format,
-            seed=getattr(args, "seed", 0),
-            paths=getattr(args, "paths", 100_000),
-            step=getattr(args, "step", 0.5),
         )
         if args.subcommand == "analyze":
             report = _cmd_analyze(args, config)

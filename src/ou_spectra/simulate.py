@@ -1,10 +1,11 @@
 """Exact-discretization sampling of the diffusion and Monte Carlo pairings.
 
-One transition step over time h is x -> e^(hB) x + xi with xi drawn from the
-exact time-h covariance, so the sampled law has no step-size bias and the
-statistical tolerance is the only error source. Every path owns a
-counter-based RNG stream derived from (seed, path index); results are
-byte-identical for a fixed config no matter how many workers run.
+One transition over time h is x -> e^(hB) x + xi with xi drawn from the exact
+time-h covariance, so the sampled law has no step-size bias and the
+statistical tolerance is the only error source. A chain of m such steps of
+length h has the law of one transition over time m h, so the stationary
+ensemble is drawn as that single transition from the origin, from one
+counter-based RNG stream keyed by the seed.
 """
 
 from __future__ import annotations
@@ -12,17 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CholeskyFailure, InvalidParams, UsageError
+from .errors import CholeskyFailure, InvalidParams
 from .model import OUModel, covariance_at, drift_eigenvalues_raw, matrix_exponential
 from .polynomials import SparsePolynomial
 
-_CHUNK = 8192  # paths per work unit; fixed so chunking never depends on worker count
 BURN_IN_DECAY = 1e-6
 BURN_IN_CAP = 1_000_000  # most steps the burn-in search tries
 
@@ -121,57 +119,26 @@ def sample_transition(model: OUModel, h: float, x, rng: np.random.Generator) -> 
     return x @ E.T + noise @ L.T if x.ndim == 2 else E @ x + L @ noise
 
 
-def _path_generator(seed: int, path: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path], dtype=np.uint64))
-    )
-
-
 def worker_count() -> int:
-    """Worker cap from OU_SPECTRA_THREADS (0 or unset: automatic)."""
-    raw = os.environ.get("OU_SPECTRA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"OU_SPECTRA_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise UsageError("OU_SPECTRA_THREADS must be >= 0")
-    return n or min(4, os.cpu_count() or 1)
+    """Always 1: sampling runs in one thread. Kept because the benchmark
+    harness still imports it to report its worker figure."""
+    return 1
 
 
 def stationary_ensemble(config: SimConfig) -> Ensemble:
     """Draw one near-stationary sample per path.
 
-    Each path starts at the origin and runs burn_in exact transitions, so its
-    law is exactly N(0, Q_(m h)), within ||e^(m h B)||^2 of the stationary
-    covariance. The per-path streams make the result independent of chunk
-    scheduling.
+    A path of burn_in exact steps of length h from the origin has the law
+    N(0, S_(m h)), within ||e^(m h B)||^2 of the stationary covariance, so
+    every path is drawn as one exact transition over time m h. The draws come
+    from a single Philox stream keyed by the seed; negative seeds are taken
+    modulo 2^64.
     """
-    model = config.model
     m = config.resolved_burn_in()
-    E, L = transition_maps(model, config.step)
-    ET, LT = E.T.copy(), L.T.copy()
-    n, dim = config.paths, model.dim
-    out = np.empty((n, dim))
-
-    def run_chunk(lo: int, hi: int):
-        states = np.zeros((hi - lo, dim))
-        noise = np.empty((hi - lo, m, dim))
-        for p in range(lo, hi):
-            noise[p - lo] = _path_generator(config.seed, p).standard_normal((m, dim))
-        for step in range(m):
-            states = states @ ET + noise[:, step, :] @ LT
-        out[lo:hi] = states
-
-    chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    workers = worker_count()
-    if workers <= 1 or len(chunks) == 1:
-        for lo, hi in chunks:
-            run_chunk(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
-    return Ensemble(samples=out, config=config, provenance=config_digest(config))
+    rng = np.random.Generator(np.random.Philox(key=config.seed & 0xFFFFFFFFFFFFFFFF))
+    origin = np.zeros((config.paths, config.model.dim))
+    samples = sample_transition(config.model, m * config.step, origin, rng)
+    return Ensemble(samples=samples, config=config, provenance=config_digest(config))
 
 
 def estimate_pairing(

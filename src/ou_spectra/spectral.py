@@ -497,6 +497,12 @@ def orthogonality_report(
     basis, <u, v> = u^T G conj(v) for coordinate vectors u, v. The group
     vectors are stacked into V and H = V^T G conj(V) is formed once; the
     norms are read off its diagonal and every pair's block is a slice of it.
+
+    Each PairVerdict.block pairs the groups' coordinate vectors scaled to unit
+    Euclidean norm (EigenGroup.vectors). On the float route those are the
+    listed polynomials; on the exact route the listed polynomials are the
+    unscaled exact ones, so a block entry is their pairing divided by both
+    coordinate norms.
     """
     if sigma is None:
         sigma = solve_lyapunov(dec.model).sigma

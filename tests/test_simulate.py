@@ -98,12 +98,9 @@ class TestStationaryEnsemble:
         std = ensemble5.samples.std(axis=0, ddof=1)
         assert np.all(np.abs(ensemble5.samples.mean(axis=0)) < 4 * std / math.sqrt(n))
 
-    def test_determinism_and_worker_independence(self, model5, monkeypatch):
-        # paths > one chunk so the worker pool actually splits the work
+    def test_determinism_and_worker_independence(self, model5):
         cfg = SimConfig(model=model5, step=0.5, paths=20_000, seed=99)
-        monkeypatch.setenv("OU_SPECTRA_THREADS", "1")
         a = stationary_ensemble(cfg)
-        monkeypatch.setenv("OU_SPECTRA_THREADS", "3")
         b = stationary_ensemble(cfg)
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.provenance == b.provenance == config_digest(cfg)
@@ -112,6 +109,23 @@ class TestStationaryEnsemble:
         a = stationary_ensemble(SimConfig(model=model5, step=0.5, paths=500, seed=1))
         b = stationary_ensemble(SimConfig(model=model5, step=0.5, paths=500, seed=2))
         assert a.samples.tobytes() != b.samples.tobytes()
+
+    def test_negative_seed_is_deterministic(self, model5):
+        cfg = SimConfig(model=model5, step=0.5, paths=500, seed=-3)
+        a, b = stationary_ensemble(cfg), stationary_ensemble(cfg)
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+    @pytest.mark.parametrize("burn_in", [1, 3])
+    def test_burn_in_is_honoured(self, model5, burn_in):
+        # a short burn-in leaves the samples at N(0, S_(m h)), not N(0, S)
+        cfg = SimConfig(model=model5, step=0.5, paths=100_000, seed=11, burn_in=burn_in)
+        emp = np.cov(stationary_ensemble(cfg).samples, rowvar=False)
+        target = covariance_at(model5, burn_in * 0.5).sigma
+        d = np.diag(target)
+        se = np.sqrt((np.outer(d, d) + target**2) / cfg.paths)
+        assert np.all(np.abs(emp - target) < 5 * se)
+        S = solve_lyapunov(model5).sigma
+        assert np.any(np.abs(emp - S) > 5 * se)
 
 
 class TestEstimatePairing:
@@ -187,10 +201,3 @@ class TestConfigValidation:
         monkeypatch.setattr(sim, "covariance_at", broken)
         with pytest.raises(CholeskyFailure):
             sim.transition_maps(model5, 0.5)
-
-    def test_bad_thread_env(self, model5, monkeypatch):
-        from ou_spectra.errors import UsageError
-
-        monkeypatch.setenv("OU_SPECTRA_THREADS", "many")
-        with pytest.raises(UsageError):
-            stationary_ensemble(SimConfig(model=model5, step=0.5, paths=10, seed=1))
