@@ -4,6 +4,9 @@ Reports are JSON by default ("human" renders the same payload as text,
 "csv" is available for Gram matrices and small sample dumps). Rational
 values serialize as "p/q" strings because JSON numbers are doubles and
 exactness is the point; complex values serialize as {"re": .., "im": ..}.
+A JSON report puts each object key on its own line, and each item of a list
+of objects or arrays (a pair, a group, a spectrum point, a matrix row) on its
+own line as compact JSON; everything else is compact.
 
 Exit codes: 0 success, 1 usage error, 2 validation error or another typed
 failure, 3 numerical rank ambiguity.
@@ -355,16 +358,19 @@ def _groups_json(dec, tol_nilp: float) -> list:
 
 
 def _orthogonality_json(report) -> dict:
+    eigenvalues = [complex_json(z) for z in report.eigenvalues]  # shared by every pair
     return {
         "tol_orth": report.tol_orth,
         "all_orthogonal": report.all_orthogonal,
         "pairs": [
             {
-                "eigenvalue_i": complex_json(report.eigenvalues[p.i]),
-                "eigenvalue_j": complex_json(report.eigenvalues[p.j]),
+                "eigenvalue_i": eigenvalues[p.i],
+                "eigenvalue_j": eigenvalues[p.j],
                 "max_normalized": p.max_normalized,
                 "orthogonal": p.orthogonal,
-                "gram_block": matrix_json(p.block),
+                "gram_block": [
+                    [{"re": z.real, "im": z.imag} for z in row] for row in p.block.tolist()
+                ],
             }
             for p in report.pairs
         ],
@@ -449,7 +455,7 @@ def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
         "paths": sim.paths,
         "step": sim.step,
         "seed": sim.seed,
-        "burn_in": sim.resolved_burn_in(),
+        "burn_in": ensemble.config.burn_in,
         "config_sha256": ensemble.provenance,
         "empirical_mean": [float(x) for x in ensemble.samples.mean(axis=0)],
         "empirical_covariance": matrix_json(emp),
@@ -605,9 +611,32 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
+def _write_json(value, stream, indent: str = "") -> None:
+    """Write value as JSON piece by piece: an object one key per line, a list
+    of objects or arrays one item per line. Every item and every other value
+    is one json.dumps call, which takes the C encoder, and goes to the stream
+    at once, so the whole report never sits in memory as one string."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n"
+        for key, item in value.items():
+            stream.write(f"{sep}{inner}{json.dumps(key)}: ")
+            _write_json(item, stream, inner)
+            sep = ",\n"
+        stream.write(f"\n{indent}}}")
+    elif isinstance(value, list) and value and all(isinstance(x, (dict, list)) for x in value):
+        sep = "[\n"
+        for item in value:
+            stream.write(f"{sep}{inner}{json.dumps(item)}")
+            sep = ",\n"
+        stream.write(f"\n{indent}]")
+    else:
+        stream.write(json.dumps(value))
+
+
 def emit(report: dict, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(report, stream, indent=2, sort_keys=False)
+        _write_json(report, stream)
         stream.write("\n")
     elif fmt == "human":
         stream.write(render_human(report) + "\n")

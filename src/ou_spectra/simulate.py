@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,12 +132,13 @@ def stationary_ensemble(config: SimConfig) -> Ensemble:
     N(0, S_(m h)), within ||e^(m h B)||^2 of the stationary covariance, so
     every path is drawn as one exact transition over time m h. The draws come
     from a single Philox stream keyed by the seed; negative seeds are taken
-    modulo 2^64.
+    modulo 2^64. The ensemble's config carries the resolved burn_in, so the
+    default search runs once per ensemble.
     """
-    m = config.resolved_burn_in()
+    config = replace(config, burn_in=config.resolved_burn_in())
     rng = np.random.Generator(np.random.Philox(key=config.seed & 0xFFFFFFFFFFFFFFFF))
     origin = np.zeros((config.paths, config.model.dim))
-    samples = sample_transition(config.model, m * config.step, origin, rng)
+    samples = sample_transition(config.model, config.burn_in * config.step, origin, rng)
     return Ensemble(samples=samples, config=config, provenance=config_digest(config))
 
 

@@ -473,15 +473,21 @@ def _tidy_poly(vec: np.ndarray, basis: GradedBasis) -> SparsePolynomial:
 
 
 def basis_moment_gram(basis: GradedBasis, sigma) -> np.ndarray:
-    """Moment matrix E[x^(alpha_i + alpha_j)] over a monomial basis."""
+    """Moment matrix E[x^(alpha_i + alpha_j)] over a monomial basis.
+
+    Each distinct exponent sum is computed once. Sums are keyed by their
+    mixed-radix value in base 2 cap + 1, where no digit carries, so the key
+    of alpha_i + alpha_j is the sum of the keys. Keys that could pass int64
+    (many variables at a low cap) are held as Python integers."""
     table = MomentTable(np.asarray(sigma, dtype=float) if not isinstance(sigma, np.ndarray) else sigma)
-    size = len(basis)
-    g = np.zeros((size, size))
-    for i, a in enumerate(basis.indices):
-        for j in range(i, size):
-            b = basis.indices[j]
-            g[i, j] = g[j, i] = float(table.moment(tuple(x + y for x, y in zip(a, b))))
-    return g
+    radix = 2 * basis.cap + 1
+    dtype = np.int64 if radix**basis.dim <= 2**63 else object
+    weights = radix ** np.arange(basis.dim).astype(dtype)
+    keys = np.array(basis.indices, dtype=dtype) @ weights
+    distinct, inverse = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
+    exponents = (distinct[:, None] // weights) % radix
+    moments = np.array([float(table.moment(tuple(a))) for a in exponents.tolist()])
+    return moments[inverse].reshape(len(basis), len(basis))
 
 
 def orthogonality_report(
@@ -519,17 +525,17 @@ def orthogonality_report(
     denom = np.outer(norms, norms)
     with np.errstate(invalid="ignore", divide="ignore"):
         normalized = np.where(denom > 0, np.abs(H) / denom, 0.0)
-    ends = np.cumsum([m.shape[1] for m in mats])
-    cols = [slice(end - m.shape[1], end) for m, end in zip(mats, ends)]
-    pairs = []
-    all_ok = True
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            block = H[cols[i], cols[j]]
-            worst = float(normalized[cols[i], cols[j]].max())
-            ok = worst < tol_orth
-            all_ok = all_ok and ok
-            pairs.append(PairVerdict(i=i, j=j, max_normalized=worst, orthogonal=ok, block=block))
+    sizes = [m.shape[1] for m in mats]
+    starts = np.cumsum(sizes) - sizes
+    cols = [slice(start, start + size) for start, size in zip(starts, sizes)]
+    # block maxima of the normalized table, one entry per pair of groups
+    worst = np.maximum.reduceat(np.maximum.reduceat(normalized, starts, axis=0), starts, axis=1)
+    upper = np.triu_indices(len(groups), 1)
+    pairs = [
+        PairVerdict(i=i, j=j, max_normalized=w, orthogonal=w < tol_orth, block=H[cols[i], cols[j]])
+        for i, j, w in zip(upper[0].tolist(), upper[1].tolist(), worst[upper].tolist())
+    ]
+    all_ok = all(p.orthogonal for p in pairs)
     return OrthogonalityReport(
         pairs=tuple(pairs),
         tol_orth=tol_orth,

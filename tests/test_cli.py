@@ -272,3 +272,75 @@ class TestFormats:
             ["paper-example", "section5"],
         ):
             run_json(argv)
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not valid JSON")
+
+
+EMITTED = {
+    "analyze-float": ["analyze", "--Q", "[[1.0,0.0],[0.0,1.0]]", "--B", "[[-1.5,0.25],[0.0,-2.0]]",
+                      "--backend", "float", "--degree", "3"],
+    "analyze-exact": ["analyze", "--Q", "[[2,0,0],[0,1,0],[0,0,3]]",
+                      "--B", "[[-2,0,0],[\"1/2\",-3,0],[-2,-1,-5]]", "--degree", "3"],
+    "spectrum": ["spectrum", *SECTION4_FLAGS, "--degree", "4"],
+    "gram": ["gram", "--Q", "[[2,1],[1,3]]", "--B", "[[-2,1],[0,-1]]", "--degree", "3"],
+    "normalize": ["normalize", "--Q", "[[4,1],[1,1]]", "--B", "[[-1,0.5],[0,-1]]"],
+    "simulate": ["simulate", *SECTION4_FLAGS, "--paths", "200", "--seed", "4"],
+    "section4": ["paper-example", "section4", "--degree", "4"],
+    "section5": ["paper-example", "section5"],
+}
+
+
+class TestEmission:
+    @staticmethod
+    def emitted(argv, monkeypatch):
+        """(the report dict handed to emit, the text written)."""
+        seen = []
+        original = cli.emit
+
+        def recording_emit(report, fmt, stream):
+            seen.append(report)
+            original(report, fmt, stream)
+
+        monkeypatch.setattr(cli, "emit", recording_emit)
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        assert len(seen) == 1
+        return seen[0], out
+
+    @pytest.mark.parametrize("name", sorted(EMITTED))
+    def test_output_is_the_report(self, name, monkeypatch):
+        report, out = self.emitted(EMITTED[name], monkeypatch)
+        parsed = json.loads(out, parse_constant=_reject_constant)
+        assert parsed == json.loads(json.dumps(report))
+        jsonschema.validate(parsed, cli.REPORT_SCHEMA)
+
+    def test_one_pair_per_line(self, monkeypatch):
+        _, out = self.emitted(EMITTED["analyze-exact"], monkeypatch)
+        pairs = json.loads(out)["orthogonality"]["pairs"]
+        lines = [
+            json.loads(line.strip().rstrip(","))
+            for line in out.splitlines()
+            if line.lstrip().startswith('{"eigenvalue_i"')
+        ]
+        assert len(pairs) > 1 and lines == pairs
+
+
+class TestBurnInSearch:
+    def test_searched_once_per_simulate(self, tmp_path, monkeypatch):
+        from ou_spectra import simulate
+
+        calls = []
+        original = simulate.default_burn_in
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "default_burn_in", counting)
+        out_path = str(tmp_path / "ens.f64")
+        report = run_json(["simulate", *SECTION4_FLAGS, "--paths", "10", "--out", out_path])
+        assert len(calls) == 1
+        sidecar = json.loads((tmp_path / "ens.f64.json").read_text())
+        assert report["simulation"]["burn_in"] == sidecar["burn_in"] == original(*calls[0])

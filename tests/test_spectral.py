@@ -10,13 +10,14 @@ from ou_spectra.errors import (
     RankDecisionAmbiguous,
     RepeatedEigenvalue,
 )
-from ou_spectra.gaussian import inner_product
+from ou_spectra.gaussian import MomentTable, inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import operator_matrix, poly_coordinates
-from ou_spectra.polynomials import SparsePolynomial
+from ou_spectra.polynomials import SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
     _nullspace_bounded,
     b_eigenvector_angle,
+    basis_moment_gram,
     drift_eigenvalues,
     generalized_eigenspaces,
     operator_eigenvalues,
@@ -236,6 +237,46 @@ class TestOrthogonalityReport:
         dec = generalized_eigenspaces(model5, 2)
         rep = orthogonality_report(dec)
         assert all(p.i != p.j for p in rep.pairs)
+
+    @pytest.mark.parametrize("model_index", range(len(small_test_models())))
+    def test_verdicts_match_per_pair_slices(self, model_index):
+        # reference: each pair's maximum taken from its own slice of the
+        # normalized cross-Gram table, pair by pair
+        dec = generalized_eigenspaces(small_test_models()[model_index], 4)
+        rep = orthogonality_report(dec)
+        G = basis_moment_gram(dec.basis, solve_lyapunov(dec.model).sigma)
+        V = np.hstack([g.vectors for g in dec.groups])
+        H = V.T @ G @ V.conj()
+        norms = np.sqrt(np.abs(np.diag(H).real))
+        normalized = np.abs(H) / np.outer(norms, norms)
+        ends = np.cumsum([g.multiplicity for g in dec.groups])
+        cols = [slice(end - g.multiplicity, end) for g, end in zip(dec.groups, ends)]
+        expected = [
+            (i, j, float(normalized[cols[i], cols[j]].max()), H[cols[i], cols[j]])
+            for i in range(len(cols))
+            for j in range(i + 1, len(cols))
+        ]
+        assert [(p.i, p.j, p.max_normalized) for p in rep.pairs] == [e[:3] for e in expected]
+        for p, e in zip(rep.pairs, expected):
+            np.testing.assert_array_equal(p.block, e[3])
+        assert all(p.orthogonal == (p.max_normalized < rep.tol_orth) for p in rep.pairs)
+        assert rep.all_orthogonal == all(p.orthogonal for p in rep.pairs)
+
+
+class TestBasisMomentGram:
+    @pytest.mark.parametrize("dim, cap", [(1, 5), (2, 4), (3, 3), (4, 2), (45, 1)])
+    def test_equals_entrywise_moments(self, dim, cap):
+        # reference: one moment per entry, in the order the entries are read
+        rng = np.random.default_rng(dim * 10 + cap)
+        a = rng.standard_normal((dim, dim))
+        sigma = a @ a.T + dim * np.eye(dim)
+        basis = monomial_basis(dim, cap)
+        table = MomentTable(sigma)
+        expected = np.array([
+            [float(table.moment(tuple(x + y for x, y in zip(a_i, a_j)))) for a_j in basis.indices]
+            for a_i in basis.indices
+        ])
+        np.testing.assert_array_equal(basis_moment_gram(basis, sigma), expected)
 
 
 class TestEigenvectorAngle:
