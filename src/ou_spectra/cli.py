@@ -249,7 +249,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--degree", type=int, default=4, help="degree cap (default 4)")
     p.add_argument("--backend", choices=["auto", "exact", "float"], default="auto")
     p.add_argument("--format", choices=["json", "human", "csv"], default="json")
-    p.add_argument("--tol-eig", type=float, default=TOL_EIG)
+    p.add_argument("--tol-eig", type=float, default=TOL_EIG, help="merge distance of float spectrum "
+                   "sums (resonances across degrees); drift eigenvalue clusters are decided by rank")
     p.add_argument("--tol-orth", type=float, default=TOL_ORTH)
     p.add_argument("--tol-nilp", type=float, default=TOL_NILP)
 
@@ -387,9 +388,8 @@ def _cmd_analyze(args, config: RunConfig) -> dict:
     report = _base_report(config, model)
     report["q_infinity"] = _q_infinity_json(model)
     report["drift_eigenvalues"] = [complex_json(z) for z in drift_eigenvalues(model.B)]
-    sp = spectrum(model, config.degree, config.tol_eig)
-    report["spectrum"] = _spectrum_json(sp)
     dec = generalized_eigenspaces(model, config.degree, config.tol_eig)
+    report["spectrum"] = _spectrum_json(dec.spectrum)
     report["groups"] = _groups_json(dec, config.tol_nilp)
     orth = orthogonality_report(dec, tol_orth=config.tol_orth)
     report["orthogonality"] = _orthogonality_json(orth)

@@ -71,7 +71,10 @@ def default_burn_in(model: OUModel, h: float, decay: float = BURN_IN_DECAY) -> i
 
     ||e^(m h B)|| >= e^(m h alpha), with alpha the largest real part of the
     drift eigenvalues, so m > ln(decay) / (h alpha). A drift for which that
-    bound passes BURN_IN_CAP is rejected before the search starts.
+    bound passes BURN_IN_CAP is rejected before the search starts. Every
+    step is checked, as the norm need not fall monotonically for a
+    non-normal B, but the spectral norm (an SVD) only where the Frobenius
+    norm f, ||P|| <= f <= sqrt(N) ||P||, cannot decide.
     """
     alpha = max(z.real for z in drift_eigenvalues_raw(model.B))
     if math.log(decay) / (h * alpha) > BURN_IN_CAP:
@@ -81,9 +84,11 @@ def default_burn_in(model: OUModel, h: float, decay: float = BURN_IN_DECAY) -> i
         )
     E = matrix_exponential(model.B, h)
     power = np.eye(model.dim)
+    undecided = math.sqrt(model.dim) * decay  # f at or above this means ||P|| >= decay
     for m in range(1, BURN_IN_CAP + 1):
         power = power @ E
-        if np.linalg.norm(power, 2) < decay:
+        f = np.linalg.norm(power)
+        if f < decay or (f < undecided and np.linalg.norm(power, 2) < decay):
             return m
     raise InvalidParams(f"burn-in search stopped at {BURN_IN_CAP} steps; pass --burn-in")
 

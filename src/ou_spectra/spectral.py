@@ -1,20 +1,19 @@
 """Drift spectra, generalized eigenspaces, and orthogonality reports.
 
-The generator's spectrum on polynomials of degree <= n is the set of sums
-sum_j n_j * lambda_j over the distinct drift eigenvalues lambda_j with
-sum n_j <= n (Metafune, Pallara and Priola, J. Funct. Anal. 196, 2002).
+Everything rests on one list: the drift eigenvalues, clustered once by rank
+(_drift_clusters). For a rational model whose drift eigenvalues are all
+rational, each cluster is confirmed exactly and the model takes the exact
+route, whether or not B is triangular.
 
-Generalized eigenspaces follow from the Wick intertwining L W = W D. Here
-D = <Bx, grad> is the drift part, which keeps the degree, and
-W = exp(-1/2 tr(S D^2)) is the Wick map of the stationary covariance S
-(operator.wick_matrix). Every generalized eigenspace of L is therefore W
-applied to generalized eigenspaces of the homogeneous drift blocks D_n, the
-diagonal degree blocks of the operator matrix. Blocks that are exactly
-triangular (Jordan-type drifts supplied in triangular form) have their
-eigenvalues read off the diagonal, which keeps defective cases accurate where
-a dense eigen-solver would scatter them. Rational models with triangular
-blocks get exact kernels; all others get a staircase of SVD kernels, one
-block at a time.
+The generator's spectrum on polynomials of degree <= n is the set of sums
+sum_j n_j lambda_j over these clusters with sum n_j <= n (Metafune, Pallara
+and Priola, J. Funct. Anal. 196, 2002). Generalized eigenspaces follow from
+the Wick intertwining L W = W D. Here D = <Bx, grad> is the drift part,
+which keeps the degree, and W = exp(-1/2 tr(S D^2)) is the Wick map of the
+stationary covariance S (operator.wick_matrix). Every generalized eigenspace
+of L is therefore W applied to generalized eigenspaces of the drift blocks
+D_n, one per spectrum point: exact kernels on the exact route, a staircase
+of SVD kernels otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import acos, comb
 
 import numpy as np
@@ -57,31 +58,31 @@ class SpectrumPoint:
     value: complex
     witnesses: tuple[tuple[int, ...], ...]  # exponents against the distinct drift eigenvalues
     degrees: tuple[int, ...]
+    exact: Fraction | None = None  # the value as a rational, on the exact route
 
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    drift_eigenvalues: tuple[complex, ...]  # with multiplicity
-    distinct: tuple[complex, ...]
+    distinct: tuple[complex, ...]  # the drift eigenvalue clusters
+    multiplicities: tuple[int, ...]  # the algebraic multiplicity of each
     degree_cap: int
     points: tuple[SpectrumPoint, ...]
-    tol: float = TOL_EIG
 
     def values(self) -> list[complex]:
         return [p.value for p in self.points]
 
-    def multiset(self) -> list[complex]:
-        """Eigenvalues with algebraic multiplicity: sums over the drift
-        eigenvalues counted with multiplicity, one per exponent pattern.
-        Matches the eigenvalue multiset of the degree-capped operator matrix.
-        """
-        from itertools import combinations_with_replacement
+    def block_multiplicities(self, point: SpectrumPoint) -> list[int]:
+        """Algebraic multiplicity of a point in each drift block D_0..D_cap:
+        a witness n counts prod_j C(m_j + n_j - 1, n_j), the number of
+        monomials of degree n_j in m_j variables."""
+        counts = [0] * (self.degree_cap + 1)
+        for n in point.witnesses:
+            counts[sum(n)] += math.prod(comb(m + k - 1, k) for m, k in zip(self.multiplicities, n))
+        return counts
 
-        out = []
-        for n in range(self.degree_cap + 1):
-            for combo in combinations_with_replacement(self.drift_eigenvalues, n):
-                out.append(sum(combo, 0j))
-        return out
+    def multiset(self) -> list[complex]:
+        """Eigenvalues with algebraic multiplicity, as in the operator matrix."""
+        return [p.value for p in self.points for _ in range(sum(self.block_multiplicities(p)))]
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class SpectralDecomposition:
     degree_cap: int
     basis: GradedBasis
     matrix: OperatorMatrix
-    groups: tuple[EigenGroup, ...]
+    groups: tuple[EigenGroup, ...]  # one per point of spectrum, in its order
+    spectrum: SpectrumSet
     tol_eig: float = TOL_EIG
 
     def group_at(self, value: complex, tol: float | None = None) -> EigenGroup:
@@ -146,81 +148,110 @@ def drift_eigenvalues(B) -> list[complex]:
     return sorted(vals, key=lambda z: (z.real, z.imag))
 
 
-def _cluster(values, tol: float):
-    """Group complex values whose chain-distance is below tol; returns a list
-    of (mean, member indices)."""
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    clusters: list[list[int]] = []
-    for i in order:
-        if clusters and abs(values[i] - values[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(i)
+def _drift_clusters(B: np.ndarray) -> list[tuple[complex, int]]:
+    """The drift eigenvalues clustered by rank: (mean, size) per cluster.
+
+    Clusters are read top down from the single-linkage dendrogram of the
+    eigenvalues. A cluster of k values with mean mu is kept when the kernel
+    staircase of B - mu reaches nullity k, calling only roundoff zero;
+    otherwise it is split at its widest link, down to single eigenvalues.
+    So a defective eigenvalue, whose computed copies scatter by about
+    eps^(1/k), is one cluster, and close distinct ones stay apart, as they
+    would not under (B - mu)^k."""
+    eigs = drift_eigenvalues(B)
+    floor = _roundoff_floor(float(np.linalg.norm(B)), RANK_RTOL)
+    # Kruskal's merges, closest pair first; a merged cluster keeps its halves
+    cluster_of = {i: (i,) for i in range(len(eigs))}
+    halves = {}
+    links = sorted(combinations(range(len(eigs)), 2), key=lambda ij: abs(eigs[ij[0]] - eigs[ij[1]]))
+    for i, j in links:
+        a, b = cluster_of[i], cluster_of[j]
+        if a != b:
+            halves[a + b] = (a, b)
+            cluster_of.update(dict.fromkeys(a + b, a + b))
+    out, todo = [], [cluster_of[0]]
+    while todo:
+        members = todo.pop()
+        k = len(members)
+        mu = sum(eigs[i] for i in members) / k
+        try:
+            passed = k == 1 or _float_block_kernel(B, mu, k, RANK_RTOL)[2] <= floor
+        except RankDecisionAmbiguous:
+            passed = False
+        if passed:
+            out.append((mu, k))
         else:
-            clusters.append([i])
-    return [(sum(values[i] for i in c) / len(c), c) for c in clusters]
+            todo.extend(halves[members])
+    return out
+
+
+def _rational_clusters(B_exact, clusters) -> list[tuple[Fraction, int]] | None:
+    """The clusters as exact eigenvalues of a rational B with multiplicities,
+    or None when some drift eigenvalue is not rational.
+
+    The rational eigenvalues of s B, s the common denominator of B, are
+    integers, so each mean is rounded to a multiple of 1/s; equal ones merge.
+    Each value r of multiplicity m is confirmed by dim ker (B - r)^m = m,
+    and the multiplicities sum to N."""
+    _, s = exact.common_denominator_scale(B_exact)
+    sizes: dict[Fraction, int] = {}
+    for mu, m in clusters:
+        r = Fraction(round(Fraction(mu.real) * s), s)
+        sizes[r] = sizes.get(r, 0) + m
+    whole = slice(0, len(B_exact))
+    confirmed = all(len(_exact_block_kernel(B_exact, whole, r, m)[1]) == m for r, m in sizes.items())
+    return list(sizes.items()) if confirmed else None
 
 
 def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> SpectrumSet:
-    """Enumerate sum_j n_j lambda_j over distinct drift eigenvalues,
-    sum n_j <= cap, deduplicated within tol; witnesses are kept per value.
-
-    The exponent vectors n are the compositions of each degree <= cap into
-    r parts, enumerated directly: C(r + cap, cap) of them."""
+    """The sums sum_j n_j lambda_j over the drift eigenvalue clusters with
+    sum n_j <= cap, each with its witnesses n: the compositions of each
+    degree <= cap into r parts, C(r + cap, cap) of them. On the exact route
+    (rational drift eigenvalues) equal sums merge exactly, otherwise sums
+    within tol_eig, which joins resonances across degrees."""
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
-    eigs = drift_eigenvalues(model.B)
-    # distinct eigenvalues ordered with the slowest decay first, so witness
-    # exponent vectors read off against (-a+d, -a-d)-style orderings
-    distinct = sorted(
-        (rep for rep, _ in _cluster(eigs, tol_eig)),
-        key=lambda z: (-z.real, z.imag),
-    )
-    r = len(distinct)
-    raw = [
-        (sum(nj * lj for nj, lj in zip(n, distinct)), n)
-        for n in monomial_basis(r, degree_cap).indices
-    ]
-    ordered = sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag, vw[1]))
-    clusters: list[list[tuple[complex, tuple[int, ...]]]] = []
-    for v, n in ordered:
-        if clusters and abs(v - clusters[-1][-1][0]) <= tol_eig:
-            clusters[-1].append((v, n))
+    found = _drift_clusters(model.B)
+    rational = _rational_clusters(model.B_exact, found) if model.is_exact else None
+    # slowest decay first, so witness exponent vectors read off against
+    # (-a+d, -a-d)-style orderings
+    drift = sorted(rational or found, key=lambda vm: (-vm[0].real, vm[0].imag))
+    tol = 0 if rational else tol_eig
+    exponents = monomial_basis(len(drift), degree_cap).indices
+    raw = [(sum(nj * lj for nj, (lj, _) in zip(n, drift)), n) for n in exponents]
+    chains: list[list] = []
+    for v, n in sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag, vw[1])):
+        if chains and abs(v - chains[-1][-1][0]) <= tol:
+            chains[-1].append((v, n))
         else:
-            clusters.append([(v, n)])
+            chains.append([(v, n)])
     points = []
-    for members in clusters:
+    for members in chains:
         rep = sum(v for v, _ in members) / len(members)
-        witnesses = tuple(sorted(n for _, n in members))
-        degrees = tuple(sum(n) for n in witnesses)
-        points.append(SpectrumPoint(value=rep, witnesses=witnesses, degrees=degrees))
+        ws = tuple(sorted(n for _, n in members))
+        points.append(SpectrumPoint(complex(rep), ws, tuple(map(sum, ws)), rep if rational else None))
     points.sort(key=lambda p: (-p.value.real, p.value.imag))
     return SpectrumSet(
-        drift_eigenvalues=tuple(eigs),
-        distinct=tuple(distinct),
+        distinct=tuple(complex(v) for v, _ in drift),
+        multiplicities=tuple(m for _, m in drift),
         degree_cap=degree_cap,
         points=tuple(points),
-        tol=tol_eig,
     )
 
 
 # -- operator eigenvalues and kernels ----------------------------------------
 
 
-def _is_float_triangular(a: np.ndarray, lower: bool) -> bool:
-    n = a.shape[0]
-    idx = np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)
-    return not np.any(a[idx])
-
-
-def _block_eigenvalues(block: np.ndarray) -> list[complex]:
-    if _is_float_triangular(block, lower=True) or _is_float_triangular(block, lower=False):
-        return [complex(x) for x in np.diag(block)]
-    return [complex(z) for z in np.linalg.eigvals(block)]
-
-
 def operator_eigenvalues(om: OperatorMatrix) -> list[complex]:
-    """Eigenvalues of a degree-graded operator matrix, block by block."""
+    """Eigenvalues of a degree-graded operator matrix, block by block, with
+    triangular blocks read off the diagonal. A test oracle for spectrum()."""
     arr = om.as_array()
-    return [z for _, sl in degree_block_slices(om.basis) for z in _block_eigenvalues(arr[sl, sl])]
+    return [z for _, sl in degree_block_slices(om.basis) for z in drift_eigenvalues_raw(arr[sl, sl])]
+
+
+def _roundoff_floor(top: float, rank_rtol: float) -> float:
+    """Singular values at or below this are roundoff for an operator of size top."""
+    return top * max(rank_rtol * 1e-3, 1e-300)
 
 
 def _nullspace_bounded(
@@ -261,7 +292,7 @@ def _nullspace_bounded(
     top = max(asc[-1], scale)
     hi_nullity = min(hi_nullity, n)
     lo_nullity = max(lo_nullity, 0)
-    floor = top * max(rank_rtol * 1e-3, 1e-300)
+    floor = _roundoff_floor(top, rank_rtol)
     best_nullity, best_gap = None, 0.0
     for nu in range(lo_nullity, hi_nullity + 1):
         low = asc[nu - 1] if nu >= 1 else None  # largest singular value called zero
@@ -285,24 +316,6 @@ def _nullspace_bounded(
     return best_nullity, vh[-best_nullity:].conj().T
 
 
-def _exact_block_eigenvalues(om: OperatorMatrix, blocks: list[slice]):
-    """Diagonal of the exact operator matrix when every degree block is
-    triangular (drifts supplied in triangular or Jordan-type form), so that
-    it lists the eigenvalues in basis order; None otherwise."""
-    if not om.is_exact:
-        return None
-    entries = om.entries
-    out = []
-    for sl in blocks:
-        idx = range(sl.start, sl.stop)
-        lower_ok = all(entries[i][j] == 0 for i in idx for j in idx if j > i)
-        upper_ok = all(entries[i][j] == 0 for i in idx for j in idx if j < i)
-        if not (lower_ok or upper_ok):
-            return None
-        out.extend(entries[i][i] for i in idx)
-    return out
-
-
 def _exact_block_kernel(entries, sl: slice, mu, mult: int):
     """Nilpotency index and exact kernel basis of (D_n - mu)^k on one degree
     block, mu having algebraic multiplicity mult there: binary search of the
@@ -310,12 +323,10 @@ def _exact_block_kernel(entries, sl: slice, mu, mult: int):
     idx = range(sl.start, sl.stop)
     P = [[entries[i][j] - (mu if i == j else 0) for j in idx] for i in idx]
     P_int, _ = exact.common_denominator_scale(P)
-    cache: dict[int, list] = {}
 
+    @cache
     def kernel(k: int):
-        if k not in cache:
-            cache[k] = exact.nullspace(exact.int_matrix_power(P_int, k))
-        return cache[k]
+        return exact.nullspace(exact.int_matrix_power(P_int, k))
 
     lo, hi = 1, mult
     while lo < hi:
@@ -328,8 +339,9 @@ def _exact_block_kernel(entries, sl: slice, mu, mult: int):
 
 
 def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float):
-    """Nilpotency index and orthonormal basis of ker (D - mu)^k on one degree
-    block D, which has mult eigenvalues in the cluster at mu.
+    """Nilpotency index and orthonormal basis of ker (D - mu)^k on one block
+    D, which has mult eigenvalues in the cluster at mu, and the largest
+    singular value called zero on the way.
 
     Staircase: with P = D - mu, ker(P^(k+1)) = {v : P v in ker(P^k)} =
     ker((I - V V*) P), which keeps every rank decision at the conditioning
@@ -340,12 +352,14 @@ def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float)
     """
     P = D - mu * np.eye(D.shape[0])
     scale = float(np.linalg.norm(D))
-    nullity, basis, k = 0, None, 0
+    nullity, basis, k, zero = 0, None, 0, 0.0
     while nullity < mult:
         k += 1
         A = P if basis is None else P - basis @ (basis.conj().T @ P)
         nullity, basis = _nullspace_bounded(A, nullity + 1, mult, rank_rtol, scale)
-    return k, basis
+        # the kernel basis is right singular vectors, so these are the values called zero
+        zero = max(zero, float(np.linalg.norm(A @ basis, axis=0).max()))
+    return k, basis, zero
 
 
 def generalized_eigenspaces(
@@ -354,55 +368,36 @@ def generalized_eigenspaces(
     tol_eig: float = TOL_EIG,
     rank_rtol: float = RANK_RTOL,
 ) -> SpectralDecomposition:
-    """Generalized eigenspaces of L on polynomials of degree <= cap, through
-    the Wick intertwining L W = W D (see operator.wick_matrix).
+    """Generalized eigenspaces of L on polynomials of degree <= cap, one
+    group per point of spectrum(model, cap, tol_eig), through the Wick
+    intertwining L W = W D (see operator.wick_matrix).
 
-    D keeps the degree, so its matrix is the block diagonal of the operator
-    matrix M, one homogeneous drift block D_n per degree. The eigenvalues of
-    all blocks are clustered together, so a resonance across degrees lands
-    in one group. For each cluster the generalized eigenspace is found inside
-    every block where the cluster occurs and mapped through W; the group's
-    multiplicity is the sum over blocks and its nilpotency index the largest.
-
-    Exact models whose degree blocks are all triangular take an exact route:
-    rational eigenvalues, exact ranks, exact kernel bases and W in Fractions,
-    with zero residual. Otherwise the kernels come from the float staircase,
-    and each group's residual ||(M - mu)^k u|| is measured on M itself.
+    A point's generalized eigenspace is found inside each drift block D_n
+    (a diagonal block of the operator matrix M) where it occurs, with the
+    multiplicity the spectrum gives there, and mapped through W. On the exact
+    route everything is exact, with zero residual; otherwise the kernels come
+    from the float staircase, and the residual ||(M - mu)^k u|| is taken on M.
     """
+    sp = spectrum(model, degree_cap, tol_eig)
     om = operator_matrix(model, degree_cap, "monomial", "L")
     blocks = [sl for _, sl in degree_block_slices(om.basis)]  # blocks[n] holds degree n
-    degrees = om.basis.degrees()
     W = wick_matrix(model, degree_cap)
-
-    def per_block(members):
-        """Multiplicity in each block of a cluster, from basis positions."""
-        counts = [0] * len(blocks)
-        for i in members:
-            counts[degrees[i]] += 1
-        return counts
-
-    exact_eigs = _exact_block_eigenvalues(om, blocks)
-    if exact_eigs is not None:
-        clusters: dict = {}
-        for i, v in enumerate(exact_eigs):
-            clusters.setdefault(v, []).append(i)
-        groups = [
-            _exact_eigengroup(om, W, blocks, mu, per_block(m)) for mu, m in clusters.items()
-        ]
+    counts = [sp.block_multiplicities(p) for p in sp.points]
+    if sp.points[0].exact is not None:
+        groups = [_exact_eigengroup(om, W, blocks, p.exact, c) for p, c in zip(sp.points, counts)]
     else:
         M, Wf = om.as_array().astype(complex), W.as_array()
-        values = [z for sl in blocks for z in _block_eigenvalues(M[sl, sl])]
         groups = [
-            _float_eigengroup(M, Wf, om.basis, blocks, mu, per_block(m), rank_rtol)
-            for mu, m in _cluster(values, tol_eig)
+            _float_eigengroup(M, Wf, om.basis, blocks, p.value, c, rank_rtol)
+            for p, c in zip(sp.points, counts)
         ]
-    groups.sort(key=lambda g: (-g.eigenvalue.real, g.eigenvalue.imag))
     return SpectralDecomposition(
         model=model,
         degree_cap=degree_cap,
         basis=om.basis,
         matrix=om,
         groups=tuple(groups),
+        spectrum=sp,
         tol_eig=tol_eig,
     )
 
@@ -438,7 +433,7 @@ def _float_eigengroup(M, W, basis, blocks, mu, counts, rank_rtol) -> EigenGroup:
     for sl, mult in zip(blocks, counts):
         if not mult:
             continue
-        k, kernel = _float_block_kernel(M[sl, sl], mu, mult, rank_rtol)
+        k, kernel, _ = _float_block_kernel(M[sl, sl], mu, mult, rank_rtol)
         index = max(index, k)
         parts.append(W[:, sl] @ kernel)
     V = np.hstack(parts)

@@ -130,3 +130,24 @@ class TestSvdConvergence:
         )
         assert code == cli.EXIT_VALIDATION
         assert err.startswith("error: SVD") and out == ""
+
+
+class TestRotatedJordanDrift:
+    def test_exact_groups_are_orthogonal(self):
+        """B = R diag(-1, J_2(-5/2)) R^T with R the 3-4-5 rotation in the
+        (x1, x2) plane and Q = I. The drift eigenvalues are rational, so the
+        model takes the exact route although B is not triangular; S is
+        block-diagonal in the rotated frame, so every pair is orthogonal."""
+        B = '[["-49/25","-18/25","4/5"],["-18/25","-77/50","3/5"],[0,0,"-5/2"]]'
+        Q = "[[1,0,0],[0,1,0],[0,0,1]]"
+        code, out, err = run_cli(["analyze", "--Q", Q, "--B", B, "--degree", "2"])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["backend"] == "exact"
+        groups = report["groups"]
+        assert [g["eigenvalue"] for g in groups] == [
+            {"re": float(v), "im": 0.0} for v in (0, -1, -2, -2.5, -3.5, -5)
+        ]
+        assert [g["multiplicity"] for g in groups] == [1, 1, 1, 2, 2, 3]
+        assert all(g["max_power_residual"] == 0 for g in groups)
+        assert report["orthogonality"]["all_orthogonal"] is True

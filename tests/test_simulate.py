@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ou_spectra.model import covariance_at, matrix_exponential, solve_lyapunov
+from ou_spectra.model import covariance_at, matrix_exponential, solve_lyapunov, validate_model
 from ou_spectra.polynomials import SparsePolynomial, hermite_tensor
 from ou_spectra.simulate import (
     SimConfig,
@@ -80,6 +80,36 @@ class TestBurnIn:
         E = matrix_exponential(model5.B, 0.5)
         assert np.linalg.norm(np.linalg.matrix_power(E, m), 2) < 1e-6
         assert np.linalg.norm(np.linalg.matrix_power(E, m - 1), 2) >= 1e-6
+
+    @staticmethod
+    def spectral_norm_search(model, h, decay=1e-6):
+        E, power = matrix_exponential(model.B, h), np.eye(model.dim)
+        for m in range(1, 10**6):
+            power = power @ E
+            if np.linalg.norm(power, 2) < decay:
+                return m
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_step_count_as_spectral_norm_search(self, seed):
+        """Strongly non-normal drifts, whose norm first grows: the Frobenius
+        bracket must stop at the same step. On odd seeds the first mode is a
+        rotation, so two singular values decay together and the Frobenius
+        norm alone would stop late; on the others the lower bound f / sqrt(N)
+        alone would stop early."""
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        rates = -rng.uniform(0.2, 2.0, n)
+        B = np.diag(rates) + np.triu(rng.uniform(-8, 8, (n, n)), 1)
+        if seed % 2:
+            B[1, 0], B[0, 1], B[1, 1] = -2.0, 2.0, B[0, 0]
+        R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        model = validate_model(np.eye(n), R @ B @ R.T)
+        h = rng.uniform(0.05, 0.5)
+        assert default_burn_in(model, h) == self.spectral_norm_search(model, h)
+
+    def test_same_step_count_for_slow_scalar_drift(self):
+        model = validate_model([[1]], [[-0.01]])
+        assert default_burn_in(model, 0.1) == self.spectral_norm_search(model, 0.1) == 13816
 
 
 class TestStationaryEnsemble:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_test_models
+from ou_spectra import exact
 from ou_spectra.errors import (
     ComplexSpectrum,
     RankDecisionAmbiguous,
@@ -16,6 +17,7 @@ from ou_spectra.operator import operator_matrix, poly_coordinates
 from ou_spectra.polynomials import SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
     _nullspace_bounded,
+    _rational_clusters,
     b_eigenvector_angle,
     basis_moment_gram,
     drift_eigenvalues,
@@ -98,6 +100,40 @@ class TestSpectrum:
             witnesses.add(n)
         # 455 distinct exponent vectors of degree <= 3 are all of them
         assert len(witnesses) == 455
+
+
+class TestDriftClusters:
+    """Drift eigenvalues are clustered by rank at roundoff, not by distance."""
+
+    @staticmethod
+    def rotated(values, seed):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values),) * 2))
+        n = len(values)
+        return validate_model(np.eye(n), q @ np.diag(values) @ q.T)
+
+    def test_close_pair_stays_split(self):
+        # B - mu, mu the pair's mean, has the decisive gap 2e4 at nullity 2,
+        # but its two small singular values (5e-5) are not roundoff
+        values = [-1.0, -1.0001, -2.0]
+        sp = spectrum(self.rotated(values, 3), 1)
+        assert len(sp.distinct) == 3 and sp.multiplicities == (1, 1, 1)
+        assert_multisets_close(sp.distinct, [complex(v) for v in values], 1e-12)
+
+    def test_twelve_close_eigenvalues_stay_split(self):
+        # (B - mu)^12 is roundoff for the mean mu of these, so a rank test on
+        # the 12th power would merge them into one cluster
+        values = [-1 - 0.01 * k for k in range(12)]
+        sp = spectrum(self.rotated(values, 12), 1)
+        assert len(sp.distinct) == 12
+        assert_multisets_close(sp.distinct, [complex(v) for v in values], 1e-12)
+
+    def test_split_rational_cluster_is_merged(self):
+        # pieces of one defective eigenvalue pass dim ker (B - r)^m = m each,
+        # so they are merged before that test, and count once with m = 3
+        B = [[-1, 0, 0], [1, -1, 0], [0, 1, -1]]
+        pieces = [(-1 + 1e-9j, 2), (-1 - 1e-9j, 1)]
+        assert _rational_clusters(exact.matrix(B), pieces) == [(Fraction(-1), 3)]
+        assert _rational_clusters(exact.matrix(B), [(-1.5, 3)]) is None
 
 
 class TestSpectrumConsistency:

@@ -13,7 +13,7 @@ Gaussian, whose covariance is summed as a Taylor series too.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from ou_spectra.operator import (
     wick_matrix,
 )
 from ou_spectra.polynomials import SparsePolynomial, hermite_tensor, monomial_basis
-from ou_spectra.spectral import _nullspace_bounded, generalized_eigenspaces
+from ou_spectra.spectral import _nullspace_bounded, generalized_eigenspaces, spectrum
 from ou_spectra.worked_examples import section4_model
 
 SETTINGS = settings(
@@ -95,6 +95,34 @@ def resonant_float_models(draw):
     V = np.eye(n) + np.array([[draw(entries) for _ in range(n)] for _ in range(n)])
     Qh = np.array([[draw(entries) for _ in range(n)] for _ in range(n)])
     return validate_model(np.eye(n) + Qh @ Qh.T, V @ np.diag(lam) @ np.linalg.inv(V))
+
+
+@st.composite
+def rotated_jordan_models(draw):
+    """(Q, R J R^T) with J a real Jordan form, R a random rotation and Q = I
+    or a random SPD matrix. J is J_2, J_3, J_2 + J_2 at one eigenvalue, a
+    complex J_2 (4x4), or J_2 plus a simple eigenvalue. Returns the model
+    and J's eigenvalues with multiplicity."""
+    kind = draw(st.sampled_from(("J2", "J3", "J2+J2", "complex J2", "J2+1")))
+    lam = draw(st.sampled_from((-1.0, -1.5, -2.5)))
+    if kind == "complex J2":
+        omega = draw(st.sampled_from((0.5, 2.0)))
+        C = np.array([[lam, omega], [-omega, lam]])
+        J = np.block([[C, np.eye(2)], [np.zeros((2, 2)), C]])
+        eigs = [complex(lam, omega)] * 2 + [complex(lam, -omega)] * 2
+    else:
+        size = {"J2": 2, "J3": 3, "J2+J2": 4, "J2+1": 3}[kind]
+        J = lam * np.eye(size) + np.eye(size, k=1)
+        if kind == "J2+J2":
+            J[1, 2] = 0.0
+        eigs = [complex(lam)] * size
+        if kind == "J2+1":
+            J[2, 2] = eigs[2] = lam - draw(st.sampled_from((0.5, 1.0, 1.25)))
+    n = J.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = rng.standard_normal((n, n)) / (2 * n) if draw(st.booleans()) else np.zeros((n, n))
+    return validate_model(np.eye(n) + A @ A.T, R @ J @ R.T), [complex(z) for z in eigs]
 
 
 @st.composite
@@ -164,12 +192,31 @@ def _float_kernel(M, mu, mult):
     return k, basis
 
 
+# the identity and the 3-4-5 and 5-12-13 rotations, as (cos, sin)
+RATIONAL_ROTATIONS = [
+    (Fraction(1), Fraction(0)),
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(5, 13), Fraction(12, 13)),
+]
+
+
 class TestEigenspacesMatchFullMatrix:
     @SETTINGS
-    @given(triangular_rational_models(), st.integers(1, 4))
-    def test_exact_route(self, model, cap):
+    @given(triangular_rational_models(), st.integers(1, 4), st.sampled_from(RATIONAL_ROTATIONS))
+    def test_exact_route(self, model, cap, rotation):
+        """Also after a rational rotation R in the (x1, x2) plane: then
+        (R Q R^T, R B R^T) is dense, keeps B's rational eigenvalues and takes
+        the exact route too."""
         cap = min(cap, 3) if model.dim == 3 else cap
+        c, s = rotation
+        R = exact.identity(model.dim)
+        R[0][:2], R[1][:2] = [c, -s], [s, c]
+        Q, B = (
+            exact.mat_mul(exact.mat_mul(R, A), exact.transpose(R)) for A in (model.Q_exact, model.B_exact)
+        )
+        model = validate_model(Q, B)
         dec = generalized_eigenspaces(model, cap)
+        assert all(p.is_exact for g in dec.groups for p in g.polynomials)
         M = dec.matrix.entries
         assert sum(g.multiplicity for g in dec.groups) == len(dec.basis)
         for g in dec.groups:
@@ -195,6 +242,25 @@ class TestEigenspacesMatchFullMatrix:
             V = np.asarray(g.vectors)
             outside = V - basis @ (basis.conj().T @ V)
             assert np.linalg.norm(outside, axis=0).max() <= 1e-8
+
+
+class TestGroupsAreSpectrumPoints:
+    @SETTINGS
+    @given(rotated_jordan_models(), st.integers(2, 3))
+    def test_rotated_jordan_drifts(self, model_eigs, cap):
+        """One group per spectrum point, with the same value, and with the
+        multiplicity of its composition sums: the multisets of at most cap of
+        J's eigenvalues that sum to it. A defective eigenvalue scatters under
+        a dense eigen-solver, so this fails if the clusters come out wrong."""
+        model, eigs = model_eigs
+        sp = spectrum(model, cap)
+        dec = generalized_eigenspaces(model, cap)
+        assert [g.eigenvalue for g in dec.groups] == sp.values()
+        sums = [sum(c, 0j) for n in range(cap + 1) for c in combinations_with_replacement(eigs, n)]
+        for g, p in zip(dec.groups, sp.points):
+            count = sum(abs(z - g.eigenvalue) < 1e-6 for z in sums)
+            assert g.multiplicity == sum(sp.block_multiplicities(p)) == count
+        assert sum(g.multiplicity for g in dec.groups) == math.comb(model.dim + cap, cap)
 
 
 class TestRankFloor:
