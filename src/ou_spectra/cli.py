@@ -58,7 +58,6 @@ from .spectral import (
     TOL_EIG,
     TOL_NILP,
     TOL_ORTH,
-    drift_eigenvalues,
     generalized_eigenspaces,
     orthogonality_report,
     spectrum,
@@ -333,6 +332,13 @@ def _base_report(config: RunConfig, model: OUModel | None) -> dict:
     return report
 
 
+def _drift_json(sp) -> list:
+    """The drift eigenvalues the spectrum sp is built on: each cluster mean
+    repeated by its multiplicity, ascending as spectral.drift_eigenvalues."""
+    values = [z for z, m in zip(sp.distinct, sp.multiplicities) for _ in range(m)]
+    return [complex_json(z) for z in sorted(values, key=lambda z: (z.real, z.imag))]
+
+
 def _spectrum_json(sp) -> list:
     return [
         {
@@ -387,8 +393,8 @@ def _cmd_analyze(args, config: RunConfig) -> dict:
     model = _load_model(args, config)
     report = _base_report(config, model)
     report["q_infinity"] = _q_infinity_json(model)
-    report["drift_eigenvalues"] = [complex_json(z) for z in drift_eigenvalues(model.B)]
     dec = generalized_eigenspaces(model, config.degree, config.tol_eig)
+    report["drift_eigenvalues"] = _drift_json(dec.spectrum)
     report["spectrum"] = _spectrum_json(dec.spectrum)
     report["groups"] = _groups_json(dec, config.tol_nilp)
     orth = orthogonality_report(dec, tol_orth=config.tol_orth)
@@ -399,8 +405,9 @@ def _cmd_analyze(args, config: RunConfig) -> dict:
 def _cmd_spectrum(args, config: RunConfig) -> dict:
     model = _load_model(args, config)
     report = _base_report(config, model)
-    report["drift_eigenvalues"] = [complex_json(z) for z in drift_eigenvalues(model.B)]
-    report["spectrum"] = _spectrum_json(spectrum(model, config.degree, config.tol_eig))
+    sp = spectrum(model, config.degree, config.tol_eig)
+    report["drift_eigenvalues"] = _drift_json(sp)
+    report["spectrum"] = _spectrum_json(sp)
     return report
 
 
@@ -482,7 +489,8 @@ def _example_section4(config: RunConfig) -> dict:
     model = section4_model()
     report = _base_report(config, model)
     report["q_infinity"] = _q_infinity_json(model)
-    report["drift_eigenvalues"] = [complex_json(z) for z in drift_eigenvalues(model.B)]
+    dec = generalized_eigenspaces(model, config.degree, config.tol_eig)
+    report["drift_eigenvalues"] = _drift_json(dec.spectrum)
     split = rotation_split(model)
     per_degree = []
     for n in range(config.degree + 1):
@@ -500,7 +508,6 @@ def _example_section4(config: RunConfig) -> dict:
                 "normality_defect": check_normal(a_matrix).defect,
             }
         )
-    dec = generalized_eigenspaces(model, config.degree, config.tol_eig)
     orth = orthogonality_report(dec, tol_orth=config.tol_orth)
     report["example"] = {
         "name": "section4",
@@ -520,7 +527,8 @@ def _example_section5(config: RunConfig, params: Section5Params) -> dict:
     report = _base_report(config, model)
     cov = solve_lyapunov(model)
     report["q_infinity"] = _q_infinity_json(model)
-    report["drift_eigenvalues"] = [complex_json(z) for z in drift_eigenvalues(model.B)]
+    # the spectrum at cap 0 holds the drift clusters alone
+    report["drift_eigenvalues"] = _drift_json(spectrum(model, 0))
     sigma = cov.sigma_exact
     eigenfunctions = section5_eigenfunctions(params)
     names = ["v1", "v2", "v3", "v4"][: len(eigenfunctions)]

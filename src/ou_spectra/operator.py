@@ -179,11 +179,6 @@ def poly_coordinates(p: SparsePolynomial, basis: GradedBasis):
     return vec
 
 
-def poly_from_coordinates(vec, basis: GradedBasis) -> SparsePolynomial:
-    terms = {alpha: c for alpha, c in zip(basis.indices, vec)}
-    return SparsePolynomial(basis.dim, terms)
-
-
 def degree_block_slices(basis: GradedBasis) -> list[tuple[int, slice]]:
     """Contiguous index ranges of each total degree in a graded basis."""
     out = []

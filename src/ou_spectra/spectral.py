@@ -1,19 +1,23 @@
 """Drift spectra, generalized eigenspaces, and orthogonality reports.
 
-Everything rests on one list: the drift eigenvalues, clustered once by rank
-(_drift_clusters). For a rational model whose drift eigenvalues are all
-rational, each cluster is confirmed exactly and the model takes the exact
-route, whether or not B is triangular.
+Everything rests on one list: the drift's eigenvalue clusters, each decided
+once by rank together with the linear forms of its left generalized
+eigenspace (_drift_clusters). For a rational model whose drift eigenvalues
+are all rational, each cluster is confirmed exactly, with exact forms, and
+the model takes the exact route, whether or not B is triangular.
 
 The generator's spectrum on polynomials of degree <= n is the set of sums
 sum_j n_j lambda_j over these clusters with sum n_j <= n (Metafune, Pallara
 and Priola, J. Funct. Anal. 196, 2002). Generalized eigenspaces follow from
 the Wick intertwining L W = W D. Here D = <Bx, grad> is the drift part,
 which keeps the degree, and W = exp(-1/2 tr(S D^2)) is the Wick map of the
-stationary covariance S (operator.wick_matrix). Every generalized eigenspace
-of L is therefore W applied to generalized eigenspaces of the drift blocks
-D_n, one per spectrum point: exact kernels on the exact route, a staircase
-of SVD kernels otherwise.
+stationary covariance S (operator.wick_matrix). D acts on a linear form
+y = u . x as B^T acts on u, and it is a derivation. So a product of forms,
+n_j of them from ker (B^T - lambda_j)^(k_j) for each cluster j, lies in the
+generalized eigenspace of D at sum_j n_j lambda_j, with nilpotency index
+1 + sum_j n_j (k_j - 1). The products of a basis of such forms are a basis of
+every degree, so each generalized eigenspace of L is W applied to the
+products whose sum is its point: no kernel is solved on any degree block.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .operator import (
     OperatorMatrix,
     degree_block_slices,
     operator_matrix,
-    poly_from_coordinates,
     wick_matrix,
 )
 from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
@@ -62,11 +65,30 @@ class SpectrumPoint:
 
 
 @dataclass(frozen=True)
+class DriftCluster:
+    """A cluster of drift eigenvalues with the linear forms y = u . x of its
+    left generalized eigenspace ker (B^T - value)^index, on which the drift
+    part D acts as B^T acts on u."""
+
+    value: complex | Fraction  # the cluster mean; a Fraction on the exact route
+    multiplicity: int
+    index: int  # least k with dim ker (B^T - value)^k = multiplicity
+    forms: np.ndarray  # (N, multiplicity) columns u; Python ints on the exact route
+
+
+@dataclass(frozen=True)
 class SpectrumSet:
-    distinct: tuple[complex, ...]  # the drift eigenvalue clusters
-    multiplicities: tuple[int, ...]  # the algebraic multiplicity of each
+    clusters: tuple[DriftCluster, ...]  # slowest decay first
     degree_cap: int
     points: tuple[SpectrumPoint, ...]
+
+    @property
+    def distinct(self) -> tuple[complex, ...]:
+        return tuple(complex(c.value) for c in self.clusters)
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(c.multiplicity for c in self.clusters)
 
     def values(self) -> list[complex]:
         return [p.value for p in self.points]
@@ -148,16 +170,17 @@ def drift_eigenvalues(B) -> list[complex]:
     return sorted(vals, key=lambda z: (z.real, z.imag))
 
 
-def _drift_clusters(B: np.ndarray) -> list[tuple[complex, int]]:
-    """The drift eigenvalues clustered by rank: (mean, size) per cluster.
+def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
+    """The drift eigenvalues clustered by rank, each cluster with its left
+    generalized eigenspace from the kernel staircase of B^T - mu.
 
     Clusters are read top down from the single-linkage dendrogram of the
-    eigenvalues. A cluster of k values with mean mu is kept when the kernel
-    staircase of B - mu reaches nullity k, calling only roundoff zero;
-    otherwise it is split at its widest link, down to single eigenvalues.
-    So a defective eigenvalue, whose computed copies scatter by about
-    eps^(1/k), is one cluster, and close distinct ones stay apart, as they
-    would not under (B - mu)^k."""
+    eigenvalues. A cluster of k values with mean mu is kept when the
+    staircase reaches nullity k, calling only roundoff zero; otherwise it is
+    split at its widest link, down to single eigenvalues. So a defective
+    eigenvalue, whose computed copies scatter by about eps^(1/k), is one
+    cluster, and close distinct ones stay apart, as they would not under
+    (B - mu)^k. B^T and B have the same nullity sequences."""
     eigs = drift_eigenvalues(B)
     floor = _roundoff_floor(float(np.linalg.norm(B)), RANK_RTOL)
     # Kruskal's merges, closest pair first; a merged cluster keeps its halves
@@ -175,32 +198,42 @@ def _drift_clusters(B: np.ndarray) -> list[tuple[complex, int]]:
         k = len(members)
         mu = sum(eigs[i] for i in members) / k
         try:
-            passed = k == 1 or _float_block_kernel(B, mu, k, RANK_RTOL)[2] <= floor
+            index, forms, zero = _float_block_kernel(B.T, mu, k, RANK_RTOL)
         except RankDecisionAmbiguous:
-            passed = False
-        if passed:
-            out.append((mu, k))
+            if k == 1:
+                raise
+            zero = math.inf
+        if k == 1 or zero <= floor:
+            out.append(DriftCluster(mu, k, index, forms))
         else:
             todo.extend(halves[members])
     return out
 
 
-def _rational_clusters(B_exact, clusters) -> list[tuple[Fraction, int]] | None:
-    """The clusters as exact eigenvalues of a rational B with multiplicities,
-    or None when some drift eigenvalue is not rational.
+def _rational_clusters(B_exact, clusters) -> list[DriftCluster] | None:
+    """The clusters, given as (mean, size), as exact eigenvalues of a
+    rational B with exact forms, or None when some drift eigenvalue is not
+    rational.
 
     The rational eigenvalues of s B, s the common denominator of B, are
     integers, so each mean is rounded to a multiple of 1/s; equal ones merge.
-    Each value r of multiplicity m is confirmed by dim ker (B - r)^m = m,
-    and the multiplicities sum to N."""
+    Each value r of multiplicity m is confirmed by dim ker (B^T - r)^m = m,
+    and the multiplicities sum to N. The forms are that kernel's exact
+    basis, scaled to integers."""
     _, s = exact.common_denominator_scale(B_exact)
     sizes: dict[Fraction, int] = {}
     for mu, m in clusters:
         r = Fraction(round(Fraction(mu.real) * s), s)
         sizes[r] = sizes.get(r, 0) + m
-    whole = slice(0, len(B_exact))
-    confirmed = all(len(_exact_block_kernel(B_exact, whole, r, m)[1]) == m for r, m in sizes.items())
-    return list(sizes.items()) if confirmed else None
+    Bt = exact.transpose(B_exact)
+    out = []
+    for r, m in sizes.items():
+        index, kernel = _exact_block_kernel(Bt, r, m)
+        if len(kernel) != m:
+            return None
+        forms = np.array(exact.common_denominator_scale(kernel)[0], dtype=object).T
+        out.append(DriftCluster(r, m, index, forms))
+    return out
 
 
 def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> SpectrumSet:
@@ -212,13 +245,17 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
     found = _drift_clusters(model.B)
-    rational = _rational_clusters(model.B_exact, found) if model.is_exact else None
+    rational = (
+        _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
+        if model.is_exact
+        else None
+    )
     # slowest decay first, so witness exponent vectors read off against
     # (-a+d, -a-d)-style orderings
-    drift = sorted(rational or found, key=lambda vm: (-vm[0].real, vm[0].imag))
+    drift = sorted(rational or found, key=lambda c: (-c.value.real, c.value.imag))
     tol = 0 if rational else tol_eig
     exponents = monomial_basis(len(drift), degree_cap).indices
-    raw = [(sum(nj * lj for nj, (lj, _) in zip(n, drift)), n) for n in exponents]
+    raw = [(sum(nj * c.value for nj, c in zip(n, drift)), n) for n in exponents]
     chains: list[list] = []
     for v, n in sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag, vw[1])):
         if chains and abs(v - chains[-1][-1][0]) <= tol:
@@ -231,12 +268,7 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
         ws = tuple(sorted(n for _, n in members))
         points.append(SpectrumPoint(complex(rep), ws, tuple(map(sum, ws)), rep if rational else None))
     points.sort(key=lambda p: (-p.value.real, p.value.imag))
-    return SpectrumSet(
-        distinct=tuple(complex(v) for v, _ in drift),
-        multiplicities=tuple(m for _, m in drift),
-        degree_cap=degree_cap,
-        points=tuple(points),
-    )
+    return SpectrumSet(clusters=tuple(drift), degree_cap=degree_cap, points=tuple(points))
 
 
 # -- operator eigenvalues and kernels ----------------------------------------
@@ -316,12 +348,12 @@ def _nullspace_bounded(
     return best_nullity, vh[-best_nullity:].conj().T
 
 
-def _exact_block_kernel(entries, sl: slice, mu, mult: int):
-    """Nilpotency index and exact kernel basis of (D_n - mu)^k on one degree
-    block, mu having algebraic multiplicity mult there: binary search of the
-    index on exact ranks, then the basis off an exact RREF."""
-    idx = range(sl.start, sl.stop)
-    P = [[entries[i][j] - (mu if i == j else 0) for j in idx] for i in idx]
+def _exact_block_kernel(entries, mu, mult: int):
+    """Nilpotency index and exact kernel basis of (A - mu)^k for an N x N
+    rational A in which mu has algebraic multiplicity mult: binary search of
+    the index on exact ranks, then the basis off an exact RREF."""
+    n = len(entries)
+    P = [[entries[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     P_int, _ = exact.common_denominator_scale(P)
 
     @cache
@@ -339,18 +371,18 @@ def _exact_block_kernel(entries, sl: slice, mu, mult: int):
 
 
 def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float):
-    """Nilpotency index and orthonormal basis of ker (D - mu)^k on one block
-    D, which has mult eigenvalues in the cluster at mu, and the largest
-    singular value called zero on the way.
+    """Nilpotency index and orthonormal basis of ker (D - mu)^k for a matrix
+    D with mult eigenvalues in the cluster at mu, and the largest singular
+    value called zero on the way. A real mu keeps the arithmetic real.
 
     Staircase: with P = D - mu, ker(P^(k+1)) = {v : P v in ker(P^k)} =
     ker((I - V V*) P), which keeps every rank decision at the conditioning
     of P itself. dim ker(P^k) grows strictly with k until it reaches mult,
     so the nullity window at step k is [previous + 1, mult]. Ranks are
-    judged at the scale of D, so a block that is mu I up to roundoff has
+    judged at the scale of D, so a matrix that is mu I up to roundoff has
     index 1.
     """
-    P = D - mu * np.eye(D.shape[0])
+    P = D - (mu if mu.imag else mu.real) * np.eye(D.shape[0])
     scale = float(np.linalg.norm(D))
     nullity, basis, k, zero = 0, None, 0, 0.0
     while nullity < mult:
@@ -363,34 +395,52 @@ def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float)
 
 
 def generalized_eigenspaces(
-    model: OUModel,
-    degree_cap: int,
-    tol_eig: float = TOL_EIG,
-    rank_rtol: float = RANK_RTOL,
+    model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG
 ) -> SpectralDecomposition:
     """Generalized eigenspaces of L on polynomials of degree <= cap, one
-    group per point of spectrum(model, cap, tol_eig), through the Wick
-    intertwining L W = W D (see operator.wick_matrix).
+    group per point of spectrum(model, cap, tol_eig), as W applied to
+    products of the drift's left generalized eigenforms.
 
-    A point's generalized eigenspace is found inside each drift block D_n
-    (a diagonal block of the operator matrix M) where it occurs, with the
-    multiplicity the spectrum gives there, and mapped through W. On the exact
-    route everything is exact, with zero residual; otherwise the kernels come
-    from the float staircase, and the residual ||(M - mu)^k u|| is taken on M.
+    Stack the clusters' forms as y_1..y_N. For a witness n of a point, the
+    products y^gamma with n_j factors from cluster j span the generalized
+    eigenspace of the drift block D_|n| at the point's sum, so the group is
+    W of those products over its witnesses: its size is
+    SpectrumSet.block_multiplicities by construction, and its nilpotency
+    index is the largest 1 + sum_j n_j (k_j - 1). On the exact route
+    everything is exact, with zero residual; otherwise the residual
+    ||(M - mu)^k u|| is taken on the operator matrix M.
     """
     sp = spectrum(model, degree_cap, tol_eig)
     om = operator_matrix(model, degree_cap, "monomial", "L")
-    blocks = [sl for _, sl in degree_block_slices(om.basis)]  # blocks[n] holds degree n
     W = wick_matrix(model, degree_cap)
-    counts = [sp.block_multiplicities(p) for p in sp.points]
-    if sp.points[0].exact is not None:
-        groups = [_exact_eigengroup(om, W, blocks, p.exact, c) for p, c in zip(sp.points, counts)]
+    exact_route = sp.points[0].exact is not None
+    if exact_route:
+        W_int, scale = exact.common_denominator_scale(W.entries)
+        images, columns = _wick_products(sp.clusters, om.basis, np.array(W_int, dtype=object))
     else:
-        M, Wf = om.as_array().astype(complex), W.as_array()
-        groups = [
-            _float_eigengroup(M, Wf, om.basis, blocks, p.value, c, rank_rtol)
-            for p, c in zip(sp.points, counts)
-        ]
+        M = om.as_array().astype(complex)
+        images, columns = _wick_products(sp.clusters, om.basis, W.as_array())
+    groups, indices = [], om.basis.indices
+    for p in sp.points:
+        V = np.hstack([images[sum(n)][:, columns[n]] for n in p.witnesses])
+        index = max(
+            1 + sum(nj * (c.index - 1) for nj, c in zip(n, sp.clusters)) for n in p.witnesses
+        )
+        unit = V.astype(complex)
+        unit /= np.linalg.norm(unit, axis=0, keepdims=True)
+        if exact_route:
+            polys = tuple(
+                SparsePolynomial(model.dim, {a: Fraction(x, scale) for a, x in zip(indices, v) if x})
+                for v in V.T.tolist()
+            )
+            residual = 0.0
+        else:
+            polys = tuple(_tidy_poly(v, om.basis) for v in unit.T)
+            R = unit
+            for _ in range(index):
+                R = M @ R - p.value * R
+            residual = float(np.linalg.norm(R, axis=0).max())
+        groups.append(EigenGroup(p.value, V.shape[1], index, unit, polys, residual))
     return SpectralDecomposition(
         model=model,
         degree_cap=degree_cap,
@@ -402,53 +452,41 @@ def generalized_eigenspaces(
     )
 
 
-def _exact_eigengroup(om: OperatorMatrix, W: OperatorMatrix, blocks, mu, counts) -> EigenGroup:
-    index, coords = 1, []
-    for sl, mult in zip(blocks, counts):
-        if not mult:
-            continue
-        k, kernel = _exact_block_kernel(om.entries, sl, mu, mult)
-        index = max(index, k)
-        # W maps degree n into degrees <= n, so rows from sl.stop on are zero
-        for v in kernel:
-            head = [
-                sum(w * x for w, x in zip(W.entries[i][sl], v) if x)
-                for i in range(sl.stop)
-            ]
-            coords.append(head + [Fraction(0)] * (om.size - sl.stop))
-    vectors = np.array([[float(x) for x in v] for v in coords], dtype=float).T
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EigenGroup(
-        eigenvalue=complex(float(mu)),
-        multiplicity=len(coords),
-        nilpotency_index=index,
-        vectors=vectors.astype(complex),
-        polynomials=tuple(poly_from_coordinates(v, om.basis) for v in coords),
-        max_power_residual=0.0,
-    )
+def _wick_products(clusters, basis: GradedBasis, W: np.ndarray):
+    """W y^gamma for every gamma of degree <= cap, y the clusters' stacked
+    forms, as one (basis size, block size) array per degree with columns in
+    the order of that degree's monomials; and for each cluster pattern n
+    (n_j factors from cluster j) the columns with that pattern.
+
+    The coordinates of y^gamma in the degree-d monomials come from those of
+    y^(gamma - e_i), i the first factor of gamma, times y_i: one shifted add
+    per variable.
+    """
+    T = np.hstack([c.forms for c in clusters])
+    owner = [j for j, c in enumerate(clusters) for _ in range(c.multiplicity)]  # cluster of each form
+    pos = {alpha: k for k, alpha in enumerate(basis.indices)}
+    blocks = [sl for _, sl in degree_block_slices(basis)]
+    Y = np.ones((1, 1), dtype=T.dtype)  # Y[:, g]: y^gamma, gamma the g-th monomial of degree d
+    images, columns = [], {}
+    for d, sl in enumerate(blocks):
+        gammas = basis.indices[sl]
+        if d:
+            lower = blocks[d - 1]
+            first = [next(i for i, e in enumerate(g) if e) for g in gammas]
+            parent = [pos[_shift(g, i, -1)] - lower.start for g, i in zip(gammas, first)]
+            prev, Y = Y[:, parent], np.zeros((len(gammas), len(gammas)), dtype=T.dtype)
+            for j in range(basis.dim):
+                up = [pos[_shift(beta, j, 1)] - sl.start for beta in basis.indices[lower]]
+                Y[up] += prev * T[j, first]
+        images.append(W[:, sl] @ Y)
+        patterns = np.array(gammas) @ np.eye(len(clusters), dtype=int)[owner]
+        for g, n in enumerate(patterns.tolist()):
+            columns.setdefault(tuple(n), []).append(g)
+    return images, columns
 
 
-def _float_eigengroup(M, W, basis, blocks, mu, counts, rank_rtol) -> EigenGroup:
-    index, parts = 1, []
-    for sl, mult in zip(blocks, counts):
-        if not mult:
-            continue
-        k, kernel, _ = _float_block_kernel(M[sl, sl], mu, mult, rank_rtol)
-        index = max(index, k)
-        parts.append(W[:, sl] @ kernel)
-    V = np.hstack(parts)
-    V = V / np.linalg.norm(V, axis=0, keepdims=True)
-    R = V
-    for _ in range(index):
-        R = M @ R - mu * R
-    return EigenGroup(
-        eigenvalue=mu,
-        multiplicity=V.shape[1],
-        nilpotency_index=index,
-        vectors=V,
-        polynomials=tuple(_tidy_poly(V[:, c], basis) for c in range(V.shape[1])),
-        max_power_residual=float(np.linalg.norm(R, axis=0).max()),
-    )
+def _shift(alpha: tuple[int, ...], i: int, step: int) -> tuple[int, ...]:
+    return alpha[:i] + (alpha[i] + step,) + alpha[i + 1 :]
 
 
 def _tidy_poly(vec: np.ndarray, basis: GradedBasis) -> SparsePolynomial:

@@ -151,3 +151,40 @@ class TestRotatedJordanDrift:
         assert [g["multiplicity"] for g in groups] == [1, 1, 1, 2, 2, 3]
         assert all(g["max_power_residual"] == 0 for g in groups)
         assert report["orthogonality"]["all_orthogonal"] is True
+
+    def test_exact_groups_at_degree_six(self):
+        """The same drift at --degree 6: 25 exact groups, all orthogonal."""
+        B = '[["-49/25","-18/25","4/5"],["-18/25","-77/50","3/5"],[0,0,"-5/2"]]'
+        Q = "[[1,0,0],[0,1,0],[0,0,1]]"
+        code, out, err = run_cli(["analyze", "--Q", Q, "--B", B, "--degree", "6"])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["backend"] == "exact"
+        groups = report["groups"]
+        assert len(groups) == 25 and sum(g["multiplicity"] for g in groups) == 84
+        assert all(g["max_power_residual"] == 0 for g in groups)
+        # exact coefficients are written as "p/q" strings
+        assert all(isinstance(t["re"], str) for g in groups for p in g["basis"] for t in p["terms"])
+        assert report["orthogonality"]["all_orthogonal"] is True
+
+    def test_float_drift_lists_its_clusters(self):
+        """With float entries an eigen-solver scatters the defective -5/2 to
+        about -5/2 +/- 2e-8 i. The reports list the clusters the spectrum is
+        built on instead: -5/2 twice, with imaginary part 0."""
+        R, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        J = np.array([[-1.0, 0.0, 0.0], [0.0, -2.5, 1.0], [0.0, 0.0, -2.5]])
+        argv = ["--Q", json.dumps(np.eye(3).tolist()), "--B", json.dumps((R @ J @ R.T).tolist())]
+        for command, cap in (("spectrum", "1"), ("analyze", "2")):
+            code, out, err = run_cli([command, *argv, "--degree", cap])
+            assert code == 0, err
+            report = json.loads(out)
+            drift = [complex(z["re"], z["im"]) for z in report["drift_eigenvalues"]]
+            assert [z.imag for z in drift] == [0.0, 0.0, 0.0]
+            assert [z.real for z in drift] == pytest.approx([-2.5, -2.5, -1.0], abs=1e-12)
+            # the degree-1 points of the spectrum are the distinct drift values
+            linear = [
+                complex(p["value"]["re"], p["value"]["im"])
+                for p in report["spectrum"]
+                if 1 in p["degrees"]
+            ]
+            assert sorted(linear, key=lambda z: z.real) == sorted(set(drift), key=lambda z: z.real)

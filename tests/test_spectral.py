@@ -128,12 +128,42 @@ class TestDriftClusters:
         assert_multisets_close(sp.distinct, [complex(v) for v in values], 1e-12)
 
     def test_split_rational_cluster_is_merged(self):
-        # pieces of one defective eigenvalue pass dim ker (B - r)^m = m each,
-        # so they are merged before that test, and count once with m = 3
+        # pieces of one defective eigenvalue pass dim ker (B^T - r)^m = m
+        # each, so they are merged before that test, and count once with
+        # m = 3 and index 3
         B = [[-1, 0, 0], [1, -1, 0], [0, 1, -1]]
         pieces = [(-1 + 1e-9j, 2), (-1 - 1e-9j, 1)]
-        assert _rational_clusters(exact.matrix(B), pieces) == [(Fraction(-1), 3)]
+        clusters = _rational_clusters(exact.matrix(B), pieces)
+        assert [(c.value, c.multiplicity, c.index) for c in clusters] == [(Fraction(-1), 3, 3)]
         assert _rational_clusters(exact.matrix(B), [(-1.5, 3)]) is None
+
+
+class TestWorkBoundedByDrift:
+    def test_kernels_only_on_the_drift(self, monkeypatch):
+        """Every kernel is taken on an N x N staircase matrix of B^T - mu, the
+        same ones at cap 2 and at cap 6. A dendrogram over N values has N
+        leaves and clusters of sizes at most N, N - 1, ..., 2 above them, and
+        a cluster's staircase takes at most as many steps as its size."""
+        from ou_spectra import spectral
+
+        rng = np.random.default_rng(1)
+        A, E = rng.standard_normal((2, 4, 4))
+        model = validate_model(np.eye(4) + A @ A.T / 4, E - (1 + np.abs(E).sum()) * np.eye(4))
+        calls = []
+
+        def counted(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return _nullspace_bounded(mat, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_nullspace_bounded", counted)
+        counts = []
+        for cap in (2, 6):
+            calls.clear()
+            dec = generalized_eigenspaces(model, cap)
+            assert sum(g.multiplicity for g in dec.groups) == math.comb(4 + cap, 4)
+            assert set(calls) == {(4, 4)}
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4 + sum(range(2, 5))
 
 
 class TestSpectrumConsistency:

@@ -244,6 +244,44 @@ class TestEigenspacesMatchFullMatrix:
             assert np.linalg.norm(outside, axis=0).max() <= 1e-8
 
 
+@st.composite
+def exact_jordan_models(draw):
+    """(I, R J R^T) with J one of J_2, J_3 and J_2 plus a simple eigenvalue,
+    all rational, and R the identity or the 3-4-5 rotation in the (x1, x2)
+    plane. The simple eigenvalue may sit at twice the Jordan one, so that
+    witnesses of different indices meet at one point."""
+    kind = draw(st.sampled_from(("J2", "J3", "J2+1")))
+    lam = draw(st.sampled_from((Fraction(-1), Fraction(-3, 2), Fraction(-2))))
+    size = 2 if kind == "J2" else 3
+    J = [[lam if i == j else Fraction(int(j == i + 1)) for j in range(size)] for i in range(size)]
+    if kind == "J2+1":
+        J[1][2] = Fraction(0)
+        J[2][2] = draw(st.sampled_from((2 * lam, lam - Fraction(1, 2))))
+    c, s = draw(st.sampled_from(RATIONAL_ROTATIONS[:2]))
+    R = exact.identity(size)
+    R[0][:2], R[1][:2] = [c, -s], [s, c]
+    return validate_model(exact.identity(size), exact.mat_mul(exact.mat_mul(R, J), exact.transpose(R)))
+
+
+class TestNilpotencyIndex:
+    @SETTINGS
+    @given(exact_jordan_models(), st.integers(1, 5))
+    @example(validate_model(exact.identity(3), [[-1, 1, 0], [0, -1, 1], [0, 0, -1]]), 4)
+    def test_index_is_least_power(self, model, cap):
+        """Each group's index, 1 + sum_j n_j (k_j - 1) at its worst witness,
+        is the least k with dim ker (M - mu)^k equal to its multiplicity on
+        the full operator matrix M. For J_3(-1) the index at -n is 2n + 1.
+        3-D drifts stop at cap 4, where M is 35 x 35: the oracle's Fraction
+        RREF of the 56 x 56 cap-5 matrix takes seconds an example."""
+        cap = min(cap, 4) if model.dim == 3 else cap
+        dec = generalized_eigenspaces(model, cap)
+        M = dec.matrix.entries
+        for g in dec.groups:
+            mu, k = Fraction(g.eigenvalue.real), g.nilpotency_index
+            assert len(_exact_kernel(M, mu, k)) == g.multiplicity
+            assert len(_exact_kernel(M, mu, k - 1)) < g.multiplicity
+
+
 class TestGroupsAreSpectrumPoints:
     @SETTINGS
     @given(rotated_jordan_models(), st.integers(2, 3))
