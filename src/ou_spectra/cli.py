@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -46,7 +47,14 @@ from .operator import (
     operator_matrix,
     rotation_split,
 )
-from .polynomials import SparsePolynomial, monomial_basis
+from .polynomials import (
+    SparsePolynomial,
+    coefficient_json,
+    index_degree,
+    monomial_basis,
+    monomial_text,
+    render_terms,
+)
 from .simulate import (
     Ensemble,
     SimConfig,
@@ -59,6 +67,7 @@ from .spectral import (
     TOL_NILP,
     TOL_ORTH,
     generalized_eigenspaces,
+    listed_terms,
     orthogonality_report,
     spectrum,
 )
@@ -254,7 +263,10 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol-nilp", type=float, default=TOL_NILP)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, as every parse fills a fresh namespace."""
     parser = _Parser(prog="ou-spectra", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand")
     for name, helptext in [
@@ -351,17 +363,35 @@ def _spectrum_json(sp) -> list:
 
 
 def _groups_json(dec, tol_nilp: float) -> list:
-    return [
-        {
-            "eigenvalue": complex_json(g.eigenvalue),
-            "multiplicity": g.multiplicity,
-            "nilpotency_index": g.nilpotency_index,
-            "max_power_residual": g.max_power_residual,
-            "residual_within_tol": g.max_power_residual <= tol_nilp,
-            "basis": [_poly_json(p) for p in g.polynomials],
-        }
-        for g in dec.groups
-    ]
+    """The groups with their polynomials written from the coefficient
+    columns, as SparsePolynomial.to_json and render would write them: terms
+    in ascending (degree, exponent) order, text in the reverse order. The
+    order, the exponent lists and the monomial texts are made once."""
+    indices = dec.basis.indices
+    order = sorted(range(len(indices)), key=lambda k: (index_degree(indices[k]), indices[k]))
+    alphas = [list(indices[k]) for k in order]
+    monomials = [monomial_text(indices[k]) for k in order]
+    out = []
+    for g in dec.groups:
+        polys = []
+        for rows, values in listed_terms(g.coefficients[order], g.denominator):
+            terms = []
+            for r, c in zip(rows, values):
+                re, im = coefficient_json(c)
+                terms.append({"alpha": alphas[r], "re": re, "im": im})
+            text = render_terms((monomials[r], c) for r, c in zip(rows[::-1], values[::-1]))
+            polys.append({"dim": dec.basis.dim, "terms": terms, "text": text})
+        out.append(
+            {
+                "eigenvalue": complex_json(g.eigenvalue),
+                "multiplicity": g.multiplicity,
+                "nilpotency_index": g.nilpotency_index,
+                "max_power_residual": g.max_power_residual,
+                "residual_within_tol": g.max_power_residual <= tol_nilp,
+                "basis": polys,
+            }
+        )
+    return out
 
 
 def _orthogonality_json(report) -> dict:

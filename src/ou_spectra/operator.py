@@ -3,16 +3,23 @@
 The generator is L f = (1/2) tr(Q D^2 f) + <Bx, grad f>. Applied to
 polynomials it never raises the degree: the drift part D = <Bx, grad>
 preserves homogeneous degree and the diffusion part lowers it by exactly two,
-so every graded monomial basis yields a block upper triangular matrix.
+so every graded monomial basis yields a block upper triangular matrix. The
+matrices are filled from exponent arithmetic alone: D sends x^a to
+a_i B_ij x^(a - e_i + e_j) and the diffusion part sends it to
+1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j), summed over i and j.
+apply_L and its parts act on one sparse polynomial the same way.
 
 The Wick map W = exp(-K), where K = 1/2 tr(S D^2) is the diffusion part with
 Q replaced by the stationary covariance S, intertwines the generator with its
-drift part: L W = W D. For a normalized model the Hermite tensors are the
-Wick powers W x^alpha up to scale, so the matrix of L on them is a diagonal
-similarity of the drift matrix, with no Gaussian integral. The semigroup
-takes the same finite series with S replaced by the covariance S_t
-accumulated up to time t and the sign flipped (the heat series), followed by
-the substitution x -> e^(tB) x.
+drift part: L W = W D. Its matrix is filled column by column by the Wick
+recursion :x^(a + e_i): = x_i :x^a: - sum_j S_ij a_j :x^(a - e_j):.
+Monomial matrices come in Fractions or in floats, as the caller asks; by
+default they are exact for exact models. For a normalized model the Hermite
+tensors are the Wick powers W x^alpha up to scale, so the matrix of L on them
+is a diagonal similarity of the drift matrix, with no Gaussian integral. The
+semigroup takes the finite series exp(K) with S replaced by the covariance
+S_t accumulated up to time t (the heat series), followed by the substitution
+x -> e^(tB) x.
 
 The rotation machinery (split of A = 2L into a Hermite-diagonal part plus a
 skew rotation) uses the doubled operator A = 2L throughout, matching the
@@ -35,6 +42,7 @@ from .errors import (
     NotNormalized,
     UnsupportedDimension,
 )
+from .exact import common_denominator_scale
 from .model import OUModel, covariance_at, matrix_exponential, solve_lyapunov
 from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
 
@@ -83,83 +91,48 @@ class NormalCheck:
 # -- pointwise action ------------------------------------------------------
 
 
-def _model_matrices(model: OUModel, p: SparsePolynomial):
-    if model.is_exact and p.is_exact:
-        return model.Q_exact, model.B_exact
-    return model.Q, model.B
-
-
 def apply_diffusion(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
     """Second-order part (1/2) sum_ij Q_ij d^2 p / dx_i dx_j; lowers degree by 2."""
-    if p.dim != model.dim:
-        raise DimensionMismatch(f"polynomial dim {p.dim} vs model dim {model.dim}")
-    Q, _ = _model_matrices(model, p)
-    half = Fraction(1, 2) if (model.is_exact and p.is_exact) else 0.5
-    out: dict = {}
-    for alpha, c in p.terms.items():
-        for i in range(model.dim):
-            if alpha[i] == 0:
-                continue
-            for j in range(model.dim):
-                qij = Q[i][j] if isinstance(Q, list) else Q[i, j]
-                if qij == 0:
-                    continue
-                factor = alpha[i] * (alpha[j] - (1 if i == j else 0))
-                if factor == 0:
-                    continue
-                beta = list(alpha)
-                beta[i] -= 1
-                beta[j] -= 1
-                key = tuple(beta)
-                val = out.get(key, 0) + half * qij * factor * c
-                if val == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-    return SparsePolynomial(p.dim, out)
+    return _apply_part(model, p, diffusion=True)
 
 
 def apply_drift(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
     """First-order part <Bx, grad p>; preserves homogeneous degree."""
+    return _apply_part(model, p, diffusion=False)
+
+
+def _apply_part(model: OUModel, p: SparsePolynomial, diffusion: bool) -> SparsePolynomial:
+    """x^a goes to sum_ij 1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j)
+    under the diffusion part and to sum_ij a_i B_ij x^(a - e_i + e_j) under
+    the drift part; exact when the model and p are."""
     if p.dim != model.dim:
         raise DimensionMismatch(f"polynomial dim {p.dim} vs model dim {model.dim}")
-    _, B = _model_matrices(model, p)
+    exact = model.is_exact and p.is_exact
+    if diffusion:
+        M, half = (model.Q_exact, Fraction(1, 2)) if exact else (model.Q, 0.5)
+    else:
+        M = model.B_exact if exact else model.B
     out: dict = {}
     for alpha, c in p.terms.items():
         for i in range(model.dim):
             if alpha[i] == 0:
                 continue
             for j in range(model.dim):
-                bij = B[i][j] if isinstance(B, list) else B[i, j]
-                if bij == 0:
+                factor = alpha[i] * (alpha[j] - (i == j)) if diffusion else alpha[i]
+                if M[i][j] == 0 or factor == 0:
                     continue
+                coef = half * M[i][j] * factor if diffusion else M[i][j] * factor
                 beta = list(alpha)
                 beta[i] -= 1
-                beta[j] += 1
+                beta[j] += -1 if diffusion else 1
                 key = tuple(beta)
-                val = out.get(key, 0) + bij * alpha[i] * c
-                if val == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                out[key] = out.get(key, 0) + coef * c
     return SparsePolynomial(p.dim, out)
 
 
 def apply_L(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
     """Full generator; constants map to zero and degree never increases."""
     return apply_diffusion(model, p) + apply_drift(model, p)
-
-
-def _apply_operator(model: OUModel, p: SparsePolynomial, operator: str) -> SparsePolynomial:
-    if operator == "L":
-        return apply_L(model, p)
-    if operator == "A":
-        return apply_L(model, p) * 2
-    if operator == "drift":
-        return apply_drift(model, p)
-    if operator == "diffusion":
-        return apply_diffusion(model, p)
-    raise ValueError(f"unknown operator tag {operator!r}")
 
 
 # -- coordinates -----------------------------------------------------------
@@ -201,50 +174,104 @@ def operator_matrix(
     operator: str = "L",
     homogeneous: bool = False,
     ordering: str | None = None,
+    exact: bool | None = None,
 ) -> OperatorMatrix:
     """Assemble the operator's matrix on a degree-capped basis.
 
-    Monomial bases carry every operator tag and keep exact entries for exact
-    models. The Hermite basis needs a normalized model (Q = I, stationary
-    covariance S diagonal) and carries only "L" and "A". Its elements are the
+    Monomial bases carry every operator tag; their entries are exact for
+    exact models unless exact=False asks for floats. The Hermite basis needs
+    a normalized model (Q = I, stationary covariance S diagonal) and carries
+    only "L" and "A". Its elements are the
     orthonormal Hermite tensors W x^alpha / sqrt(alpha! lambda^alpha), with
     lambda = diag S, so by L W = W D its matrix is R D R^(-1): D is the
     graded-lex drift matrix and R = diag(sqrt(alpha! lambda^alpha)). The
     entries are floats.
     """
     if basis_kind == "monomial":
-        return _monomial_matrix(model, n, operator, homogeneous, ordering or "graded-lex")
+        return _monomial_matrix(model, n, operator, homogeneous, ordering or "graded-lex", exact)
     if basis_kind == "hermite-normal-form":
         return _hermite_matrix(model, n, operator, homogeneous)
     raise ValueError(f"unknown basis kind {basis_kind!r}")
 
 
-def _monomial_matrix(model, n, operator, homogeneous, ordering):
+def _monomial_matrix(model, n, operator, homogeneous, ordering, exact=None):
+    """Fill the matrix from exponent arithmetic: the drift sends x^a to
+    sum_ij a_i B_ij x^(a - e_i + e_j) and the diffusion to
+    sum_ij 1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j). For each pair
+    (i, j) the map a -> target is one to one, so each pair adds one entry to
+    each column it reaches, in the order apply_drift and apply_diffusion
+    sum them. Entries are Fractions when exact (by default: when the model
+    is), floats otherwise."""
+    if operator not in ("L", "A", "drift", "diffusion"):
+        raise ValueError(f"unknown operator tag {operator!r}")
+    exact = model.is_exact if exact is None else exact
     basis = monomial_basis(model.dim, n, ordering, homogeneous)
-    exact_entries = model.is_exact
-    cols = []
-    for alpha in basis.indices:
-        one = Fraction(1) if exact_entries else 1.0
-        image = _apply_operator(model, SparsePolynomial.monomial(model.dim, alpha, one), operator)
-        try:
-            cols.append(poly_coordinates(image, basis))
-        except BasisUnavailable as e:
+    Q, B = (model.Q_exact, model.B_exact) if exact else (model.Q, model.B)
+    E, row_of = _exponents(basis)
+    out = np.zeros((len(basis), len(basis)), dtype=object if exact else float)
+    unit = np.eye(model.dim, dtype=int)
+    parts = []
+    if operator != "drift":
+        half = Fraction(1, 2) if exact else 0.5
+        parts += [
+            (half * Q[i][j], E[:, i] * (E[:, j] - (i == j)), -unit[i] - unit[j])
+            for i in range(model.dim)
+            for j in range(model.dim)
+        ]
+    if operator != "diffusion":
+        parts += [
+            (B[i][j], E[:, i], unit[j] - unit[i]) for i in range(model.dim) for j in range(model.dim)
+        ]
+    for coef, factor, step in parts:
+        cols = np.flatnonzero(factor)
+        if coef == 0 or not cols.size:
+            continue
+        rows = row_of(E[cols] + step)
+        if (rows < 0).any():
             raise BasisUnavailable(
                 f"operator {operator!r} leaves the homogeneous degree-{n} space; "
-                f"use the full basis ({e})"
-            ) from e
-    return _from_columns(basis, operator, cols, exact_entries)
+                "use the full basis"
+            )
+        out[rows, cols] += coef * factor[cols].astype(out.dtype)
+    if operator == "A":
+        out *= 2
+    entries = out.tolist() if exact else out
+    return OperatorMatrix(basis, "monomial", operator, entries, exact)
 
 
-def _from_columns(basis: GradedBasis, operator: str, cols, exact_entries: bool) -> OperatorMatrix:
-    if exact_entries:
-        entries = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-        return OperatorMatrix(basis, "monomial", operator, entries, True)
-    arr = np.array(cols, dtype=float).T
-    return OperatorMatrix(basis, "monomial", operator, arr, False)
+def _exponents(basis: GradedBasis):
+    """The basis exponents as an (size, N) int array, and a lookup from an
+    array of exponent vectors to their rows (-1 outside the basis), by
+    mixed-radix keys in base cap + 2."""
+    E = np.array(basis.indices, dtype=int).reshape(len(basis), basis.dim)
+    radix = basis.cap + 2
+    weights = radix ** np.arange(basis.dim, dtype=np.int64 if radix**basis.dim < 2**63 else object)
+    keys = E @ weights
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    def row_of(targets: np.ndarray) -> np.ndarray:
+        k = targets @ weights
+        at = np.minimum(np.searchsorted(sorted_keys, k), len(keys) - 1)
+        inside = (sorted_keys[at] == k) & (targets >= 0).all(axis=-1)
+        return np.where(inside, order[at], -1)
+
+    return E, row_of
 
 
-def wick_matrix(model: OUModel, n: int) -> OperatorMatrix:
+def monomial_steps(basis: GradedBasis):
+    """How a full graded basis is built one variable at a time: _exponents,
+    each monomial's first variable i, the row of x^alpha / x_i (-1 for
+    alpha = 0), and the (N, size) array of the rows of x_j x^beta (-1 past
+    the cap)."""
+    E, row_of = _exponents(basis)
+    unit = np.eye(basis.dim, dtype=int)
+    first = (E > 0).argmax(axis=1)
+    up = np.array([row_of(E + unit[j]) for j in range(basis.dim)])
+    return E, row_of, first, row_of(E - unit[first]), up
+
+
+def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMatrix:
     """Matrix of the Wick map W = exp(-K) on the graded-lex monomials of
     degree <= n, where K = 1/2 tr(S D^2) is the diffusion part with Q replaced
     by the stationary covariance S.
@@ -253,28 +280,66 @@ def wick_matrix(model: OUModel, n: int) -> OperatorMatrix:
     L W = W D. The Lyapunov equation makes the commutator [K, D] equal to
     minus the diffusion part of L, and that commutes with K, so
     W D W^(-1) = D + 1/2 tr(Q D^2) = L. W maps each generalized eigenspace of a
-    homogeneous drift block onto one of L. K lowers the degree by two, so the
-    exponential series stops at the (n // 2)-th power; W is exact whenever
-    the model is.
+    homogeneous drift block onto one of L.
+
+    Column alpha is the Wick power :x^alpha: of S (_wick_recursion). The
+    entries are Fractions when exact (by default: when the model is), from
+    the integer recursion of integer_wick_matrix, and floats otherwise.
     """
-    cov = solve_lyapunov(model)
-    wick_model = replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
+    exact = model.is_exact if exact is None else exact
     basis = monomial_basis(model.dim, n)
-    one = Fraction(1) if model.is_exact else 1.0
-    cols = [
-        poly_coordinates(
-            _wick_series(wick_model, SparsePolynomial.monomial(model.dim, alpha, one), -1), basis
-        )
-        for alpha in basis.indices
-    ]
-    return _from_columns(basis, "wick", cols, model.is_exact)
+    if not exact:
+        W = _wick_recursion(solve_lyapunov(model).sigma, basis)
+        return OperatorMatrix(basis, "monomial", "wick", W, False)
+    W, scale = integer_wick_matrix(model, basis)
+    entries = [[Fraction(w, scale) for w in row] for row in W.tolist()]
+    return OperatorMatrix(basis, "monomial", "wick", entries, True)
+
+
+def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray, int]:
+    """(scale * W as an array of Python ints, scale) for an exact model, on a
+    full graded-lex basis of cap n.
+
+    With S = S_int / s, the recursion run on S_int yields
+    W[beta, alpha] s^((|alpha| - |beta|) / 2), an integer since each pairing
+    in a Wick power contributes one factor of S; scale = s^(n // 2)."""
+    S_int, s = common_denominator_scale(solve_lyapunov(model).sigma_exact)
+    W = _wick_recursion(np.array(S_int, dtype=object), basis)
+    deg = np.array(basis.degrees())
+    lift = np.maximum(basis.cap // 2 - (deg[None, :] - deg[:, None]) // 2, 0)
+    return W * s ** lift.astype(object), s ** (basis.cap // 2)
+
+
+def _wick_recursion(S: np.ndarray, basis: GradedBasis) -> np.ndarray:
+    """The Wick powers :x^alpha: of S as the columns of a matrix on a full
+    graded-lex basis, by the recursion
+    :x^(a + e_i): = x_i :x^a: - sum_j S_ij a_j :x^(a - e_j): (Janson,
+    Gaussian Hilbert Spaces, 1997, ch. 3), with i the first variable of
+    alpha: one shifted copy of the parent column plus at most N axpys, over
+    the rows of degree below alpha's. S's dtype sets the arithmetic: floats,
+    or Python numbers in an object array."""
+    E, row_of, first, parent, up = monomial_steps(basis)
+    size, unit = len(basis), np.eye(basis.dim, dtype=int)
+    ends = np.cumsum(np.bincount(E.sum(axis=1), minlength=basis.cap + 1)).tolist()
+    down = [row_of(E[parent] - unit[j]).tolist() for j in range(basis.dim)]
+    W = np.zeros((size, size), dtype=S.dtype)
+    W[0, 0] = 1
+    for c in range(1, size):
+        i, a, d = first[c], E[parent[c]], E[c].sum()
+        low = ends[d - 1]  # rows of degree < d
+        W[up[i][:low], c] = W[:low, parent[c]]
+        for j in np.flatnonzero(a):
+            if S[i, j]:
+                low = ends[d - 2]
+                W[:low, c] -= (S[i, j] * int(a[j])) * W[:low, down[j][c]]
+    return W
 
 
 def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparsePolynomial:
     """exp(sign * K) p with K = 1/2 tr(Q D^2) the diffusion part of
-    wick_model, whose Q is a covariance: S for W, S_t for the semigroup. K
-    lowers the degree by two, so the series stops after deg(p) // 2 terms; it
-    is exact when the model and p are."""
+    wick_model, whose Q is a covariance: S_t for the semigroup. K lowers the
+    degree by two, so the series stops after deg(p) // 2 terms; it is exact
+    when the model and p are."""
     term = total = p
     for k in range(1, p.degree // 2 + 1):
         term = apply_diffusion(wick_model, term) * Fraction(sign, k)
@@ -312,7 +377,7 @@ def _hermite_matrix(model, n, operator, homogeneous):
             "Hermite normal-form basis needs Q = I and a diagonal stationary covariance; "
             "run normalize_model first"
         )
-    drift = _monomial_matrix(model, n, "drift", homogeneous, "graded-lex")
+    drift = _monomial_matrix(model, n, "drift", homogeneous, "graded-lex", exact=False)
     lam = np.diag(q_inf.sigma)
     r = np.array(
         [
@@ -320,7 +385,7 @@ def _hermite_matrix(model, n, operator, homogeneous):
             for alpha in drift.basis.indices
         ]
     )
-    entries = r[:, None] * drift.as_array() / r[None, :]
+    entries = r[:, None] * drift.entries / r[None, :]
     if operator == "A":
         entries = 2.0 * entries
     return OperatorMatrix(drift.basis, "hermite-normal-form", operator, entries, False)

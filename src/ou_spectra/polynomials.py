@@ -260,32 +260,12 @@ class SparsePolynomial:
 
     def render(self) -> str:
         """Human text form, e.g. '4*x1^2 - 2'."""
-        if not self.terms:
-            return "0"
         ordered = sorted(
             self.terms.items(),
             key=lambda kv: (index_degree(kv[0]), kv[0]),
             reverse=True,
         )
-        pieces = []
-        for alpha, c in ordered:
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(alpha)
-                if e
-            )
-            cs = _render_coeff(c)
-            if mono:
-                body = mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
-            else:
-                body = cs
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(f"- {body[1:]}")
-            else:
-                pieces.append(f"+ {body}")
-        return " ".join(pieces)
+        return render_terms((monomial_text(alpha), c) for alpha, c in ordered)
 
     def __repr__(self):
         return f"SparsePolynomial({self.dim}, {self.render()!r})"
@@ -300,12 +280,7 @@ class SparsePolynomial:
         )
         out = []
         for alpha, c in items:
-            if isinstance(c, EXACT_TYPES):
-                re, im = str(Fraction(c)), "0"
-            elif isinstance(c, complex):
-                re, im = c.real, c.imag
-            else:
-                re, im = float(c), 0.0
+            re, im = coefficient_json(c)
             out.append({"alpha": list(alpha), "re": re, "im": im})
         return {"dim": self.dim, "terms": out}
 
@@ -324,14 +299,48 @@ class SparsePolynomial:
         return cls(data["dim"], terms)
 
 
+def monomial_text(alpha: MultiIndex) -> str:
+    """x^alpha as text, e.g. 'x1^2*x3'; the empty string for alpha = 0."""
+    return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e)
+
+
+def render_terms(terms) -> str:
+    """Text of a polynomial from (monomial_text, coefficient) pairs in
+    display order, e.g. '4*x1^2 - 2'."""
+    pieces = []
+    for mono, c in terms:
+        cs = _render_coeff(c)
+        if mono:
+            body = mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
+        else:
+            body = cs
+        if not pieces:
+            pieces.append(body)
+        elif body.startswith("-"):
+            pieces.append(f"- {body[1:]}")
+        else:
+            pieces.append(f"+ {body}")
+    return " ".join(pieces) if pieces else "0"
+
+
+def coefficient_json(c) -> tuple:
+    """(re, im) of a coefficient in JSON: rationals keep exactness as a
+    "p/q" string in re, with im "0"."""
+    if isinstance(c, complex):
+        return c.real, c.imag
+    if not isinstance(c, float) and isinstance(c, EXACT_TYPES):
+        return str(Fraction(c)), "0"
+    return float(c), 0.0
+
+
 def _render_coeff(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, (int, np.integer)):
-        return str(int(c))
     if isinstance(c, complex):
         return f"({c.real:g}{c.imag:+g}j)"
-    return f"{float(c):g}"
+    if isinstance(c, float) or not isinstance(c, EXACT_TYPES):
+        return f"{float(c):g}"
+    if isinstance(c, Fraction):
+        return str(c)
+    return str(int(c))
 
 
 # -- graded bases ------------------------------------------------------

@@ -18,6 +18,15 @@ generalized eigenspace of D at sum_j n_j lambda_j, with nilpotency index
 1 + sum_j n_j (k_j - 1). The products of a basis of such forms are a basis of
 every degree, so each generalized eigenspace of L is W applied to the
 products whose sum is its point: no kernel is solved on any degree block.
+
+W, and the operator matrix for the residuals, are built in the arithmetic of
+the route: on the exact route W is integers over one denominator
+(operator.integer_wick_matrix), otherwise floats, also for a rational model
+with complex drift eigenvalues. The exact route needs no
+operator matrix; SpectralDecomposition.matrix builds it when read. Each group
+keeps its coefficient columns; listed_terms reads the listed polynomials off
+them, and EigenGroup.polynomials builds them as SparsePolynomials only when
+read.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import acos, comb
 
@@ -44,6 +53,8 @@ from .model import OUModel, drift_eigenvalues_raw, solve_lyapunov
 from .operator import (
     OperatorMatrix,
     degree_block_slices,
+    integer_wick_matrix,
+    monomial_steps,
     operator_matrix,
     wick_matrix,
 )
@@ -112,9 +123,48 @@ class EigenGroup:
     eigenvalue: complex
     multiplicity: int  # dimension of the generalized eigenspace at the cap
     nilpotency_index: int
-    vectors: np.ndarray  # (basis size, multiplicity), coordinate columns
-    polynomials: tuple[SparsePolynomial, ...]
+    vectors: np.ndarray  # (basis size, multiplicity), coordinate columns of unit norm
+    # coordinate columns of the listed polynomials, over `denominator`: integers
+    # on the exact route, else the unit vectors themselves (denominator 1)
+    coefficients: np.ndarray
+    denominator: int
+    basis: GradedBasis
     max_power_residual: float  # ||(M - mu I)^k u|| / ||u||, worst basis column
+
+    @cached_property
+    def polynomials(self) -> tuple[SparsePolynomial, ...]:
+        """The listed polynomials, with the terms of listed_terms."""
+        indices = self.basis.indices
+        return tuple(
+            SparsePolynomial(self.basis.dim, {indices[k]: c for k, c in zip(rows, values)})
+            for rows, values in listed_terms(self.coefficients, self.denominator)
+        )
+
+
+def listed_terms(coefficients: np.ndarray, denominator: int) -> list[tuple[list, list]]:
+    """The terms of the polynomial each column lists, as (rows, values) in
+    row order. Exact columns (integers over denominator) list every nonzero
+    entry as a Fraction. Float columns drop coefficients at roundoff level,
+    1e-13 of the column's largest, and list a coefficient as real when its
+    imaginary part is below that."""
+    if coefficients.dtype == object:
+        out = []
+        for col in coefficients.T:
+            rows = np.flatnonzero(col)
+            out.append((rows.tolist(), [Fraction(x, denominator) for x in col[rows].tolist()]))
+        return out
+    mag = np.abs(coefficients)
+    cut = 1e-13 * mag.max(axis=0)
+    real = np.abs(coefficients.imag) <= cut
+    out = []
+    for j in range(coefficients.shape[1]):
+        rows = np.flatnonzero(mag[:, j] > cut[j])
+        values = [
+            z.real if r else z
+            for z, r in zip(coefficients[rows, j].tolist(), real[rows, j].tolist())
+        ]
+        out.append((rows.tolist(), values))
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,10 +172,15 @@ class SpectralDecomposition:
     model: OUModel
     degree_cap: int
     basis: GradedBasis
-    matrix: OperatorMatrix
     groups: tuple[EigenGroup, ...]  # one per point of spectrum, in its order
     spectrum: SpectrumSet
     tol_eig: float = TOL_EIG
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        """The generator's matrix on the basis, exact for exact models; built
+        on first read, as no route needs it whole."""
+        return operator_matrix(self.model, self.degree_cap, "monomial", "L")
 
     def group_at(self, value: complex, tol: float | None = None) -> EigenGroup:
         tol = self.tol_eig if tol is None else tol
@@ -408,19 +463,18 @@ def generalized_eigenspaces(
     SpectrumSet.block_multiplicities by construction, and its nilpotency
     index is the largest 1 + sum_j n_j (k_j - 1). On the exact route
     everything is exact, with zero residual; otherwise the residual
-    ||(M - mu)^k u|| is taken on the operator matrix M.
+    ||(M - mu)^k u|| is taken on the float operator matrix M.
     """
     sp = spectrum(model, degree_cap, tol_eig)
-    om = operator_matrix(model, degree_cap, "monomial", "L")
-    W = wick_matrix(model, degree_cap)
     exact_route = sp.points[0].exact is not None
+    basis = monomial_basis(model.dim, degree_cap)
     if exact_route:
-        W_int, scale = exact.common_denominator_scale(W.entries)
-        images, columns = _wick_products(sp.clusters, om.basis, np.array(W_int, dtype=object))
+        W, scale = integer_wick_matrix(model, basis)
     else:
-        M = om.as_array().astype(complex)
-        images, columns = _wick_products(sp.clusters, om.basis, W.as_array())
-    groups, indices = [], om.basis.indices
+        W = wick_matrix(model, degree_cap, exact=False).entries
+        M = operator_matrix(model, degree_cap, "monomial", "L", exact=False).entries.astype(complex)
+    images, columns = _wick_products(sp.clusters, basis, W)
+    groups = []
     for p in sp.points:
         V = np.hstack([images[sum(n)][:, columns[n]] for n in p.witnesses])
         index = max(
@@ -429,23 +483,22 @@ def generalized_eigenspaces(
         unit = V.astype(complex)
         unit /= np.linalg.norm(unit, axis=0, keepdims=True)
         if exact_route:
-            polys = tuple(
-                SparsePolynomial(model.dim, {a: Fraction(x, scale) for a, x in zip(indices, v) if x})
-                for v in V.T.tolist()
-            )
-            residual = 0.0
+            coefficients, denominator, residual = V, scale, 0.0
         else:
-            polys = tuple(_tidy_poly(v, om.basis) for v in unit.T)
+            coefficients, denominator = unit, 1
             R = unit
             for _ in range(index):
                 R = M @ R - p.value * R
             residual = float(np.linalg.norm(R, axis=0).max())
-        groups.append(EigenGroup(p.value, V.shape[1], index, unit, polys, residual))
+        groups.append(
+            EigenGroup(
+                p.value, V.shape[1], index, unit, coefficients, denominator, basis, residual
+            )
+        )
     return SpectralDecomposition(
         model=model,
         degree_cap=degree_cap,
-        basis=om.basis,
-        matrix=om,
+        basis=basis,
         groups=tuple(groups),
         spectrum=sp,
         tol_eig=tol_eig,
@@ -464,42 +517,22 @@ def _wick_products(clusters, basis: GradedBasis, W: np.ndarray):
     """
     T = np.hstack([c.forms for c in clusters])
     owner = [j for j, c in enumerate(clusters) for _ in range(c.multiplicity)]  # cluster of each form
-    pos = {alpha: k for k, alpha in enumerate(basis.indices)}
+    E, _, first, parent, up = monomial_steps(basis)
     blocks = [sl for _, sl in degree_block_slices(basis)]
     Y = np.ones((1, 1), dtype=T.dtype)  # Y[:, g]: y^gamma, gamma the g-th monomial of degree d
     images, columns = [], {}
     for d, sl in enumerate(blocks):
-        gammas = basis.indices[sl]
         if d:
             lower = blocks[d - 1]
-            first = [next(i for i, e in enumerate(g) if e) for g in gammas]
-            parent = [pos[_shift(g, i, -1)] - lower.start for g, i in zip(gammas, first)]
-            prev, Y = Y[:, parent], np.zeros((len(gammas), len(gammas)), dtype=T.dtype)
+            size = sl.stop - sl.start
+            prev, Y = Y[:, parent[sl] - lower.start], np.zeros((size, size), dtype=T.dtype)
             for j in range(basis.dim):
-                up = [pos[_shift(beta, j, 1)] - sl.start for beta in basis.indices[lower]]
-                Y[up] += prev * T[j, first]
+                Y[up[j, lower] - sl.start] += prev * T[j, first[sl]]
         images.append(W[:, sl] @ Y)
-        patterns = np.array(gammas) @ np.eye(len(clusters), dtype=int)[owner]
+        patterns = E[sl] @ np.eye(len(clusters), dtype=int)[owner]
         for g, n in enumerate(patterns.tolist()):
             columns.setdefault(tuple(n), []).append(g)
     return images, columns
-
-
-def _shift(alpha: tuple[int, ...], i: int, step: int) -> tuple[int, ...]:
-    return alpha[:i] + (alpha[i] + step,) + alpha[i + 1 :]
-
-
-def _tidy_poly(vec: np.ndarray, basis: GradedBasis) -> SparsePolynomial:
-    """The polynomial with coordinates vec, without coefficients at roundoff
-    level and without the imaginary parts of coefficients that are real to
-    machine precision."""
-    mag = np.abs(vec)
-    cut = 1e-13 * mag.max()
-    terms = {}
-    for k in np.flatnonzero(mag > cut):
-        c = complex(vec[k])
-        terms[basis.indices[k]] = c.real if abs(c.imag) <= cut else c
-    return SparsePolynomial(basis.dim, terms)
 
 
 # -- orthogonality -----------------------------------------------------------

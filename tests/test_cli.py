@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -7,6 +8,10 @@ import pytest
 
 from ou_spectra import cli
 from ou_spectra.errors import RankDecisionAmbiguous, SchemaError
+from ou_spectra.model import validate_model
+from ou_spectra.polynomials import SparsePolynomial
+from ou_spectra.spectral import generalized_eigenspaces
+from ou_spectra.worked_examples import Section5Params, section4_model, section5_model
 
 
 def run_cli(argv):
@@ -344,3 +349,86 @@ class TestBurnInSearch:
         assert len(calls) == 1
         sidecar = json.loads((tmp_path / "ens.f64.json").read_text())
         assert report["simulation"]["burn_in"] == sidecar["burn_in"] == original(*calls[0])
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self):
+        """The parser is kept across calls, its defaults are not: a spectrum
+        call after an analyze call at degree 2 has the default cap 4."""
+        run_json(["analyze", *SECTION4_FLAGS, "--degree", "2"])
+        report = run_json(["spectrum", "--Q", "[[1]]", "--B", "[[-1]]"])
+        assert [p["value"]["re"] for p in report["spectrum"]] == [0.0, -1.0, -2.0, -3.0, -4.0]
+
+
+def _tidy_poly(vec, basis):
+    """The float route's listed polynomial as SparsePolynomial: coefficients
+    at roundoff level (1e-13 of the largest) dropped, and those real to that
+    level made real."""
+    mag = np.abs(vec)
+    cut = 1e-13 * mag.max()
+    terms = {}
+    for k in np.flatnonzero(mag > cut):
+        c = complex(vec[k])
+        terms[basis.indices[k]] = c.real if abs(c.imag) <= cut else c
+    return SparsePolynomial(basis.dim, terms)
+
+
+class TestGroupsWriter:
+    @pytest.mark.parametrize(
+        ("model", "exact_route"),
+        [
+            (section4_model(), False),  # rational, but its drift eigenvalues are -1 +/- i
+            (validate_model(np.eye(3), [[-1.0, 2.0, 0.3], [-1.5, -1.0, 0.0], [0.2, 0.1, -2.5]]), False),
+            (section5_model(Section5Params(2, 1, 1)), True),
+            (validate_model([[2, 1], [1, 3]], [[-2, 1], [0, -1]]), True),
+        ],
+        ids=["section4", "complex-float", "section5", "exact-dense"],
+    )
+    def test_columns_match_the_polynomials(self, model, exact_route):
+        """Each listed polynomial is written as SparsePolynomial.to_json and
+        render write it: with Fraction coefficients on the exact route, and
+        on the float route as the tidied unit vector, with real and complex
+        coefficients."""
+        dec = generalized_eigenspaces(model, 4)
+        assert (dec.spectrum.points[0].exact is not None) == exact_route
+        written = cli._groups_json(dec, 1e-9)
+        kinds = set()
+        for g, out in zip(dec.groups, written):
+            for k, poly in enumerate(out["basis"]):
+                if exact_route:
+                    expected = SparsePolynomial(
+                        model.dim,
+                        {
+                            a: Fraction(x, g.denominator)
+                            for a, x in zip(dec.basis.indices, g.coefficients[:, k])
+                            if x
+                        },
+                    )
+                else:
+                    expected = _tidy_poly(g.vectors[:, k], dec.basis)
+                assert poly == {**expected.to_json(), "text": expected.render()}
+                assert g.polynomials[k] == expected
+                kinds.update(type(c) for c in expected.terms.values())
+        assert kinds == ({Fraction} if exact_route else {float, complex})
+
+    def test_float_analyze_builds_no_polynomial(self, monkeypatch):
+        """analyze on a dense 4-D float model goes from the coefficient
+        columns to the report without a SparsePolynomial."""
+        built = []
+        original = SparsePolynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparsePolynomial, "__init__", counting)
+        A, E = np.random.default_rng(7).standard_normal((2, 4, 4))
+        Q, B = np.eye(4) + A @ A.T / 4, E - (1 + np.abs(E).sum()) * np.eye(4)
+        report = run_json(
+            ["analyze", "--Q", json.dumps(Q.tolist()), "--B", json.dumps(B.tolist()), "--degree", "4"]
+        )
+        assert report["backend"] == "float" and len(report["groups"]) == 70
+        assert built == []

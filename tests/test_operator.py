@@ -24,10 +24,11 @@ from ou_spectra.operator import (
     homogeneous_drift_matrix,
     nilpotent_drift_part,
     operator_matrix,
+    poly_coordinates,
     rotation_split,
     semigroup_apply,
 )
-from ou_spectra.polynomials import SparsePolynomial, monomial_basis
+from ou_spectra.polynomials import ORDERINGS, SparsePolynomial, monomial_basis
 from ou_spectra.worked_examples import section5_eigenfunctions
 
 
@@ -133,6 +134,49 @@ class TestOperatorMatrix:
     def test_homogeneous_monomial_with_full_generator_rejected(self, model5):
         with pytest.raises(BasisUnavailable):
             operator_matrix(model5, 2, "monomial", operator="L", homogeneous=True)
+
+
+APPLY = {
+    "L": apply_L,
+    "A": lambda model, p: apply_L(model, p) * 2,
+    "drift": apply_drift,
+    "diffusion": apply_diffusion,
+}
+
+
+class TestMonomialMatrixColumns:
+    @pytest.mark.parametrize("operator", sorted(APPLY))
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_column_is_the_image(self, operator, ordering, homogeneous):
+        """Column alpha holds the coordinates of the operator applied to
+        x^alpha, exactly: Fractions for the exact models, and the same floats
+        as apply_L for a float one. Where an image leaves the homogeneous
+        space, both raise."""
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((3, 3))
+        models = small_test_models() + [
+            validate_model(np.eye(3) + A @ A.T, rng.standard_normal((3, 3)) - 4 * np.eye(3))
+        ]
+        for model in models:
+            one = Fraction(1) if model.is_exact else 1.0
+            for n in range(5):
+                basis = monomial_basis(model.dim, n, ordering, homogeneous)
+                try:
+                    expected = [
+                        poly_coordinates(
+                            APPLY[operator](model, SparsePolynomial.monomial(model.dim, a, one)), basis
+                        )
+                        for a in basis.indices
+                    ]
+                except BasisUnavailable:
+                    with pytest.raises(BasisUnavailable):
+                        operator_matrix(model, n, "monomial", operator, homogeneous, ordering)
+                    continue
+                om = operator_matrix(model, n, "monomial", operator, homogeneous, ordering)
+                assert om.basis == basis and om.is_exact == model.is_exact
+                entries = om.entries if om.is_exact else om.entries.tolist()
+                assert [list(col) for col in zip(*entries)] == expected
 
 
 class TestHomogeneousDrift:

@@ -12,6 +12,7 @@ Gaussian, whose covariance is summed as a Taylor series too.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -24,6 +25,7 @@ from ou_spectra import exact
 from ou_spectra.gaussian import MomentTable, inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import (
+    _wick_series,
     apply_L,
     operator_matrix,
     poly_coordinates,
@@ -171,6 +173,33 @@ class TestIntertwining:
         column = W.basis.position((2, 0))
         image = {W.basis.indices[i]: W.entries[i][column] for i in range(len(W.basis))}
         assert {a: c for a, c in image.items() if c} == {(2, 0): 1, (0, 0): Fraction(-1, 2)}
+
+
+class TestWickRecursion:
+    @SETTINGS
+    @given(rational_models(), st.integers(0, 6))
+    def test_matches_the_series_in_fractions(self, model, cap):
+        """Column alpha is exp(-K) x^alpha, K = 1/2 tr(S D^2), summed as the
+        finite diffusion series on the polynomial x^alpha."""
+        cov = solve_lyapunov(model)
+        wick_model = replace(model, Q=cov.sigma, Q_exact=cov.sigma_exact)
+        W = wick_matrix(model, cap)
+        assert W.is_exact
+        for j, alpha in enumerate(W.basis.indices):
+            x = SparsePolynomial.monomial(model.dim, alpha, Fraction(1))
+            expected = poly_coordinates(_wick_series(wick_model, x, -1), W.basis)
+            assert [row[j] for row in W.entries] == expected
+
+    def test_float_recursion_rounds_the_exact_one(self):
+        """Up to cap 12 on the rotation model, each float column is the exact
+        one rounded, to 1e-12 of its norm."""
+        model = section4_model()
+        for cap in (4, 8, 12):
+            exact_W = np.array(wick_matrix(model, cap).entries, dtype=float)
+            float_W = wick_matrix(model, cap, exact=False)
+            assert not float_W.is_exact
+            error = np.linalg.norm(float_W.entries - exact_W, axis=0)
+            assert (error <= 1e-12 * np.linalg.norm(exact_W, axis=0)).all()
 
 
 def _exact_kernel(M, mu, k):
