@@ -33,13 +33,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gaussian import gram_matrix, inner_product
-from .model import (
-    OUModel,
-    normalize_model,
-    solve_lyapunov,
-    validate_model,
-)
+from .gaussian import basis_moment_gram, finish_gram, gram_matrix
+from .model import OUModel, normalize_model, validate_model
 from .operator import (
     apply_L,
     check_normal,
@@ -415,7 +410,7 @@ def _orthogonality_json(report) -> dict:
 
 
 def _q_infinity_json(model: OUModel):
-    cov = solve_lyapunov(model)
+    cov = model.covariance
     return matrix_json(cov.sigma_exact if cov.is_exact else cov.sigma)
 
 
@@ -444,12 +439,11 @@ def _cmd_spectrum(args, config: RunConfig) -> dict:
 def _cmd_gram(args, config: RunConfig) -> dict:
     model = _load_model(args, config)
     report = _base_report(config, model)
-    cov = solve_lyapunov(model)
-    sigma = cov.sigma_exact if cov.is_exact else cov.sigma
+    cov = model.covariance
     basis = monomial_basis(model.dim, config.degree)
-    one = Fraction(1) if model.is_exact else 1.0
-    polys = [SparsePolynomial.monomial(model.dim, a, one) for a in basis.indices]
-    g = gram_matrix(polys, sigma, normalized=args.normalized)
+    # the Gram matrix of the monomials is their moment matrix
+    moments = basis_moment_gram(basis.indices, cov.sigma_exact if cov.is_exact else cov.sigma)
+    g = finish_gram(moments, args.normalized)
     report["q_infinity"] = _q_infinity_json(model)
     report["gram"] = {
         "basis": [list(a) for a in basis.indices],
@@ -463,14 +457,13 @@ def _cmd_normalize(args, config: RunConfig) -> dict:
     model = _load_model(args, config)
     change, normalized = normalize_model(model)
     report = _base_report(config, model)
-    cov = solve_lyapunov(normalized)
     report["normalization"] = {
         "H": matrix_json(change.H),
         "H_inv": matrix_json(change.H_inv),
         "kind": change.kind,
         "Q_transformed": matrix_json(normalized.Q),
         "B_transformed": matrix_json(normalized.B),
-        "q_infinity_transformed": matrix_json(cov.sigma),
+        "q_infinity_transformed": matrix_json(normalized.covariance.sigma),
     }
     return report
 
@@ -485,7 +478,7 @@ def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
         model=model, step=args.step, paths=args.paths, seed=args.seed, burn_in=args.burn_in
     )
     ensemble = stationary_ensemble(sim)
-    q_inf = solve_lyapunov(model).sigma
+    q_inf = model.covariance.sigma
     emp = np.cov(ensemble.samples, rowvar=False, bias=False).reshape(model.dim, model.dim)
     report = _base_report(config, model)
     report["simulation"] = {
@@ -555,11 +548,9 @@ def _example_section4(config: RunConfig) -> dict:
 def _example_section5(config: RunConfig, params: Section5Params) -> dict:
     model = section5_model(params)
     report = _base_report(config, model)
-    cov = solve_lyapunov(model)
     report["q_infinity"] = _q_infinity_json(model)
     # the spectrum at cap 0 holds the drift clusters alone
     report["drift_eigenvalues"] = _drift_json(spectrum(model, 0))
-    sigma = cov.sigma_exact
     eigenfunctions = section5_eigenfunctions(params)
     names = ["v1", "v2", "v3", "v4"][: len(eigenfunctions)]
     funcs = []
@@ -573,18 +564,17 @@ def _example_section5(config: RunConfig, params: Section5Params) -> dict:
                 "generator_residual_zero": residual.is_zero,
             }
         )
-    pairings = {}
+    # g[0] pairs the constant 1 with each eigenfunction, g[i + 1] pairs v_(i+1)
     one = SparsePolynomial.constant(2, Fraction(1))
+    g = gram_matrix([one] + [v for v, _ in eigenfunctions], model.covariance.sigma_exact)
+    pairings = {}
     for i in range(len(eigenfunctions)):
-        pairings[f"<1,{names[i]}>"] = scalar_json(
-            inner_product(one, eigenfunctions[i][0], sigma)
-        )
+        pairings[f"<1,{names[i]}>"] = scalar_json(g[0, i + 1])
         for j in range(i + 1, len(eigenfunctions)):
-            val = inner_product(eigenfunctions[i][0], eigenfunctions[j][0], sigma)
-            pairings[f"<{names[i]},{names[j]}>"] = scalar_json(val)
+            pairings[f"<{names[i]},{names[j]}>"] = scalar_json(g[i + 1, j + 1])
     a = params.a
     whitening = section5_whitening(params)
-    pushforward = whitening.H @ cov.sigma @ whitening.H.T
+    pushforward = whitening.H @ model.covariance.sigma @ whitening.H.T
     report["example"] = {
         "name": "section5",
         "params": {"a": scalar_json(params.a), "d": scalar_json(params.d), "c": scalar_json(params.c)},

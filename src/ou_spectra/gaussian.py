@@ -8,6 +8,12 @@ memoized per covariance, which keeps the cost polynomial in the size of the
 moment table instead of the double-factorial pair-partition enumeration.
 When the covariance entries are rational every moment is an exact Fraction;
 this is what makes the reported inner products exact rather than approximate.
+
+Every pairing under N(0, Sigma) is a moment, <x^a, x^b> = E[x^(a + b)], so
+the one pairing route is the moment matrix M of the exponents paired
+(basis_moment_gram): the Gram matrix of a family with coefficient columns C
+over its joint support is C^T M conj(C). inner_product pairs two polynomials
+term by term; it is the reference the tests compare that route against.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import Matrix, matrix as exact_matrix
 from .polynomials import EXACT_TYPES, SparsePolynomial
 
 
@@ -30,8 +35,9 @@ def _normalize_sigma(sigma):
     if isinstance(sigma, np.ndarray):
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("covariance must be square")
-        rows = tuple(tuple(float(x) for x in row) for row in sigma)
-        return rows, sigma.shape[0], False
+        if sigma.dtype != object:  # an object array may hold Fractions
+            rows = tuple(tuple(float(x) for x in row) for row in sigma)
+            return rows, sigma.shape[0], False
     rows = tuple(tuple(x for x in row) for row in sigma)
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -59,16 +65,8 @@ class GaussianMeasure:
     @property
     def normalization(self) -> float:
         """Density prefactor (2 pi)^(-N/2) det(Sigma)^(-1/2)."""
-        arr = self.as_array()
-        return (2 * pi) ** (-self.dim / 2) * np.linalg.det(arr) ** (-0.5)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self._rows])
-
-    def exact_rows(self) -> Matrix:
-        if not self.is_exact:
-            raise ValueError("covariance is not exact")
-        return exact_matrix(self._rows)
+        det = np.linalg.det(np.array(self._rows, dtype=float))
+        return (2 * pi) ** (-self.dim / 2) * det ** (-0.5)
 
     def moment(self, alpha) -> object:
         return MomentTable(self).moment(alpha)
@@ -143,44 +141,78 @@ def inner_product(
     return total
 
 
+def basis_moment_gram(exponents, sigma) -> np.ndarray:
+    """Moment matrix E[x^(alpha_i + alpha_j)] over a list of exponent vectors,
+    in sigma's arithmetic: an object array of Fractions when sigma is
+    rational, floats otherwise.
+
+    Each distinct exponent sum is computed once. Sums are keyed by their
+    mixed-radix value in base 2 m + 1, m the largest exponent, where no digit
+    carries, so the key of alpha_i + alpha_j is the sum of the keys. Keys that
+    could pass int64 (many variables or large exponents) are held as Python
+    integers."""
+    table = MomentTable(sigma)
+    E = np.array(exponents, dtype=np.int64).reshape(len(exponents), table.dim)
+    radix = 2 * int(E.max(initial=0)) + 1
+    dtype = np.int64 if radix**table.dim <= 2**63 else object
+    weights = radix ** np.arange(table.dim).astype(dtype)
+    keys = E.astype(dtype) @ weights
+    distinct, inverse = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
+    sums = (distinct[:, None] // weights) % radix
+    moments = np.array(
+        [table.moment(a) for a in sums.tolist()], dtype=object if table.is_exact else float
+    )
+    return moments[inverse].reshape(len(E), len(E))
+
+
 def gram_matrix(fs, sigma, normalized: bool = False):
     """Pairwise inner products G[i][j] = <f_i, f_j>, Hermitian by construction.
+
+    G = C^T M conj(C), with C the family's coefficient columns over its joint
+    support and M that support's moment matrix (basis_moment_gram). The
+    arithmetic is exact when sigma and every coefficient are rational;
+    normalization and the array returned are those of finish_gram.
+    """
+    fs = list(fs)
+    measure = GaussianMeasure(sigma)
+    if any(f.dim != measure.dim for f in fs):
+        raise DimensionMismatch(f"polynomial dims {[f.dim for f in fs]} vs measure dim {measure.dim}")
+    support = sorted({alpha for f in fs for alpha in f.terms})
+    row = {alpha: k for k, alpha in enumerate(support)}
+    exact = measure.is_exact and all(f.is_exact for f in fs)
+    C = np.zeros((len(support), len(fs)), dtype=object if exact else complex)
+    for j, f in enumerate(fs):
+        for alpha, c in f.terms.items():
+            C[row[alpha], j] = c
+    M = basis_moment_gram(support, measure)
+    if exact:
+        return finish_gram(C.T @ M @ C, normalized)
+    G = C.T @ M.astype(float) @ C.conj()
+    upper = np.triu(G, 1)
+    return finish_gram(upper + upper.conj().T + np.diag(G.diagonal().real), normalized)
+
+
+def finish_gram(g: np.ndarray, normalized: bool) -> np.ndarray:
+    """A Gram matrix as gram_matrix returns it: an object array when every
+    entry is exact, a complex array otherwise.
 
     With ``normalized`` each entry is divided by sqrt(G_ii * G_jj); exact
     zeros and the unit diagonal survive the scaling exactly, so an orthogonal
     exact family normalizes to the literal identity matrix.
     """
-    fs = list(fs)
-    table = MomentTable(sigma)
-    n = len(fs)
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = inner_product(fs[i], fs[j], sigma, table)
-            g[i][j] = val
-            if i != j:
-                g[j][i] = val.conjugate() if isinstance(val, complex) else val
+    g = g.tolist()
     if normalized:
         # diagonal entries are <f, f>, real up to representation
-        diag = [
-            g[i][i].real if isinstance(g[i][i], complex) else g[i][i] for i in range(n)
-        ]
+        diag = [row[i].real if isinstance(row[i], complex) else row[i] for i, row in enumerate(g)]
         if any(d == 0 for d in diag):
             raise ValueError("cannot normalize a Gram matrix with a zero diagonal")
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    out[i][j] = diag[i] / diag[i]
-                elif g[i][j] == 0:
-                    out[i][j] = g[i][j]
-                else:
-                    out[i][j] = g[i][j] / sqrt(float(diag[i]) * float(diag[j]))
-        g = out
-    if all(
-        isinstance(x, EXACT_TYPES) for row in g for x in row
-    ):
+        g = [
+            [
+                d / d if i == j else x if x == 0 else x / sqrt(float(d) * float(e))
+                for j, (x, e) in enumerate(zip(row, diag))
+            ]
+            for i, (row, d) in enumerate(zip(g, diag))
+        ]
+    if all(isinstance(x, EXACT_TYPES) for row in g for x in row):
         return np.array(g, dtype=object)
-    return np.array(
-        [[complex(x) for x in row] for row in g], dtype=complex
-    )
+    return np.array([[complex(x) for x in row] for row in g], dtype=complex)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,14 @@ class OUModel:
     @property
     def is_exact(self) -> bool:
         return self.backend == "exact"
+
+    @cached_property
+    def covariance(self) -> CovarianceMatrix:
+        """The stationary covariance, solved on first read: every Gaussian
+        quantity of the model is taken under this one N(0, S)."""
+        cov = solve_lyapunov(self)
+        cov.sigma.setflags(write=False)  # one array, shared by every reader
+        return cov
 
 
 @dataclass(frozen=True)
@@ -352,8 +361,7 @@ def normalize_model(model: OUModel) -> tuple[CoordinateChange, OUModel]:
         raise NotPositiveDefinite("Q has a non-positive eigenvalue")
     h1 = V @ np.diag(w**-0.5) @ V.T
 
-    q_inf = solve_lyapunov(model).sigma
-    mid = h1 @ q_inf @ h1.T
+    mid = h1 @ model.covariance.sigma @ h1.T
     mid = (mid + mid.T) / 2.0
     _, U = np.linalg.eigh(mid)
     h2 = U.T

@@ -43,10 +43,8 @@ from .errors import (
     UnsupportedDimension,
 )
 from .exact import common_denominator_scale
-from .model import OUModel, covariance_at, matrix_exponential, solve_lyapunov
+from .model import OUModel, covariance_at, matrix_exponential
 from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
-
-OPERATOR_TAGS = ("L", "A", "drift", "diffusion", "rotation-part", "nilpotent-part", "wick")
 
 NORMALIZED_TOL = 1e-12
 
@@ -289,7 +287,7 @@ def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMa
     exact = model.is_exact if exact is None else exact
     basis = monomial_basis(model.dim, n)
     if not exact:
-        W = _wick_recursion(solve_lyapunov(model).sigma, basis)
+        W = _wick_recursion(model.covariance.sigma, basis)
         return OperatorMatrix(basis, "monomial", "wick", W, False)
     W, scale = integer_wick_matrix(model, basis)
     entries = [[Fraction(w, scale) for w in row] for row in W.tolist()]
@@ -303,7 +301,7 @@ def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray,
     With S = S_int / s, the recursion run on S_int yields
     W[beta, alpha] s^((|alpha| - |beta|) / 2), an integer since each pairing
     in a Wick power contributes one factor of S; scale = s^(n // 2)."""
-    S_int, s = common_denominator_scale(solve_lyapunov(model).sigma_exact)
+    S_int, s = common_denominator_scale(model.covariance.sigma_exact)
     W = _wick_recursion(np.array(S_int, dtype=object), basis)
     deg = np.array(basis.degrees())
     lift = np.maximum(basis.cap // 2 - (deg[None, :] - deg[:, None]) // 2, 0)
@@ -347,21 +345,18 @@ def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparseP
     return total
 
 
-def _check_normalized(model: OUModel, q_inf: CovarianceMatrix):
-    if model.is_exact and q_inf.is_exact:
-        qx = model.Q_exact
-        ok_q = all(
-            qx[i][j] == (1 if i == j else 0)
-            for i in range(model.dim)
-            for j in range(model.dim)
+def _check_normalized(model: OUModel):
+    """Q = I and the stationary covariance diagonal: exactly for an exact
+    model, else up to NORMALIZED_TOL."""
+    if model.is_exact:
+        S, n = model.covariance.sigma_exact, model.dim
+        return all(
+            model.Q_exact[i][j] == (i == j) and (i == j or S[i][j] == 0)
+            for i in range(n)
+            for j in range(n)
         )
-        sx = q_inf.sigma_exact
-        ok_diag = all(
-            sx[i][j] == 0 for i in range(model.dim) for j in range(model.dim) if i != j
-        )
-        return ok_q and ok_diag
     q = model.Q
-    s = q_inf.sigma
+    s = model.covariance.sigma
     ok_q = np.abs(q - np.eye(model.dim)).max() <= NORMALIZED_TOL
     off = s - np.diag(np.diag(s))
     ok_diag = np.abs(off).max() <= NORMALIZED_TOL * max(1.0, np.abs(np.diag(s)).max())
@@ -371,14 +366,13 @@ def _check_normalized(model: OUModel, q_inf: CovarianceMatrix):
 def _hermite_matrix(model, n, operator, homogeneous):
     if operator not in ("L", "A"):
         raise ValueError(f"the Hermite basis carries only 'L' and 'A', not {operator!r}")
-    q_inf = solve_lyapunov(model)
-    if not _check_normalized(model, q_inf):
+    if not _check_normalized(model):
         raise BasisUnavailable(
             "Hermite normal-form basis needs Q = I and a diagonal stationary covariance; "
             "run normalize_model first"
         )
     drift = _monomial_matrix(model, n, "drift", homogeneous, "graded-lex", exact=False)
-    lam = np.diag(q_inf.sigma)
+    lam = np.diag(model.covariance.sigma)
     r = np.array(
         [
             math.sqrt(math.prod(math.factorial(a) * l**a for a, l in zip(alpha, lam)))
@@ -442,12 +436,11 @@ def rotation_split(model: OUModel) -> RotationSplit:
     variance (as in the rotation example with D_lambda = I/2). Models outside
     that class are rejected because the split would not be a rotation.
     """
-    q_inf = solve_lyapunov(model)
-    if not _check_normalized(model, q_inf):
+    if not _check_normalized(model):
         raise NotNormalized(
             "rotation split needs Q = I and diagonal stationary covariance"
         )
-    lam = np.diag(q_inf.sigma).copy()
+    lam = np.diag(model.covariance.sigma).copy()
     D = np.diag(lam)
     C = 2.0 * model.B + np.diag(1.0 / lam)
     skew_defect = np.abs(C + C.T).max()

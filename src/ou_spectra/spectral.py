@@ -48,8 +48,8 @@ from .errors import (
     RepeatedEigenvalue,
     UnsupportedDimension,
 )
-from .gaussian import MomentTable
-from .model import OUModel, drift_eigenvalues_raw, solve_lyapunov
+from .gaussian import basis_moment_gram
+from .model import OUModel, drift_eigenvalues_raw
 from .operator import (
     OperatorMatrix,
     degree_block_slices,
@@ -538,37 +538,18 @@ def _wick_products(clusters, basis: GradedBasis, W: np.ndarray):
 # -- orthogonality -----------------------------------------------------------
 
 
-def basis_moment_gram(basis: GradedBasis, sigma) -> np.ndarray:
-    """Moment matrix E[x^(alpha_i + alpha_j)] over a monomial basis.
-
-    Each distinct exponent sum is computed once. Sums are keyed by their
-    mixed-radix value in base 2 cap + 1, where no digit carries, so the key
-    of alpha_i + alpha_j is the sum of the keys. Keys that could pass int64
-    (many variables at a low cap) are held as Python integers."""
-    table = MomentTable(np.asarray(sigma, dtype=float) if not isinstance(sigma, np.ndarray) else sigma)
-    radix = 2 * basis.cap + 1
-    dtype = np.int64 if radix**basis.dim <= 2**63 else object
-    weights = radix ** np.arange(basis.dim).astype(dtype)
-    keys = np.array(basis.indices, dtype=dtype) @ weights
-    distinct, inverse = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
-    exponents = (distinct[:, None] // weights) % radix
-    moments = np.array([float(table.moment(tuple(a))) for a in exponents.tolist()])
-    return moments[inverse].reshape(len(basis), len(basis))
-
-
 def orthogonality_report(
-    dec: SpectralDecomposition,
-    sigma=None,
-    tol_orth: float = TOL_ORTH,
+    dec: SpectralDecomposition, tol_orth: float = TOL_ORTH
 ) -> OrthogonalityReport:
     """Pairwise cross-Gram data between distinct-eigenvalue groups under the
-    stationary measure; a pair is orthogonal when every normalized inner
-    product stays below tol.
+    model's stationary measure; a pair is orthogonal when every normalized
+    inner product stays below tol.
 
-    Works in basis coordinates: with G the moment matrix of the monomial
-    basis, <u, v> = u^T G conj(v) for coordinate vectors u, v. The group
-    vectors are stacked into V and H = V^T G conj(V) is formed once; the
-    norms are read off its diagonal and every pair's block is a slice of it.
+    Works in basis coordinates: with G the float moment matrix of the
+    monomial basis under the model's covariance (gaussian.basis_moment_gram),
+    <u, v> = u^T G conj(v) for coordinate vectors u, v. The group vectors are
+    stacked into V and H = V^T G conj(V) is formed once; the norms are read
+    off its diagonal and every pair's block is a slice of it.
 
     Each PairVerdict.block pairs the groups' coordinate vectors scaled to unit
     Euclidean norm (EigenGroup.vectors). On the float route those are the
@@ -576,13 +557,7 @@ def orthogonality_report(
     unscaled exact ones, so a block entry is their pairing divided by both
     coordinate norms.
     """
-    if sigma is None:
-        sigma = solve_lyapunov(dec.model).sigma
-    else:
-        sigma = np.array(
-            [[float(x) for x in row] for row in sigma], dtype=float
-        )
-    G = basis_moment_gram(dec.basis, sigma)
+    G = basis_moment_gram(dec.basis.indices, dec.model.covariance.sigma)
     groups = dec.groups
     mats = [np.asarray(g.vectors, dtype=complex) for g in groups]
     V = np.hstack(mats)

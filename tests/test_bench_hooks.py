@@ -1,5 +1,5 @@
-"""The benchmark in perfbench/ wraps program functions by name: a rename in
-the program must fail here, not only when the benchmark is traced."""
+"""The benchmark in perfbench/ wraps and imports program functions by name:
+a rename in the program must fail here, not only when the benchmark runs."""
 
 import ast
 import importlib
@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+RUN = PERFBENCH / "run.py"
 
 
 def _layers() -> list[tuple[str, str]]:
@@ -27,7 +29,16 @@ def test_traced_function_resolves(module, function):
     assert callable(getattr(importlib.import_module(module), function))
 
 
-def test_worker_count_exists():
-    from ou_spectra import simulate
+def _run_imports() -> list[tuple[str, str]]:
+    """(module, name) of every "from ou_spectra... import name" in run.py."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(RUN.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ou_spectra"
+        for alias in node.names
+    ]
 
-    assert callable(simulate.worker_count)
+
+@pytest.mark.parametrize("module, name", _run_imports())
+def test_benchmark_import_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)

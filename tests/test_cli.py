@@ -145,6 +145,8 @@ class TestGram:
         entries = report["gram"]["entries"]
         assert len(entries) == 6
         assert entries[0][0] == "1"
+        # every exact entry is a "p/q" string, the odd-moment zeros too
+        assert all(isinstance(x, str) for row in entries for x in row)
 
     def test_csv_output(self):
         code, out, _ = run_cli(["gram", *SECTION4_FLAGS, "--degree", "1", "--format", "csv"])
@@ -349,6 +351,40 @@ class TestBurnInSearch:
         assert len(calls) == 1
         sidecar = json.loads((tmp_path / "ens.f64.json").read_text())
         assert report["simulation"]["burn_in"] == sidecar["burn_in"] == original(*calls[0])
+
+
+class TestCovarianceSolvedOnce:
+    """Each command solves the Lyapunov equation at most once per model:
+    every consumer reads OUModel.covariance."""
+
+    TRIANGULAR = ["--Q", "[[1,0],[0,2]]", "--B", "[[-1,0],[1,-3]]"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", *TRIANGULAR],
+            ["analyze", *TRIANGULAR, "--backend", "float"],
+            ["gram", *TRIANGULAR],
+            ["normalize", *TRIANGULAR],
+            ["paper-example", "section4", "--degree", "12"],
+            ["paper-example", "section5"],
+        ],
+        ids=["analyze-exact", "analyze-float", "gram", "normalize", "section4", "section5"],
+    )
+    def test_at_most_once_per_model(self, argv, monkeypatch):
+        from ou_spectra import model as model_module
+
+        solved = []  # holding each model keeps its id unique
+        original = model_module.solve_lyapunov
+
+        def counting(model):
+            solved.append(model)
+            return original(model)
+
+        monkeypatch.setattr(model_module, "solve_lyapunov", counting)
+        run_json(argv)
+        ids = [id(m) for m in solved]
+        assert ids and len(ids) == len(set(ids))
 
 
 class TestParser:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import isserlis_bruteforce, small_test_models
@@ -19,6 +21,24 @@ from ou_spectra.polynomials import SparsePolynomial
 from ou_spectra.worked_examples import section5_eigenfunctions
 
 HALF_I2 = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def rational_families(draw):
+    """(polynomials, S): one to four rational polynomials of degree <= 3 in
+    N = 1..3 variables, some of them zero, and S = I + A A^T rational."""
+    n = draw(st.integers(1, 3))
+    A = [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    S = [
+        [(i == j) + sum(A[i][k] * A[j][k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    exponent = st.tuples(*[st.integers(0, 3)] * n).filter(lambda a: sum(a) <= 3)
+    polys = st.dictionaries(exponent, small_fractions, max_size=5)
+    fs = [SparsePolynomial(n, terms) for terms in draw(st.lists(polys, min_size=1, max_size=4))]
+    return fs, S
 
 
 class TestMoments:
@@ -85,6 +105,12 @@ class TestMoments:
                         shifted[j] -= 1
                         rhs += sigma[i][j] * alpha[j] * table.moment(tuple(shifted))
                 assert lhs == rhs
+
+    def test_object_array_of_rationals_stays_exact(self):
+        sigma = np.array([[Fraction(1, 3)]], dtype=object)
+        value = gaussian_moment(sigma, (2,))
+        assert value == Fraction(1, 3) and isinstance(value, Fraction)
+        assert GaussianMeasure(sigma).is_exact
 
     def test_monte_carlo_oracle_section5(self, model5):
         sigma = solve_lyapunov(model5).sigma
@@ -173,6 +199,39 @@ class TestGram:
         g = gram_matrix(fs, sigma)
         assert np.allclose(g, g.conj().T)
         assert g[0][0].imag == pytest.approx(0.0)
+
+
+class TestGramMatchesPairings:
+    """gram_matrix takes one moment-matrix product; inner_product pairs term
+    by term and is the oracle."""
+
+    SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+    @SETTINGS
+    @given(rational_families())
+    def test_exact_family(self, family):
+        fs, S = family
+        g = gram_matrix(fs, S)
+        assert g.dtype == object
+        assert g.tolist() == [[inner_product(f, h, S) for h in fs] for f in fs]
+
+    @SETTINGS
+    @given(rational_families(), st.data())
+    def test_complex_float_family(self, family, data):
+        fs, S = family
+        parts = st.floats(-2, 2)
+        phases = st.builds(complex, parts, parts).filter(lambda z: abs(z) >= 0.25)
+        fs = [
+            SparsePolynomial(f.dim, {a: float(c) * data.draw(phases) for a, c in f.terms.items()})
+            for f in fs
+        ]
+        sigma = np.array(S, dtype=float)
+        g = gram_matrix(fs, sigma)
+        oracle = np.array([[complex(inner_product(f, h, sigma)) for h in fs] for f in fs])
+        assert g.dtype == complex
+        scale = np.sqrt(np.outer(np.abs(oracle.diagonal()), np.abs(oracle.diagonal())))
+        assert np.all(np.abs(g - oracle) <= 1e-12 * scale)
+        np.testing.assert_array_equal(g, g.conj().T)
 
 
 class TestGaussianMeasure:

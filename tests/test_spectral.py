@@ -310,7 +310,7 @@ class TestOrthogonalityReport:
         # normalized cross-Gram table, pair by pair
         dec = generalized_eigenspaces(small_test_models()[model_index], 4)
         rep = orthogonality_report(dec)
-        G = basis_moment_gram(dec.basis, solve_lyapunov(dec.model).sigma)
+        G = basis_moment_gram(dec.basis.indices, solve_lyapunov(dec.model).sigma)
         V = np.hstack([g.vectors for g in dec.groups])
         H = V.T @ G @ V.conj()
         norms = np.sqrt(np.abs(np.diag(H).real))
@@ -332,17 +332,26 @@ class TestOrthogonalityReport:
 class TestBasisMomentGram:
     @pytest.mark.parametrize("dim, cap", [(1, 5), (2, 4), (3, 3), (4, 2), (45, 1)])
     def test_equals_entrywise_moments(self, dim, cap):
-        # reference: one moment per entry, in the order the entries are read
+        # reference: one moment per entry, in the order the entries are read;
+        # a float covariance gives floats, a rational one exact Fractions
         rng = np.random.default_rng(dim * 10 + cap)
         a = rng.standard_normal((dim, dim))
         sigma = a @ a.T + dim * np.eye(dim)
+        b = rng.integers(-3, 4, (dim, dim))
+        rational = np.vectorize(lambda x: Fraction(int(x), 4), otypes=[object])(
+            b @ b.T + 4 * np.eye(dim, dtype=int)
+        )
         basis = monomial_basis(dim, cap)
-        table = MomentTable(sigma)
-        expected = np.array([
-            [float(table.moment(tuple(x + y for x, y in zip(a_i, a_j)))) for a_j in basis.indices]
-            for a_i in basis.indices
-        ])
-        np.testing.assert_array_equal(basis_moment_gram(basis, sigma), expected)
+        for cov, kind in ((sigma, float), (rational, Fraction)):
+            table = MomentTable(cov)
+            expected = np.array([
+                [kind(table.moment(tuple(x + y for x, y in zip(a_i, a_j)))) for a_j in basis.indices]
+                for a_i in basis.indices
+            ], dtype=object if kind is Fraction else float)
+            G = basis_moment_gram(basis.indices, cov)
+            assert G.dtype == expected.dtype
+            assert all(isinstance(x, kind) for x in G.flat)
+            np.testing.assert_array_equal(G, expected)
 
 
 class TestEigenvectorAngle:
