@@ -6,7 +6,9 @@ values serialize as "p/q" strings because JSON numbers are doubles and
 exactness is the point; complex values serialize as {"re": .., "im": ..}.
 A JSON report puts each object key on its own line, and each item of a list
 of objects or arrays (a pair, a group, a spectrum point, a matrix row) on its
-own line as compact JSON; everything else is compact.
+own line as compact JSON; everything else is compact. The orthogonality pairs
+are written pre-encoded: each pair's line is made as JSON text straight from
+the pair Gram (EncodedLines), with the bytes json.dumps would write.
 
 Exit codes: 0 success, 1 usage error, 2 validation error or another typed
 failure, 3 numerical rank ambiguity.
@@ -26,6 +28,7 @@ from functools import cache
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     InvalidParams,
     OUSpectraError,
     RankDecisionAmbiguous,
@@ -389,24 +392,37 @@ def _groups_json(dec, tol_nilp: float) -> list:
     return out
 
 
+class EncodedLines(list):
+    """Items already encoded as JSON text: _write_json writes each on its own
+    line as it stands, render_human decodes them."""
+
+
 def _orthogonality_json(report) -> dict:
-    eigenvalues = [complex_json(z) for z in report.eigenvalues]  # shared by every pair
-    return {
-        "tol_orth": report.tol_orth,
-        "all_orthogonal": report.all_orthogonal,
-        "pairs": [
-            {
-                "eigenvalue_i": eigenvalues[p.i],
-                "eigenvalue_j": eigenvalues[p.j],
-                "max_normalized": p.max_normalized,
-                "orthogonal": p.orthogonal,
-                "gram_block": [
-                    [{"re": z.real, "im": z.imag} for z in row] for row in p.block.tolist()
-                ],
-            }
-            for p in report.pairs
-        ],
-    }
+    """The verdict, with each pair encoded as JSON text straight from the
+    pair Gram: the text json.dumps writes for the pair's object, floats by
+    float.__repr__ as the json encoder writes them. Each group's eigenvalue
+    text is made once, and each entry of the Gram's upper triangle once."""
+    H, worst, tol = report.gram, report.worst, report.tol_orth
+    if not (np.isfinite(H).all() and np.isfinite(worst).all()):
+        raise ConvergenceFailure("the pair Gram has a non-finite entry, which JSON cannot hold")
+    eigenvalues = [json.dumps(complex_json(z)) for z in report.eigenvalues]
+    bounds = [*report.starts.tolist(), len(H)]
+    pairs = EncodedLines()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        # group i's rows against the columns of every later group
+        cells = [
+            [f'{{"re": {x!r}, "im": {y!r}}}' for x, y in zip(re_row, im_row)]
+            for re_row, im_row in zip(H.real[a:b, b:].tolist(), H.imag[a:b, b:].tolist())
+        ]
+        head = f'{{"eigenvalue_i": {eigenvalues[i]}, "eigenvalue_j": '
+        for j, w in enumerate(worst[i, i + 1 :].tolist(), i + 1):
+            c, d = bounds[j] - b, bounds[j + 1] - b
+            block = "], [".join([", ".join(row[c:d]) for row in cells])
+            pairs.append(
+                f'{head}{eigenvalues[j]}, "max_normalized": {w!r}, '
+                f'"orthogonal": {"true" if w < tol else "false"}, "gram_block": [[{block}]]}}'
+            )
+    return {"tol_orth": tol, "all_orthogonal": report.all_orthogonal, "pairs": pairs}
 
 
 def _q_infinity_json(model: OUModel):
@@ -594,6 +610,8 @@ def _example_section5(config: RunConfig, params: Section5Params) -> dict:
 
 
 def _human_lines(value, indent: int = 0, key: str | None = None, out=None):
+    if isinstance(value, EncodedLines):
+        value = [json.loads(x) for x in value]
     pad = "  " * indent
     label = f"{key}: " if key is not None else ""
     if isinstance(value, dict):
@@ -643,7 +661,8 @@ def _write_json(value, stream, indent: str = "") -> None:
     """Write value as JSON piece by piece: an object one key per line, a list
     of objects or arrays one item per line. Every item and every other value
     is one json.dumps call, which takes the C encoder, and goes to the stream
-    at once, so the whole report never sits in memory as one string."""
+    at once, so the whole report never sits in memory as one string; the
+    items of EncodedLines are written as they stand."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         sep = "{\n"
@@ -652,10 +671,12 @@ def _write_json(value, stream, indent: str = "") -> None:
             _write_json(item, stream, inner)
             sep = ",\n"
         stream.write(f"\n{indent}}}")
-    elif isinstance(value, list) and value and all(isinstance(x, (dict, list)) for x in value):
+    elif isinstance(value, list) and value and (
+        isinstance(value, EncodedLines) or all(isinstance(x, (dict, list)) for x in value)
+    ):
         sep = "[\n"
-        for item in value:
-            stream.write(f"{sep}{inner}{json.dumps(item)}")
+        for item in value if isinstance(value, EncodedLines) else map(json.dumps, value):
+            stream.write(f"{sep}{inner}{item}")
             sep = ",\n"
         stream.write(f"\n{indent}]")
     else:

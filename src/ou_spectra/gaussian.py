@@ -194,7 +194,8 @@ def gram_matrix(fs, sigma, normalized: bool = False):
 
 def finish_gram(g: np.ndarray, normalized: bool) -> np.ndarray:
     """A Gram matrix as gram_matrix returns it: an object array when every
-    entry is exact, a complex array otherwise.
+    entry is exact, else a float array when no entry is complex, else a
+    complex array.
 
     With ``normalized`` each entry is divided by sqrt(G_ii * G_jj); exact
     zeros and the unit diagonal survive the scaling exactly, so an orthogonal
@@ -215,4 +216,6 @@ def finish_gram(g: np.ndarray, normalized: bool) -> np.ndarray:
         ]
     if all(isinstance(x, EXACT_TYPES) for row in g for x in row):
         return np.array(g, dtype=object)
-    return np.array([[complex(x) for x in row] for row in g], dtype=complex)
+    if any(isinstance(x, complex) for row in g for x in row):
+        return np.array([[complex(x) for x in row] for row in g], dtype=complex)
+    return np.array(g, dtype=float)

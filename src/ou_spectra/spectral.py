@@ -32,7 +32,7 @@ read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
@@ -201,10 +201,30 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    pairs: tuple[PairVerdict, ...]
+    """The pair Gram of the groups and its per-pair maxima, as arrays: pair
+    (i, j), i < j, is the block of gram at group i's rows and group j's
+    columns, and worst[i, j] its largest normalized entry."""
+
+    gram: np.ndarray  # H = V^T G conj(V), the groups' columns side by side
+    starts: np.ndarray  # first column of each group in gram
+    worst: np.ndarray  # (groups, groups) block maxima of |H_ab| / sqrt(H_aa H_bb)
     tol_orth: float
-    all_orthogonal: bool
-    eigenvalues: tuple[complex, ...] = field(default=())
+    eigenvalues: tuple[complex, ...] = ()
+
+    @property
+    def all_orthogonal(self) -> bool:
+        return bool((self.worst[np.triu_indices(len(self.starts), 1)] < self.tol_orth).all())
+
+    @cached_property
+    def pairs(self) -> tuple[PairVerdict, ...]:
+        """One PairVerdict per pair i < j, row by row; built on first read."""
+        bounds = [*self.starts.tolist(), self.gram.shape[0]]
+        cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        upper = np.triu_indices(len(cols), 1)
+        return tuple(
+            PairVerdict(i, j, w, w < self.tol_orth, self.gram[cols[i], cols[j]])
+            for i, j, w in zip(upper[0].tolist(), upper[1].tolist(), self.worst[upper].tolist())
+        )
 
 
 # -- drift spectrum ----------------------------------------------------------
@@ -551,37 +571,34 @@ def orthogonality_report(
     stacked into V and H = V^T G conj(V) is formed once; the norms are read
     off its diagonal and every pair's block is a slice of it.
 
-    Each PairVerdict.block pairs the groups' coordinate vectors scaled to unit
-    Euclidean norm (EigenGroup.vectors). On the float route those are the
-    listed polynomials; on the exact route the listed polynomials are the
-    unscaled exact ones, so a block entry is their pairing divided by both
-    coordinate norms.
+    The report keeps H as `gram`, each group's first column in it as
+    `starts`, and the block maxima of the normalized table as `worst`;
+    `all_orthogonal` is read off worst's upper triangle. Its `pairs`, one
+    PairVerdict per pair, are built from these arrays on first read.
+
+    Each block pairs the groups' coordinate vectors scaled to unit Euclidean
+    norm (EigenGroup.vectors). On the float route those are the listed
+    polynomials; on the exact route the listed polynomials are the unscaled
+    exact ones, so a block entry is their pairing divided by both coordinate
+    norms.
     """
     G = basis_moment_gram(dec.basis.indices, dec.model.covariance.sigma)
-    groups = dec.groups
-    mats = [np.asarray(g.vectors, dtype=complex) for g in groups]
-    V = np.hstack(mats)
+    V = np.hstack([np.asarray(g.vectors, dtype=complex) for g in dec.groups])
     H = V.T @ G @ V.conj()
     norms = np.sqrt(np.abs(np.diag(H).real))
     denom = np.outer(norms, norms)
     with np.errstate(invalid="ignore", divide="ignore"):
         normalized = np.where(denom > 0, np.abs(H) / denom, 0.0)
-    sizes = [m.shape[1] for m in mats]
+    sizes = [g.vectors.shape[1] for g in dec.groups]
     starts = np.cumsum(sizes) - sizes
-    cols = [slice(start, start + size) for start, size in zip(starts, sizes)]
     # block maxima of the normalized table, one entry per pair of groups
     worst = np.maximum.reduceat(np.maximum.reduceat(normalized, starts, axis=0), starts, axis=1)
-    upper = np.triu_indices(len(groups), 1)
-    pairs = [
-        PairVerdict(i=i, j=j, max_normalized=w, orthogonal=w < tol_orth, block=H[cols[i], cols[j]])
-        for i, j, w in zip(upper[0].tolist(), upper[1].tolist(), worst[upper].tolist())
-    ]
-    all_ok = all(p.orthogonal for p in pairs)
     return OrthogonalityReport(
-        pairs=tuple(pairs),
+        gram=H,
+        starts=starts,
+        worst=worst,
         tol_orth=tol_orth,
-        all_orthogonal=all_ok,
-        eigenvalues=tuple(g.eigenvalue for g in groups),
+        eigenvalues=tuple(g.eigenvalue for g in dec.groups),
     )
 
 

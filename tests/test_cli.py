@@ -5,12 +5,16 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ou_spectra import cli
-from ou_spectra.errors import RankDecisionAmbiguous, SchemaError
+from conftest import small_test_models
+from ou_spectra import cli, spectral
+from ou_spectra.errors import ConvergenceFailure, RankDecisionAmbiguous, SchemaError
 from ou_spectra.model import validate_model
 from ou_spectra.polynomials import SparsePolynomial
-from ou_spectra.spectral import generalized_eigenspaces
+from ou_spectra.spectral import OrthogonalityReport, generalized_eigenspaces, orthogonality_report
 from ou_spectra.worked_examples import Section5Params, section4_model, section5_model
 
 
@@ -18,6 +22,17 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, stream=out, err_stream=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def decoded(value):
+    """value with the pre-encoded lines of every cli.EncodedLines decoded."""
+    if isinstance(value, cli.EncodedLines):
+        return [json.loads(line) for line in value]
+    if isinstance(value, dict):
+        return {k: decoded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [decoded(v) for v in value]
+    return value
 
 
 def run_json(argv):
@@ -153,6 +168,18 @@ class TestGram:
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()]
         assert len(rows) == 3 and rows[0][0] == "1"
+
+    def test_real_float_gram_is_plain_numbers(self):
+        """The Gram of a real float model is real: its entries are written as
+        numbers, not {"re": .., "im": ..}, and its csv cells as x, not x+0.0j."""
+        flags = ["gram", "--Q", "[[1.0,0.2],[0.2,2.0]]", "--B", "[[-1.0,0.5],[0.0,-2.0]]", "--degree", "3"]
+        report = run_json(flags)
+        assert report["backend"] == "float"
+        entries = report["gram"]["entries"]
+        assert len(entries) == 10 and all(type(x) is float for row in entries for x in row)
+        code, out, _ = run_cli([*flags, "--format", "csv"])
+        assert code == 0 and "j" not in out
+        assert np.loadtxt(io.StringIO(out), delimiter=",").tolist() == entries
 
     def test_csv_rejected_elsewhere(self):
         code, _, err = run_cli(["spectrum", *SECTION4_FLAGS, "--format", "csv"])
@@ -320,8 +347,14 @@ class TestEmission:
     def test_output_is_the_report(self, name, monkeypatch):
         report, out = self.emitted(EMITTED[name], monkeypatch)
         parsed = json.loads(out, parse_constant=_reject_constant)
-        assert parsed == json.loads(json.dumps(report))
+        # the pairs are handed to emit as JSON text, one line each
+        assert parsed == json.loads(json.dumps(decoded(report)))
         jsonschema.validate(parsed, cli.REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("name", sorted(EMITTED))
+    def test_human_is_the_decoded_report(self, name, monkeypatch):
+        report, out = self.emitted([*EMITTED[name], "--format", "human"], monkeypatch)
+        assert out == cli.render_human(decoded(report)) + "\n"
 
     def test_one_pair_per_line(self, monkeypatch):
         _, out = self.emitted(EMITTED["analyze-exact"], monkeypatch)
@@ -332,6 +365,91 @@ class TestEmission:
             if line.lstrip().startswith('{"eigenvalue_i"')
         ]
         assert len(pairs) > 1 and lines == pairs
+
+
+def pair_dicts(rep) -> list[dict]:
+    """One object per PairVerdict of rep, as the report wrote each pair
+    before its lines were encoded from the pair Gram directly."""
+    eigenvalues = [cli.complex_json(z) for z in rep.eigenvalues]
+    return [
+        {
+            "eigenvalue_i": eigenvalues[p.i],
+            "eigenvalue_j": eigenvalues[p.j],
+            "max_normalized": p.max_normalized,
+            "orthogonal": p.orthogonal,
+            "gram_block": [[{"re": z.real, "im": z.imag} for z in row] for row in p.block.tolist()],
+        }
+        for p in rep.pairs
+    ]
+
+
+class TestPairLines:
+    """Each pair line is the text json.dumps writes for the pair's object."""
+
+    @staticmethod
+    def check(dec):
+        rep = orthogonality_report(dec)
+        orth = cli._orthogonality_json(rep)
+        assert isinstance(orth["pairs"], cli.EncodedLines)
+        assert list(orth["pairs"]) == [json.dumps(d) for d in pair_dicts(rep)]
+        assert orth["all_orthogonal"] == all(p.orthogonal for p in rep.pairs)
+
+    @pytest.mark.parametrize("model_index", range(len(small_test_models())))
+    def test_small_models(self, model_index):
+        self.check(generalized_eigenspaces(small_test_models()[model_index], 4))
+
+    def test_small_models_have_wide_blocks(self):
+        """The models above include pairs of groups with several columns each."""
+        shapes = {
+            p.block.shape
+            for model in small_test_models()
+            for p in orthogonality_report(generalized_eigenspaces(model, 4)).pairs
+        }
+        assert any(a > 1 and b > 1 for a, b in shapes)
+
+    def test_section4(self):
+        self.check(generalized_eigenspaces(section4_model(), 6))
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 3).flatmap(lambda n: hnp.arrays(float, (2, n, n), elements=st.floats(-1, 1))))
+    def test_dense_float_drift(self, draws):
+        A, E = draws
+        n = len(A)
+        Q, B = np.eye(n) + A @ A.T / n, E - (1 + np.abs(E).sum()) * np.eye(n)  # B is Hurwitz
+        try:
+            dec = generalized_eigenspaces(validate_model(Q, B), 3)
+        except RankDecisionAmbiguous:
+            assume(False)
+        assert dec.model.backend == "float"
+        self.check(dec)
+
+    def test_no_pair_object_on_the_cli_path(self, monkeypatch):
+        """analyze builds no PairVerdict: the lines come from the arrays."""
+        built = []
+        original = spectral.PairVerdict
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spectral, "PairVerdict", counting)
+        report = run_json(EMITTED["analyze-exact"])
+        assert len(report["orthogonality"]["pairs"]) > 1 and built == []
+
+    def test_non_finite_gram_is_an_error(self, monkeypatch):
+        """JSON has no NaN: a pair Gram with one is a typed failure, exit 2."""
+        rep = OrthogonalityReport(
+            gram=np.array([[1, np.nan], [np.nan, 1]], dtype=complex),
+            starts=np.array([0, 1]),
+            worst=np.array([[1.0, 0.5], [0.5, 1.0]]),
+            tol_orth=1e-9,
+            eigenvalues=(0j, -1 + 0j),
+        )
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            cli._orthogonality_json(rep)
+        monkeypatch.setattr(cli, "orthogonality_report", lambda dec, tol_orth: rep)
+        code, out, err = run_cli(["analyze", *SECTION4_FLAGS, "--degree", "1"])
+        assert code == 2 and out == "" and "non-finite" in err
 
 
 class TestBurnInSearch:

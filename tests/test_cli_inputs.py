@@ -3,6 +3,7 @@ code, never a traceback; numerical failures inside the SVD are typed."""
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -89,8 +90,12 @@ class TestNegativeFraction:
 class TestImportCost:
     def test_cli_import_does_not_load_scipy(self):
         code = "import sys, ou_spectra.cli; print('scipy' in sys.modules)"
+        # the child imports the package these tests import, however it was found
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.strip() == "False"
 

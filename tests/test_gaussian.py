@@ -12,12 +12,14 @@ from ou_spectra.errors import DimensionMismatch
 from ou_spectra.gaussian import (
     GaussianMeasure,
     MomentTable,
+    basis_moment_gram,
+    finish_gram,
     gaussian_moment,
     gram_matrix,
     inner_product,
 )
 from ou_spectra.model import solve_lyapunov
-from ou_spectra.polynomials import SparsePolynomial
+from ou_spectra.polynomials import SparsePolynomial, monomial_basis
 from ou_spectra.worked_examples import section5_eigenfunctions
 
 HALF_I2 = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
@@ -199,6 +201,17 @@ class TestGram:
         g = gram_matrix(fs, sigma)
         assert np.allclose(g, g.conj().T)
         assert g[0][0].imag == pytest.approx(0.0)
+
+    def test_real_float_gram_stays_real(self):
+        """A float moment matrix is real: finish_gram returns it as floats,
+        normalized or not."""
+        M = basis_moment_gram(monomial_basis(2, 3).indices, np.array([[1.0, 0.2], [0.2, 2.0]]))
+        g = finish_gram(M, False)
+        assert g.dtype == float
+        np.testing.assert_array_equal(g, M)
+        g = finish_gram(M, True)
+        assert g.dtype == float
+        np.testing.assert_allclose(g.diagonal(), 1.0, rtol=1e-15)
 
 
 class TestGramMatchesPairings:
