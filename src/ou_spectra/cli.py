@@ -6,9 +6,10 @@ values serialize as "p/q" strings because JSON numbers are doubles and
 exactness is the point; complex values serialize as {"re": .., "im": ..}.
 A JSON report puts each object key on its own line, and each item of a list
 of objects or arrays (a pair, a group, a spectrum point, a matrix row) on its
-own line as compact JSON; everything else is compact. The orthogonality pairs
-are written pre-encoded: each pair's line is made as JSON text straight from
-the pair Gram (EncodedLines), with the bytes json.dumps would write.
+own line as compact JSON; everything else is compact. The eigen-groups and
+the orthogonality pairs are written pre-encoded (EncodedLines): each group's
+line is made as JSON text straight from its coefficient columns, each pair's
+straight from the pair Gram, with the bytes json.dumps would write.
 
 Exit codes: 0 success, 1 usage error, 2 validation error or another typed
 failure, 3 numerical rank ambiguity.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ from .operator import (
 )
 from .polynomials import (
     SparsePolynomial,
-    coefficient_json,
+    coefficient_text,
     index_degree,
     monomial_basis,
     monomial_text,
@@ -360,41 +362,52 @@ def _spectrum_json(sp) -> list:
     ]
 
 
-def _groups_json(dec, tol_nilp: float) -> list:
-    """The groups with their polynomials written from the coefficient
-    columns, as SparsePolynomial.to_json and render would write them: terms
-    in ascending (degree, exponent) order, text in the reverse order. The
-    order, the exponent lists and the monomial texts are made once."""
-    indices = dec.basis.indices
-    order = sorted(range(len(indices)), key=lambda k: (index_degree(indices[k]), indices[k]))
-    alphas = [list(indices[k]) for k in order]
-    monomials = [monomial_text(indices[k]) for k in order]
-    out = []
-    for g in dec.groups:
-        polys = []
-        for rows, values in listed_terms(g.coefficients[order], g.denominator):
-            terms = []
-            for r, c in zip(rows, values):
-                re, im = coefficient_json(c)
-                terms.append({"alpha": alphas[r], "re": re, "im": im})
-            text = render_terms((monomials[r], c) for r, c in zip(rows[::-1], values[::-1]))
-            polys.append({"dim": dec.basis.dim, "terms": terms, "text": text})
-        out.append(
-            {
-                "eigenvalue": complex_json(g.eigenvalue),
-                "multiplicity": g.multiplicity,
-                "nilpotency_index": g.nilpotency_index,
-                "max_power_residual": g.max_power_residual,
-                "residual_within_tol": g.max_power_residual <= tol_nilp,
-                "basis": polys,
-            }
-        )
-    return out
-
-
 class EncodedLines(list):
     """Items already encoded as JSON text: _write_json writes each on its own
     line as it stands, render_human decodes them."""
+
+
+def _group_lines(dec, tol_nilp: float) -> EncodedLines:
+    """The groups, each encoded as JSON text straight from its coefficient
+    columns: the text json.dumps writes for the group's object, floats by
+    float.__repr__ as the json encoder writes them. Each listed polynomial
+    is written as SparsePolynomial.to_json and render would write it: terms
+    in ascending (degree, exponent) order, text in the reverse order. The
+    order, each basis row's term text up to its "re" value and the monomial
+    texts are made once."""
+    indices = dec.basis.indices
+    order = sorted(range(len(indices)), key=lambda k: (index_degree(indices[k]), indices[k]))
+    heads = [f'{{"alpha": [{", ".join(map(str, indices[k]))}], "re": ' for k in order]
+    monomials = [monomial_text(indices[k]) for k in order]
+    poly_head = f'{{"dim": {dec.basis.dim}, "terms": ['
+    lines = EncodedLines()
+    for g in dec.groups:
+        z, residual = complex(g.eigenvalue), float(g.max_power_residual)
+        exact = g.coefficients.dtype == object  # integers over g.denominator
+        if not (math.isfinite(residual) and (exact or np.isfinite(g.coefficients).all())):
+            raise ConvergenceFailure("an eigen-group has a non-finite value, which JSON cannot hold")
+        polys = []
+        for rows, values in listed_terms(g.coefficients[order], g.denominator):
+            texts = [coefficient_text(c) for c in values]
+            if exact:
+                tails = [f'"{t}", "im": "0"}}' for t in texts]
+            else:  # listed_terms lists a coefficient real to roundoff as a float
+                tails = [
+                    f'{c!r}, "im": 0.0}}' if type(c) is float else f'{c.real!r}, "im": {c.imag!r}}}'
+                    for c in values
+                ]
+            terms = ", ".join([heads[r] + tail for r, tail in zip(rows, tails)])
+            text = render_terms(zip([monomials[r] for r in reversed(rows)], reversed(texts)))
+            # monomial and coefficient texts hold no character JSON escapes
+            polys.append(f'{poly_head}{terms}], "text": "{text}"}}')
+        lines.append(
+            f'{{"eigenvalue": {{"re": {z.real!r}, "im": {z.imag!r}}}, '
+            f'"multiplicity": {g.multiplicity}, "nilpotency_index": {g.nilpotency_index}, '
+            f'"max_power_residual": {residual!r}, '
+            f'"residual_within_tol": {"true" if residual <= tol_nilp else "false"}, '
+            f'"basis": [{", ".join(polys)}]}}'
+        )
+    return lines
 
 
 def _orthogonality_json(report) -> dict:
@@ -437,7 +450,7 @@ def _cmd_analyze(args, config: RunConfig) -> dict:
     dec = generalized_eigenspaces(model, config.degree, config.tol_eig)
     report["drift_eigenvalues"] = _drift_json(dec.spectrum)
     report["spectrum"] = _spectrum_json(dec.spectrum)
-    report["groups"] = _groups_json(dec, config.tol_nilp)
+    report["groups"] = _group_lines(dec, config.tol_nilp)
     orth = orthogonality_report(dec, tol_orth=config.tol_orth)
     report["orthogonality"] = _orthogonality_json(orth)
     return report
@@ -659,10 +672,11 @@ def _csv_cell(x) -> str:
 
 def _write_json(value, stream, indent: str = "") -> None:
     """Write value as JSON piece by piece: an object one key per line, a list
-    of objects or arrays one item per line. Every item and every other value
-    is one json.dumps call, which takes the C encoder, and goes to the stream
-    at once, so the whole report never sits in memory as one string; the
-    items of EncodedLines are written as they stand."""
+    of objects or arrays one item per line. The items of EncodedLines (the
+    groups and the pairs of an analyze report) are written as they stand;
+    every other item and value is one json.dumps call, which takes the C
+    encoder. Each piece goes to the stream at once, so the whole report
+    never sits in memory as one string."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         sep = "{\n"

@@ -265,7 +265,7 @@ class SparsePolynomial:
             key=lambda kv: (index_degree(kv[0]), kv[0]),
             reverse=True,
         )
-        return render_terms((monomial_text(alpha), c) for alpha, c in ordered)
+        return render_terms((monomial_text(alpha), coefficient_text(c)) for alpha, c in ordered)
 
     def __repr__(self):
         return f"SparsePolynomial({self.dim}, {self.render()!r})"
@@ -305,22 +305,15 @@ def monomial_text(alpha: MultiIndex) -> str:
 
 
 def render_terms(terms) -> str:
-    """Text of a polynomial from (monomial_text, coefficient) pairs in
-    display order, e.g. '4*x1^2 - 2'."""
-    pieces = []
-    for mono, c in terms:
-        cs = _render_coeff(c)
-        if mono:
-            body = mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
-        else:
-            body = cs
-        if not pieces:
-            pieces.append(body)
-        elif body.startswith("-"):
-            pieces.append(f"- {body[1:]}")
-        else:
-            pieces.append(f"+ {body}")
-    return " ".join(pieces) if pieces else "0"
+    """Text of a polynomial from (monomial_text, coefficient_text) pairs in
+    display order, e.g. '4*x1^2 - 2': the first term as it is, each later
+    one as '+ t', or '- t' for a term '-t'. Neither text holds a space, so
+    once the terms are joined by ' + ', ' + -' marks exactly the terms '-t'."""
+    bodies = [
+        (mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}") if mono else cs
+        for mono, cs in terms
+    ]
+    return " + ".join(bodies).replace(" + -", " - ") or "0"
 
 
 def coefficient_json(c) -> tuple:
@@ -333,14 +326,18 @@ def coefficient_json(c) -> tuple:
     return float(c), 0.0
 
 
-def _render_coeff(c) -> str:
+def coefficient_text(c) -> str:
+    """A coefficient as render_terms shows it: '%g' for floats, '(a+bj)' for
+    complex numbers, 'p/q' for rationals."""
+    if isinstance(c, float):
+        return f"{c:g}"
     if isinstance(c, complex):
         return f"({c.real:g}{c.imag:+g}j)"
-    if isinstance(c, float) or not isinstance(c, EXACT_TYPES):
-        return f"{float(c):g}"
     if isinstance(c, Fraction):
         return str(c)
-    return str(int(c))
+    if isinstance(c, EXACT_TYPES):
+        return str(int(c))
+    return f"{float(c):g}"
 
 
 # -- graded bases ------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,8 +15,20 @@ from conftest import small_test_models
 from ou_spectra import cli, spectral
 from ou_spectra.errors import ConvergenceFailure, RankDecisionAmbiguous, SchemaError
 from ou_spectra.model import validate_model
-from ou_spectra.polynomials import SparsePolynomial
-from ou_spectra.spectral import OrthogonalityReport, generalized_eigenspaces, orthogonality_report
+from ou_spectra.polynomials import (
+    SparsePolynomial,
+    coefficient_json,
+    coefficient_text,
+    index_degree,
+    monomial_text,
+    render_terms,
+)
+from ou_spectra.spectral import (
+    OrthogonalityReport,
+    generalized_eigenspaces,
+    listed_terms,
+    orthogonality_report,
+)
 from ou_spectra.worked_examples import Section5Params, section4_model, section5_model
 
 
@@ -317,6 +331,7 @@ EMITTED = {
                       "--backend", "float", "--degree", "3"],
     "analyze-exact": ["analyze", "--Q", "[[2,0,0],[0,1,0],[0,0,3]]",
                       "--B", "[[-2,0,0],[\"1/2\",-3,0],[-2,-1,-5]]", "--degree", "3"],
+    "analyze-complex": ["analyze", *SECTION4_FLAGS, "--backend", "float", "--degree", "3"],
     "spectrum": ["spectrum", *SECTION4_FLAGS, "--degree", "4"],
     "gram": ["gram", "--Q", "[[2,1],[1,3]]", "--B", "[[-2,1],[0,-1]]", "--degree", "3"],
     "normalize": ["normalize", "--Q", "[[4,1],[1,1]]", "--B", "[[-1,0.5],[0,-1]]"],
@@ -347,7 +362,7 @@ class TestEmission:
     def test_output_is_the_report(self, name, monkeypatch):
         report, out = self.emitted(EMITTED[name], monkeypatch)
         parsed = json.loads(out, parse_constant=_reject_constant)
-        # the pairs are handed to emit as JSON text, one line each
+        # the groups and the pairs are handed to emit as JSON text, one line each
         assert parsed == json.loads(json.dumps(decoded(report)))
         jsonschema.validate(parsed, cli.REPORT_SCHEMA)
 
@@ -365,6 +380,25 @@ class TestEmission:
             if line.lstrip().startswith('{"eigenvalue_i"')
         ]
         assert len(pairs) > 1 and lines == pairs
+
+
+DENSE_FLOAT_DRAWS = st.integers(2, 3).flatmap(
+    lambda n: hnp.arrays(float, (2, n, n), elements=st.floats(-1, 1))
+)
+
+
+def dense_float_decomposition(draws):
+    """The eigenspaces at cap 3 of a dense 2-D or 3-D float model made from
+    two drawn matrices; a draw without a decisive rank gap is discarded."""
+    A, E = draws
+    n = len(A)
+    Q, B = np.eye(n) + A @ A.T / n, E - (1 + np.abs(E).sum()) * np.eye(n)  # B is Hurwitz
+    try:
+        dec = generalized_eigenspaces(validate_model(Q, B), 3)
+    except RankDecisionAmbiguous:
+        assume(False)
+    assert dec.model.backend == "float"
+    return dec
 
 
 def pair_dicts(rep) -> list[dict]:
@@ -411,17 +445,9 @@ class TestPairLines:
         self.check(generalized_eigenspaces(section4_model(), 6))
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.integers(2, 3).flatmap(lambda n: hnp.arrays(float, (2, n, n), elements=st.floats(-1, 1))))
+    @given(DENSE_FLOAT_DRAWS)
     def test_dense_float_drift(self, draws):
-        A, E = draws
-        n = len(A)
-        Q, B = np.eye(n) + A @ A.T / n, E - (1 + np.abs(E).sum()) * np.eye(n)  # B is Hurwitz
-        try:
-            dec = generalized_eigenspaces(validate_model(Q, B), 3)
-        except RankDecisionAmbiguous:
-            assume(False)
-        assert dec.model.backend == "float"
-        self.check(dec)
+        self.check(dense_float_decomposition(draws))
 
     def test_no_pair_object_on_the_cli_path(self, monkeypatch):
         """analyze builds no PairVerdict: the lines come from the arrays."""
@@ -449,6 +475,110 @@ class TestPairLines:
             cli._orthogonality_json(rep)
         monkeypatch.setattr(cli, "orthogonality_report", lambda dec, tol_orth: rep)
         code, out, err = run_cli(["analyze", *SECTION4_FLAGS, "--degree", "1"])
+        assert code == 2 and out == "" and "non-finite" in err
+
+
+def group_dicts(dec, tol_nilp: float) -> list[dict]:
+    """One object per group of dec, as the report wrote each group before
+    its lines were encoded from the coefficient columns directly: terms in
+    ascending (degree, exponent) order, text in the reverse order."""
+    indices = dec.basis.indices
+    order = sorted(range(len(indices)), key=lambda k: (index_degree(indices[k]), indices[k]))
+    alphas = [list(indices[k]) for k in order]
+    monomials = [monomial_text(indices[k]) for k in order]
+    out = []
+    for g in dec.groups:
+        polys = []
+        for rows, values in listed_terms(g.coefficients[order], g.denominator):
+            terms = []
+            for r, c in zip(rows, values):
+                re, im = coefficient_json(c)
+                terms.append({"alpha": alphas[r], "re": re, "im": im})
+            text = render_terms(
+                (monomials[r], coefficient_text(c)) for r, c in zip(rows[::-1], values[::-1])
+            )
+            polys.append({"dim": dec.basis.dim, "terms": terms, "text": text})
+        out.append(
+            {
+                "eigenvalue": cli.complex_json(g.eigenvalue),
+                "multiplicity": g.multiplicity,
+                "nilpotency_index": g.nilpotency_index,
+                "max_power_residual": g.max_power_residual,
+                "residual_within_tol": g.max_power_residual <= tol_nilp,
+                "basis": polys,
+            }
+        )
+    return out
+
+
+GOLDEN_EXACT_GROUPS = Path(__file__).parent / "data" / "analyze_exact_groups.txt"
+
+
+class TestGroupLines:
+    """Each group line is the text json.dumps writes for the group's object."""
+
+    @staticmethod
+    def check(dec):
+        lines = cli._group_lines(dec, 1e-9)
+        assert isinstance(lines, cli.EncodedLines)
+        assert list(lines) == [json.dumps(d) for d in group_dicts(dec, 1e-9)]
+
+    @pytest.mark.parametrize("model_index", range(len(small_test_models())))
+    def test_small_models(self, model_index):
+        self.check(generalized_eigenspaces(small_test_models()[model_index], 4))
+
+    def test_section4(self):
+        """Complex coefficients: "(a+bj)" texts and a nonzero "im"."""
+        dec = generalized_eigenspaces(section4_model(), 6)
+        coefficients = [c for g in dec.groups for p in g.polynomials for c in p.terms.values()]
+        assert any(isinstance(c, complex) for c in coefficients)
+        self.check(dec)
+
+    def test_exact_jordan(self):
+        """An exact single-eigenvalue Jordan-type drift: groups of several
+        polynomials with rational coefficients."""
+        model = validate_model(
+            [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[-1, 0, 0], [1, -1, 0], [Fraction(1, 2), 2, -1]]
+        )
+        dec = generalized_eigenspaces(model, 4)
+        assert model.is_exact and max(g.nilpotency_index for g in dec.groups) > 1
+        assert any(g.multiplicity > 1 and g.denominator > 1 for g in dec.groups)
+        self.check(dec)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DENSE_FLOAT_DRAWS)
+    def test_dense_float_drift(self, draws):
+        self.check(dense_float_decomposition(draws))
+
+    def test_exact_lines_match_the_golden_file(self):
+        """The exact group lines of EMITTED["analyze-exact"] are byte for byte
+        those in tests/data: Fractions, floats made from Fractions and zero
+        residuals, none of which depends on the BLAS in use."""
+        code, out, err = run_cli(EMITTED["analyze-exact"])
+        assert code == 0, err
+        lines = out.splitlines(keepends=True)
+        start = lines.index('  "groups": [\n')
+        end = lines.index("  ],\n", start)
+        assert "".join(lines[start : end + 1]).encode() == GOLDEN_EXACT_GROUPS.read_bytes()
+
+    @pytest.mark.parametrize("field", ["max_power_residual", "coefficients"])
+    def test_non_finite_group_is_an_error(self, field, monkeypatch):
+        """JSON has no NaN: a group with one is a typed failure, exit 2."""
+        original = cli.generalized_eigenspaces
+
+        def broken(*args, **kwargs):
+            dec = original(*args, **kwargs)
+            g = dec.groups[-1]
+            if field == "coefficients":
+                bad = g.coefficients.copy()
+                bad[0, 0] = np.nan
+            else:
+                bad = float("nan")
+            groups = (*dec.groups[:-1], dataclasses.replace(g, **{field: bad}))
+            return dataclasses.replace(dec, groups=groups)
+
+        monkeypatch.setattr(cli, "generalized_eigenspaces", broken)
+        code, out, err = run_cli(["analyze", *SECTION4_FLAGS, "--backend", "float", "--degree", "2"])
         assert code == 2 and out == "" and "non-finite" in err
 
 
@@ -548,7 +678,7 @@ class TestGroupsWriter:
         coefficients."""
         dec = generalized_eigenspaces(model, 4)
         assert (dec.spectrum.points[0].exact is not None) == exact_route
-        written = cli._groups_json(dec, 1e-9)
+        written = [json.loads(line) for line in cli._group_lines(dec, 1e-9)]
         kinds = set()
         for g, out in zip(dec.groups, written):
             for k, poly in enumerate(out["basis"]):

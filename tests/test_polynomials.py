@@ -4,16 +4,21 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ou_spectra.errors import DimensionMismatch
 from ou_spectra.gaussian import gram_matrix, inner_product
 from ou_spectra.polynomials import (
     SparsePolynomial,
+    coefficient_text,
     hermite_coefficients,
     hermite_tensor,
     index_degree,
     lower_shift,
     monomial_basis,
+    monomial_text,
+    render_terms,
     v_order,
 )
 
@@ -81,6 +86,33 @@ class TestStructure:
         p = SparsePolynomial(1, {(2,): 4, (0,): -2})
         assert p.render() == "4*x1^2 - 2"
         assert SparsePolynomial.zero(2).render() == "0"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                st.one_of(
+                    st.sampled_from([1, -1, 1.0, -1.0, Fraction(-1, 2)]),
+                    st.fractions(max_denominator=9).filter(bool),
+                    st.floats(-1e6, 1e6).filter(bool),
+                    st.complex_numbers(max_magnitude=1e3).filter(bool),
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    def test_render_terms_is_the_piecewise_rule(self, terms):
+        """render_terms writes the first term as it is and each later one as
+        '+ t', or '- t' for a term '-t'."""
+        texts = [(monomial_text(alpha), coefficient_text(c)) for alpha, c in terms]
+        pieces = []
+        for mono, cs in texts:
+            body = (mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}") if mono else cs
+            if not pieces:
+                pieces.append(body)
+            else:
+                pieces.append(f"- {body[1:]}" if body.startswith("-") else f"+ {body}")
+        assert render_terms(texts) == (" ".join(pieces) if pieces else "0")
 
     def test_json_round_trip(self):
         p = SparsePolynomial(2, {(2, 0): Fraction(1, 3), (0, 1): Fraction(-2)})
