@@ -383,9 +383,9 @@ def _group_lines(dec, tol_nilp: float) -> EncodedLines:
     lines = EncodedLines()
     for g in dec.groups:
         z, residual = complex(g.eigenvalue), float(g.max_power_residual)
-        exact = g.coefficients.dtype == object  # integers over g.denominator
-        if not (math.isfinite(residual) and (exact or np.isfinite(g.coefficients).all())):
+        if not math.isfinite(residual):  # listed_terms rejects non-finite coefficients
             raise ConvergenceFailure("an eigen-group has a non-finite value, which JSON cannot hold")
+        exact = g.coefficients.dtype == object  # integers over g.denominator
         polys = []
         for rows, values in listed_terms(g.coefficients[order], g.denominator):
             texts = [coefficient_text(c) for c in values]

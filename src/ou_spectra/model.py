@@ -18,6 +18,7 @@ import numpy as np
 
 from . import exact
 from .errors import (
+    InvalidParams,
     NotHurwitz,
     NotPositiveDefinite,
     NotSymmetric,
@@ -241,17 +242,21 @@ def matrix_exponential(M, s: float = 1.0) -> np.ndarray:
 
     The order is fixed (no degree selection): at the matrix sizes this tool
     supports, the extra multiplications are irrelevant and a single code path
-    is easier to trust. s = 0 returns the identity exactly.
+    is easier to trust. s = 0 returns the identity exactly. The squaring count
+    comes from s = f 2^e, so it stays finite where s M overflows.
     """
-    A = np.array(M, dtype=float) * float(s)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    M = np.array(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix_exponential needs a square matrix")
-    n = A.shape[0]
-    norm = np.linalg.norm(A, 1)
+    if not math.isfinite(s):
+        raise InvalidParams(f"e^(sM) needs a finite s, got {s}")
+    n = M.shape[0]
+    f, e = math.frexp(s)
+    norm = np.linalg.norm(M * f, 1)  # ||s M|| / 2^e
     if norm == 0.0:
         return np.eye(n)
-    squarings = max(0, int(math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0)
-    A = A / (2.0**squarings)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13)) + e)
+    A = M * math.ldexp(s, -squarings)
 
     b = _PADE13
     I = np.eye(n)
@@ -330,13 +335,14 @@ def covariance_at(model: OUModel, t: float) -> CovarianceMatrix:
     nothing (a slow drift over a short time).
     """
     if not (t > 0) or math.isinf(t):
-        raise ValueError("t must be a positive finite number")
+        raise InvalidParams(f"t must be a positive finite number, got {t}")
     n = model.dim
-    reach = float(np.linalg.norm(model.B, 1)) * t
-    doublings = math.ceil(math.log2(2.0 * reach)) if reach > 0.5 else 0
+    f, e = math.frexp(t)
+    reach = float(np.linalg.norm(model.B, 1)) * f  # |tB| / 2^e: a long t does not overflow it
+    doublings = max(0, math.ceil(math.log2(2.0 * reach)) + e)
     q = float(np.abs(model.Q).max())
     block = np.block([[-model.B, model.Q / q], [np.zeros((n, n)), model.B.T]])
-    F = matrix_exponential(block, t / 2.0**doublings)
+    F = matrix_exponential(block, math.ldexp(t, -doublings))
     E = F[n:, n:].T  # e^(hB)
     sigma = E @ F[:n, n:] * q
     for _ in range(doublings):

@@ -17,9 +17,10 @@ Monomial matrices come in Fractions or in floats, as the caller asks; by
 default they are exact for exact models. For a normalized model the Hermite
 tensors are the Wick powers W x^alpha up to scale, so the matrix of L on them
 is a diagonal similarity of the drift matrix, with no Gaussian integral. The
-semigroup takes the finite series exp(K) with S replaced by the covariance
-S_t accumulated up to time t (the heat series), followed by the substitution
-x -> e^(tB) x.
+semigroup on degree <= n is e^(tL) = Sub(e^(tB)) W_(-S_t): the Wick recursion
+run on -S_t, S_t the covariance accumulated up to time t (the heat series),
+then the substitution x -> e^(tB) x, whose blocks are the products of the
+rows of e^(tB) as forms (symmetric_power, as for the drift's forms).
 
 The rotation machinery (split of A = 2L into a Hermite-diagonal part plus a
 skew rotation) uses the doubled operator A = 2L throughout, matching the
@@ -31,7 +32,7 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,26 @@ def monomial_steps(basis: GradedBasis):
     return E, row_of, first, row_of(E - unit[first]), up
 
 
+def symmetric_power(T: np.ndarray, basis: GradedBasis) -> list[np.ndarray]:
+    """For the linear forms y_k = sum_i T_ik x_i, one array per degree d <= cap
+    of a full graded-lex basis: column g holds the coordinates of y^gamma,
+    gamma the g-th monomial of degree d, in the degree-d monomials. y^gamma
+    is y^(gamma - e_i) times y_i, i the first factor of gamma: one shifted add
+    per variable. T's dtype sets the arithmetic: floats, complex, or Python
+    numbers in an object array."""
+    _, _, first, parent, up = monomial_steps(basis)
+    blocks = [sl for _, sl in degree_block_slices(basis)]
+    Y = np.ones((1, 1), dtype=T.dtype)
+    out = [Y]
+    for lower, sl in zip(blocks, blocks[1:]):
+        size = sl.stop - sl.start
+        prev, Y = Y[:, parent[sl] - lower.start], np.zeros((size, size), dtype=T.dtype)
+        for j in range(basis.dim):
+            Y[up[j, lower] - sl.start] += prev * T[j, first[sl]]
+        out.append(Y)
+    return out
+
+
 def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMatrix:
     """Matrix of the Wick map W = exp(-K) on the graded-lex monomials of
     degree <= n, where K = 1/2 tr(S D^2) is the diffusion part with Q replaced
@@ -331,18 +352,6 @@ def _wick_recursion(S: np.ndarray, basis: GradedBasis) -> np.ndarray:
                 low = ends[d - 2]
                 W[:low, c] -= (S[i, j] * int(a[j])) * W[:low, down[j][c]]
     return W
-
-
-def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparsePolynomial:
-    """exp(sign * K) p with K = 1/2 tr(Q D^2) the diffusion part of
-    wick_model, whose Q is a covariance: S_t for the semigroup. K lowers the
-    degree by two, so the series stops after deg(p) // 2 terms; it is exact
-    when the model and p are."""
-    term = total = p
-    for k in range(1, p.degree // 2 + 1):
-        term = apply_diffusion(wick_model, term) * Fraction(sign, k)
-        total = total + term
-    return total
 
 
 def _check_normalized(model: OUModel):
@@ -474,15 +483,16 @@ def hermite_rotation_matrix(split: RotationSplit, n: int) -> OperatorMatrix:
     return OperatorMatrix(basis, "hermite-normal-form", "rotation-part", m, False)
 
 
-# -- exact semigroup action on polynomials ----------------------------------
+# -- semigroup action on polynomials ----------------------------------------
 
 
 def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePolynomial:
     """Closed-form action of the time-t semigroup on a polynomial.
 
-    e^(tL) p (x) = E p(e^(tB) x + Z_t) with Z_t ~ N(0, S_t), so the result
-    is the heat series exp(1/2 tr(S_t D^2)) p, the finite Wick series for S_t
-    with sign +1, followed by the substitution x -> e^(tB) x. Its terms scale
+    e^(tL) p (x) = E p(e^(tB) x + Z_t) with Z_t ~ N(0, S_t): on degree
+    <= deg(p), e^(tL) = Sub(e^(tB)) W_(-S_t) on p's coefficient vector, the
+    heat series exp(1/2 tr(S_t D^2)) as the Wick recursion on -S_t, then one
+    symmetric_power block of the rows of e^(tB) per degree. The terms scale
     with S_t, not with the stationary covariance, so slow drifts over short
     times lose nothing to cancellation: the error is roundoff, not
     discretization. Degree never increases.
@@ -493,21 +503,12 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
         raise ValueError("t must be positive")
     if p.is_zero:
         return p
-    heat_model = replace(model, Q=covariance_at(model, t).sigma)
-    q = _wick_series(heat_model, p.to_float(), 1)
-    E = matrix_exponential(model.B, t)
-    dim = model.dim
-    rows = [
-        SparsePolynomial(dim, {tuple(int(j == k) for k in range(dim)): E[i, j] for j in range(dim)})
-        for i in range(dim)
-    ]
-    moved = SparsePolynomial.zero(dim)
-    for alpha, c in q.terms.items():
-        piece = SparsePolynomial.constant(dim, c)
-        for row, a in zip(rows, alpha):
-            piece = piece * row**a
-        moved = moved + piece
-    return moved
+    basis = monomial_basis(model.dim, p.degree)
+    c = np.array(poly_coordinates(p.to_float(), basis))
+    heat = _wick_recursion(-covariance_at(model, t).sigma, basis) @ c
+    moved = symmetric_power(matrix_exponential(model.B, t).T, basis)
+    out = np.concatenate([Y @ heat[sl] for (_, sl), Y in zip(degree_block_slices(basis), moved)])
+    return SparsePolynomial(model.dim, zip(basis.indices, out.tolist()))
 
 
 def check_normal(M, tol: float = 1e-12) -> NormalCheck:

@@ -34,11 +34,13 @@ class SimConfig:
     burn_in: int | None = None  # None: smallest m with ||e^(m h B)||_2 < 1e-6
 
     def __post_init__(self):
-        if not (self.step > 0):
-            raise InvalidParams(f"step must be positive, got {self.step}")
         if self.paths < 1 or (self.burn_in is not None and self.burn_in < 1):
             raise InvalidParams(
                 f"paths and burn_in must be positive, got {self.paths} and {self.burn_in}"
+            )
+        if not (self.step > 0 and math.log2(self.step) + math.log2(self.burn_in or 1) < 1024):
+            raise InvalidParams(
+                f"step and step * burn_in must be finite and positive: {self.step}, {self.burn_in}"
             )
 
     def resolved_burn_in(self) -> int:

@@ -18,6 +18,7 @@ generalized eigenspace of D at sum_j n_j lambda_j, with nilpotency index
 1 + sum_j n_j (k_j - 1). The products of a basis of such forms are a basis of
 every degree, so each generalized eigenspace of L is W applied to the
 products whose sum is its point: no kernel is solved on any degree block.
+The products come from operator.symmetric_power, as the semigroup's do.
 
 W, and the operator matrix for the residuals, are built in the arithmetic of
 the route: on the exact route W is integers over one denominator
@@ -54,8 +55,8 @@ from .operator import (
     OperatorMatrix,
     degree_block_slices,
     integer_wick_matrix,
-    monomial_steps,
     operator_matrix,
+    symmetric_power,
     wick_matrix,
 )
 from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
@@ -146,13 +147,15 @@ def listed_terms(coefficients: np.ndarray, denominator: int) -> list[tuple[list,
     row order. Exact columns (integers over denominator) list every nonzero
     entry as a Fraction. Float columns drop coefficients at roundoff level,
     1e-13 of the column's largest, and list a coefficient as real when its
-    imaginary part is below that."""
+    imaginary part is below that. A non-finite float entry is an error."""
     if coefficients.dtype == object:
         out = []
         for col in coefficients.T:
             rows = np.flatnonzero(col)
             out.append((rows.tolist(), [Fraction(x, denominator) for x in col[rows].tolist()]))
         return out
+    if not np.isfinite(coefficients).all():
+        raise ConvergenceFailure("an eigen-group has a non-finite coefficient")
     mag = np.abs(coefficients)
     cut = 1e-13 * mag.max(axis=0)
     real = np.abs(coefficients.imag) <= cut
@@ -529,28 +532,16 @@ def _wick_products(clusters, basis: GradedBasis, W: np.ndarray):
     """W y^gamma for every gamma of degree <= cap, y the clusters' stacked
     forms, as one (basis size, block size) array per degree with columns in
     the order of that degree's monomials; and for each cluster pattern n
-    (n_j factors from cluster j) the columns with that pattern.
-
-    The coordinates of y^gamma in the degree-d monomials come from those of
-    y^(gamma - e_i), i the first factor of gamma, times y_i: one shifted add
-    per variable.
+    (n_j factors from cluster j) the columns with that pattern. The
+    coordinates of the products y^gamma come from operator.symmetric_power.
     """
     T = np.hstack([c.forms for c in clusters])
     owner = [j for j, c in enumerate(clusters) for _ in range(c.multiplicity)]  # cluster of each form
-    E, _, first, parent, up = monomial_steps(basis)
-    blocks = [sl for _, sl in degree_block_slices(basis)]
-    Y = np.ones((1, 1), dtype=T.dtype)  # Y[:, g]: y^gamma, gamma the g-th monomial of degree d
+    patterns = np.array(basis.indices, dtype=int) @ np.eye(len(clusters), dtype=int)[owner]
     images, columns = [], {}
-    for d, sl in enumerate(blocks):
-        if d:
-            lower = blocks[d - 1]
-            size = sl.stop - sl.start
-            prev, Y = Y[:, parent[sl] - lower.start], np.zeros((size, size), dtype=T.dtype)
-            for j in range(basis.dim):
-                Y[up[j, lower] - sl.start] += prev * T[j, first[sl]]
+    for (_, sl), Y in zip(degree_block_slices(basis), symmetric_power(T, basis)):
         images.append(W[:, sl] @ Y)
-        patterns = E[sl] @ np.eye(len(clusters), dtype=int)[owner]
-        for g, n in enumerate(patterns.tolist()):
+        for g, n in enumerate(patterns[sl].tolist()):
             columns.setdefault(tuple(n), []).append(g)
     return images, columns
 

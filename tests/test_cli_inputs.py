@@ -76,6 +76,29 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestLongSteps:
+    """A step, or a whole burn-in, at the edge of the float range: a time
+    that overflows is rejected, and a finite one is one exact transition,
+    whose counts of halvings are read off its binary exponent."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--step", "inf"], ["--step", "1e300", "--burn-in", "1000000000"]],
+        ids=["infinite-step", "overflowing-burn-in"],
+    )
+    def test_non_finite_time_is_rejected(self, flags):
+        assert_validation_error(["simulate", *MODEL_1D, "--paths", "10", *flags])
+
+    @pytest.mark.parametrize("step", ["1e308", "1e200"])
+    def test_long_step_draws_the_stationary_law(self, step):
+        """e^(hB) is 0 at such a step, so one step reaches N(0, 1/2)."""
+        code, out, err = run_cli(["simulate", *MODEL_1D, "--paths", "4000", "--step", step])
+        assert code == 0, err
+        simulation = json.loads(out)["simulation"]
+        assert simulation["burn_in"] == 1
+        assert simulation["max_relative_covariance_error"] < 0.2
+
+
 class TestNegativeFraction:
     def test_separate_argument_parses_like_equals_form(self):
         reports = []

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from conftest import simpson_covariance, small_test_models
 from ou_spectra.errors import (
+    InvalidParams,
     NotHurwitz,
     NotPositiveDefinite,
     NotSymmetric,
@@ -95,6 +96,14 @@ class TestMatrixExponential:
             lhs = matrix_exponential(B, s + t)
             rhs = matrix_exponential(B, s) @ matrix_exponential(B, t)
             assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_time_past_the_float_range(self):
+        """s M overflows to -inf at s = 1e308, the squaring count does not;
+        a non-finite s is a typed error."""
+        B = np.array([[-2.0, 1.0], [0.0, -3.0]])
+        assert np.array_equal(matrix_exponential(B, 1e308), np.zeros((2, 2)))
+        with pytest.raises(InvalidParams):
+            matrix_exponential(B, math.inf)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(42)
@@ -193,6 +202,16 @@ class TestCovarianceAt:
             covariance_at(model5, 0.0)
         with pytest.raises(ValueError):
             covariance_at(model5, math.inf)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_time_is_invalid_params(self, model5, t):
+        with pytest.raises(InvalidParams):
+            covariance_at(model5, t)
+
+    def test_longest_time_is_stationary(self, model5):
+        """At t = 1e308, |tB| overflows; the doubling count does not."""
+        sigma = covariance_at(model5, 1e308).sigma
+        assert np.abs(sigma - model5.covariance.sigma).max() < 1e-14
 
 
 class TestNormalize:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from conftest import small_test_models
 from ou_spectra import exact
 from ou_spectra.errors import (
     ComplexSpectrum,
+    ConvergenceFailure,
     RankDecisionAmbiguous,
     RepeatedEigenvalue,
 )
@@ -22,12 +24,18 @@ from ou_spectra.spectral import (
     basis_moment_gram,
     drift_eigenvalues,
     generalized_eigenspaces,
+    listed_terms,
     operator_eigenvalues,
     orthogonality_report,
     polynomial_space_dimension,
     spectrum,
 )
-from ou_spectra.worked_examples import Section5Params, section5_eigenfunctions, section5_model
+from ou_spectra.worked_examples import (
+    Section5Params,
+    section4_model,
+    section5_eigenfunctions,
+    section5_model,
+)
 
 
 def _sorted(vals):
@@ -256,6 +264,19 @@ class TestGeneralizedEigenspaces:
                 for u in g.polynomials:
                     val = inner_product(one, u, sigma)
                     assert abs(complex(val)) < 1e-10
+
+
+class TestListedTerms:
+    def test_non_finite_column_is_an_error(self):
+        """A NaN coefficient is no polynomial: listed_terms, and so
+        EigenGroup.polynomials, fail instead of listing the zero one."""
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            listed_terms(np.array([[np.nan + 0j], [1 + 0j]]), 1)
+        g = generalized_eigenspaces(section4_model(), 2).groups[-1]
+        bad = g.coefficients.copy()
+        bad[-1, 0] = np.inf
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            dataclasses.replace(g, coefficients=bad).polynomials
 
 
 class TestNullspaceWindow:

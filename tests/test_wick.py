@@ -23,13 +23,15 @@ from hypothesis import strategies as st
 
 from ou_spectra import exact
 from ou_spectra.gaussian import MomentTable, inner_product
-from ou_spectra.model import solve_lyapunov, validate_model
+from ou_spectra.model import OUModel, solve_lyapunov, validate_model
 from ou_spectra.operator import (
-    _wick_series,
+    apply_diffusion,
     apply_L,
     operator_matrix,
+    degree_block_slices,
     poly_coordinates,
     semigroup_apply,
+    symmetric_power,
     wick_matrix,
 )
 from ou_spectra.polynomials import SparsePolynomial, hermite_tensor, monomial_basis
@@ -173,6 +175,18 @@ class TestIntertwining:
         column = W.basis.position((2, 0))
         image = {W.basis.indices[i]: W.entries[i][column] for i in range(len(W.basis))}
         assert {a: c for a, c in image.items() if c} == {(2, 0): 1, (0, 0): Fraction(-1, 2)}
+
+
+def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparsePolynomial:
+    """exp(sign * K) p with K = 1/2 tr(Q D^2) the diffusion part of
+    wick_model, whose Q is a covariance: S_t for the semigroup. K lowers the
+    degree by two, so the series stops after deg(p) // 2 terms; it is exact
+    when the model and p are."""
+    term = total = p
+    for k in range(1, p.degree // 2 + 1):
+        term = apply_diffusion(wick_model, term) * Fraction(sign, k)
+        total = total + term
+    return total
 
 
 class TestWickRecursion:
@@ -451,6 +465,87 @@ class TestSemigroup:
         expected = _moment_semigroup(model, t, p)
         scale = max((abs(c) for c in expected.terms.values()), default=0.0)
         assert semigroup_apply(model, t, p).max_coeff_diff(expected) <= 1e-9 * scale
+
+
+@st.composite
+def form_matrices(draw):
+    """(T, exact): an N x N matrix of small integers in an object array, or
+    of complex floats, N = 1-3."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        entries = [draw(st.integers(-3, 3)) for _ in range(n * n)]
+        return np.array(entries, dtype=object).reshape(n, n), True
+    part = st.floats(min_value=-2, max_value=2, allow_nan=False)
+    entries = [complex(draw(part), draw(part)) for _ in range(n * n)]
+    return np.array(entries).reshape(n, n), False
+
+
+class TestSymmetricPower:
+    @SETTINGS
+    @given(form_matrices(), st.integers(0, 5))
+    def test_blocks_are_the_products(self, T_exact, cap):
+        """Block d, column gamma holds the degree-d coordinates of
+        prod_k y_k^gamma_k, y_k = sum_i T_ik x_i, as SparsePolynomial
+        arithmetic gives them: exactly for integer forms, and for complex
+        ones to 1e-12 of the same product taken with |T|, which bounds every
+        sum of terms."""
+        T, is_exact = T_exact
+        n = T.shape[0]
+        basis = monomial_basis(n, cap)
+        blocks = symmetric_power(T, basis)
+
+        def products(forms):
+            unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            y = [SparsePolynomial(n, {unit[i]: forms[i, k] for i in range(n)}) for k in range(n)]
+            one = SparsePolynomial.constant(n, 1)
+            return [
+                poly_coordinates(math.prod((yk**a for yk, a in zip(y, gamma)), start=one), basis)
+                for gamma in basis.indices
+            ]
+
+        expected = products(T)
+        bound = None if is_exact else products(np.abs(T))
+        assert len(blocks) == cap + 1
+        for (d, sl), Y in zip(degree_block_slices(basis), blocks):
+            for g, column in enumerate(range(sl.start, sl.stop)):
+                if is_exact:
+                    assert Y[:, g].tolist() == expected[column][sl]
+                else:
+                    error = np.abs(Y[:, g] - np.array(expected[column][sl], dtype=complex))
+                    assert (error <= 1e-12 * np.array(bound[column][sl], dtype=float)).all()
+
+
+class TestSemigroupRoute:
+    def test_builds_no_product_of_polynomials(self, monkeypatch):
+        """e^(tL) = Sub(e^(tB)) W_(-S_t) on a dense degree-6 polynomial in
+        three variables takes no SparsePolynomial product or power: both act
+        on its coefficient vector."""
+        model = validate_model(
+            [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]],
+            [[-1.0, 0.4, 0.1], [-0.3, -2.0, 0.5], [0.2, 0.0, -1.5]],
+        )
+        basis = monomial_basis(3, 6)
+        p = SparsePolynomial(3, {a: 1.0 + k / 10 for k, a in enumerate(basis.indices)})
+        calls = []
+        for name in ("__mul__", "__pow__"):
+            original = getattr(SparsePolynomial, name)
+
+            def counting(self, other, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, other)
+
+            monkeypatch.setattr(SparsePolynomial, name, counting)
+        out = semigroup_apply(model, 0.5, p)
+        assert calls == [] and out.degree == 6
+
+    def test_time_past_the_float_range(self):
+        """At t = 1e308, |tB| overflows and e^(tB) is 0: e^(tL) p is the
+        stationary mean of p, E x^4 = 3 S^2 with S = 1/(2 b) for B = -b."""
+        x = SparsePolynomial(1, {(4,): 1.0, (1,): 2.0})
+        for b in (1, 2):
+            out = semigroup_apply(validate_model([[1]], [[-b]]), 1e308, x)
+            assert list(out.terms) == [(0,)]
+            assert out.terms[(0,)] == pytest.approx(3 / (2 * b) ** 2, rel=1e-13)
 
 
 def _moment_semigroup(model, t, p):
