@@ -6,10 +6,10 @@ values serialize as "p/q" strings because JSON numbers are doubles and
 exactness is the point; complex values serialize as {"re": .., "im": ..}.
 A JSON report puts each object key on its own line, and each item of a list
 of objects or arrays (a pair, a group, a spectrum point, a matrix row) on its
-own line as compact JSON; everything else is compact. The eigen-groups and
-the orthogonality pairs are written pre-encoded (EncodedLines): each group's
-line is made as JSON text straight from its coefficient columns, each pair's
-straight from the pair Gram, with the bytes json.dumps would write.
+own line as compact JSON; everything else is compact. The spectrum points,
+eigen-groups and orthogonality pairs are written pre-encoded (EncodedLines):
+as JSON text made straight from the spectrum's arrays, each group's
+coefficient columns and the pair Gram, with the bytes json.dumps would write.
 
 Exit codes: 0 success, 1 usage error, 2 validation error or another typed
 failure, 3 numerical rank ambiguity.
@@ -344,6 +344,11 @@ def _base_report(config: RunConfig, model: OUModel | None) -> dict:
     return report
 
 
+class EncodedLines(list):
+    """Items already encoded as JSON text: _write_json writes each on its own
+    line as it stands, render_human decodes them."""
+
+
 def _drift_json(sp) -> list:
     """The drift eigenvalues the spectrum sp is built on: each cluster mean
     repeated by its multiplicity, ascending as spectral.drift_eigenvalues."""
@@ -351,20 +356,19 @@ def _drift_json(sp) -> list:
     return [complex_json(z) for z in sorted(values, key=lambda z: (z.real, z.imag))]
 
 
-def _spectrum_json(sp) -> list:
-    return [
-        {
-            "value": complex_json(pt.value),
-            "witnesses": [list(w) for w in pt.witnesses],
-            "degrees": list(pt.degrees),
-        }
-        for pt in sp.points
-    ]
-
-
-class EncodedLines(list):
-    """Items already encoded as JSON text: _write_json writes each on its own
-    line as it stands, render_human decodes them."""
+def _spectrum_json(sp) -> EncodedLines:
+    """The points, each as the text json.dumps writes for its object, made
+    straight from the arrays of sp; each witness and degree text once."""
+    if not np.isfinite(sp.point_values).all():
+        raise ConvergenceFailure("a spectrum point is not finite, which JSON cannot hold")
+    rows = list(map(str, sp.witness_rows.tolist()))  # str of an int list is its JSON text
+    degrees = list(map(str, sp.witness_rows.sum(axis=1).tolist()))
+    z, b = sp.point_values, sp.bounds.tolist()
+    return EncodedLines(
+        f'{{"value": {{"re": {x!r}, "im": {y!r}}}, "witnesses": [{", ".join(rows[lo:hi])}], '
+        f'"degrees": [{", ".join(degrees[lo:hi])}]}}'
+        for x, y, lo, hi in zip(z.real.tolist(), z.imag.tolist(), b, b[1:])
+    )
 
 
 def _group_lines(dec, tol_nilp: float) -> EncodedLines:
@@ -673,7 +677,7 @@ def _csv_cell(x) -> str:
 def _write_json(value, stream, indent: str = "") -> None:
     """Write value as JSON piece by piece: an object one key per line, a list
     of objects or arrays one item per line. The items of EncodedLines (the
-    groups and the pairs of an analyze report) are written as they stand;
+    spectrum points, the groups and the pairs) are written as they stand;
     every other item and value is one json.dumps call, which takes the C
     encoder. Each piece goes to the stream at once, so the whole report
     never sits in memory as one string."""

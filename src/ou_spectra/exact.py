@@ -1,9 +1,11 @@
 """Small dense linear algebra over exact rationals.
 
-Matrices are plain lists of lists of Fraction. Sizes stay tiny here (models
-are N <= 12, the vectorized Lyapunov system is N^2 x N^2), so straightforward
-Gaussian elimination with a nonzero pivot is all we need. Everything returns
-fresh lists; nothing is mutated in place.
+Matrices are plain lists of lists of Fraction, or of Python ints where a
+routine says so. Sizes stay tiny here (models are N <= 12, the Lyapunov
+system has one unknown per entry S_ij, i <= j, so at most 78), so Gaussian
+elimination with a nonzero pivot is all we need, fraction-free where the
+entries are integers. Every public routine returns fresh lists and leaves
+its arguments as they were.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
@@ -74,59 +72,53 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def is_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def max_abs(a: Matrix) -> Fraction:
     return max((abs(x) for row in a for x in row), default=Fraction(0))
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction Gaussian elimination."""
-    n = len(a)
-    m = [row[:] for row in a]
-    d = Fraction(1)
+def _bareiss(m: list[list[int]], swap: bool) -> list[int]:
+    """Fraction-free (Bareiss) elimination of the integer rows m, in place;
+    returns the pivots, the k-th one the leading k x k minor of m as swapped.
+    With swap, a zero pivot is traded for a lower row, and a column with none
+    raises SingularSystem; without, elimination stops at a zero pivot."""
+    n, prev, pivots = len(m), 1, []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            d = -d
-        d *= m[col][col]
-        inv = m[col][col]
+        if swap:
+            r = next((r for r in range(col, n) if m[r][col] != 0), None)
+            if r is None:
+                raise SingularSystem(f"exact solve: column {col} has no pivot")
+            m[col], m[r] = m[r], m[col]
+        p, top = m[col][col], m[col]
+        pivots.append(p)
+        if p == 0:
+            break
         for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return d
+            f, tail = m[r][col], zip(m[r][col + 1 :], top[col + 1 :])
+            m[r] = [0] * (col + 1) + [(p * x - f * y) // prev for x, y in tail]
+        prev = p
+    return pivots
 
 
 def leading_minors(a: Matrix) -> list[Fraction]:
-    """Determinants of the leading principal k x k submatrices, k = 1..n."""
-    n = len(a)
-    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
+    """Determinants of the leading principal k x k submatrices, k = 1..n, up
+    to the first that is zero: the Bareiss pivots of s a, s the common
+    denominator, over s^k."""
+    m, s = common_denominator_scale(a)
+    return [Fraction(p, s ** (k + 1)) for k, p in enumerate(_bareiss(m, swap=False))]
 
 
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction]:
-    """Solve a x = b exactly. Raises SingularSystem when a has no inverse."""
+def solve(a: list[list[int]], b: list[int]) -> list[Fraction]:
+    """Solve a x = b exactly for integer a and b, in integers. The last
+    Bareiss pivot d is +-det a, so each d x_i is an integer (Cramer's rule);
+    back substitution finds them, and the Fractions x_i are formed at the
+    end. Raises SingularSystem when a has no inverse."""
     n = len(a)
     m = [row[:] + [bi] for row, bi in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem(f"exact solve: column {col} has no pivot")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    d = _bareiss(m, swap=True)[-1]
+    y = [0] * n
+    for i in reversed(range(n)):
+        y[i] = (m[i][n] * d - sum(m[i][j] * y[j] for j in range(i + 1, n))) // m[i][i]
+    return [Fraction(v, d) for v in y]
 
 
 def nullspace(a: Matrix) -> list[list[Fraction]]:

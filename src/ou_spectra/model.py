@@ -2,9 +2,9 @@
 
 A model is a symmetric positive-definite diffusion matrix Q together with a
 Hurwitz drift matrix B (all eigenvalue real parts negative). The stationary
-covariance solves the Lyapunov equation B*S + S*B^T + Q = 0; we solve the
-vectorized N^2 x N^2 linear system rather than integrating, which is exact in
-the rational backend. Quadrature of the defining integral survives only as a
+covariance solves the Lyapunov equation B*S + S*B^T + Q = 0; we solve it as a
+linear system rather than integrating, which is exact in the rational
+backend. Quadrature of the defining integral survives only as a
 test oracle.
 """
 
@@ -108,7 +108,10 @@ def _coerce_matrix(m, name: str):
         raise ValidationError(f"{name} must be rectangular and nonempty")
     if _entries_exact(rows):
         ex = exact.matrix(rows)
-        return exact.to_float(ex), ex
+        try:
+            return exact.to_float(ex), ex
+        except OverflowError as e:
+            raise ValidationError(f"{name} has an entry beyond the float range: {e}") from e
     try:
         arr = np.array([[float(x) for x in r] for r in rows], dtype=float)
     except (TypeError, ValueError) as e:
@@ -127,9 +130,10 @@ def _finite(arr: np.ndarray, name: str) -> np.ndarray:
 def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL) -> OUModel:
     """Validate (Q, B) and fix the scalar backend.
 
-    Checks, in order: shapes, symmetry of Q, positive definiteness of Q via
-    leading principal minors, and the Hurwitz property of B. Error messages
-    name the offending minor or eigenvalue.
+    Checks, in order: shapes, finite 1-norms of Q and B, symmetry of Q,
+    positive definiteness of Q via leading principal minors, and the Hurwitz
+    property of B. Error messages name the offending norm, minor or
+    eigenvalue.
     """
     Qf, Qx = _coerce_matrix(Q, "Q")
     Bf, Bx = _coerce_matrix(B, "B")
@@ -138,6 +142,11 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
             f"Q and B must be square and equally sized, got {Qf.shape} and {Bf.shape}"
         )
     n = Qf.shape[0]
+    for name, arr in (("Q", Qf), ("B", Bf)):
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr, 1))
+        if not math.isfinite(norm):
+            raise ValidationError(f"the 1-norm of {name} is {norm}, beyond the float range")
 
     exact_available = Qx is not None and Bx is not None
     if backend == "exact" and not exact_available:
@@ -150,13 +159,9 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
 
     # symmetry
     if use_exact:
-        if not exact.is_symmetric(Qx):
-            i, j = next(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if Qx[i][j] != Qx[j][i]
-            )
+        asym = [(i, j) for i in range(n) for j in range(i + 1, n) if Qx[i][j] != Qx[j][i]]
+        if asym:
+            i, j = asym[0]
             raise NotSymmetric(f"Q[{i}][{j}] = {Qx[i][j]} != Q[{j}][{i}] = {Qx[j][i]}")
     else:
         scale = max(np.abs(Qf).max(), 1.0)
@@ -169,18 +174,12 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
 
     # positive definiteness via leading principal minors
     if use_exact:
-        for k, minor in enumerate(exact.leading_minors(Qx)):
-            if minor <= 0:
-                raise NotPositiveDefinite(
-                    f"leading {k + 1}x{k + 1} minor of Q is {minor} <= 0"
-                )
+        minors = exact.leading_minors(Qx)
     else:
-        for k in range(n):
-            minor = np.linalg.det(Qf[: k + 1, : k + 1])
-            if minor <= 0:
-                raise NotPositiveDefinite(
-                    f"leading {k + 1}x{k + 1} minor of Q is {minor} <= 0"
-                )
+        minors = [np.linalg.det(Qf[: k + 1, : k + 1]) for k in range(n)]
+    for k, minor in enumerate(minors):
+        if minor <= 0:
+            raise NotPositiveDefinite(f"leading {k + 1}x{k + 1} minor of Q is {minor} <= 0")
 
     # Hurwitz drift
     eigs = drift_eigenvalues_raw(Bf)
@@ -289,28 +288,29 @@ def matrix_exponential(M, s: float = 1.0) -> np.ndarray:
 def solve_lyapunov(model: OUModel) -> CovarianceMatrix:
     """Stationary covariance: the unique S with B*S + S*B^T + Q = 0.
 
-    Solved as a vectorized linear system; with the exact backend the residual
-    is identically zero.
+    The exact backend solves for the N(N+1)/2 entries S_ij, i <= j, in
+    integers, with B and Q scaled by their common denominator, which leaves S
+    unchanged; the residual is identically zero. The float backend solves the
+    vectorized N^2 x N^2 system.
     """
     n = model.dim
     if model.is_exact:
-        A = exact.zeros(n * n, n * n)
-        rhs = []
-        Bx = model.B_exact
-        for i in range(n):
-            for j in range(n):
-                row = i * n + j
-                for k in range(n):
-                    A[row][k * n + j] += Bx[i][k]
-                    A[row][i * n + k] += Bx[j][k]
-                rhs.append(-model.Q_exact[i][j])
+        scaled, _ = exact.common_denominator_scale([*model.B_exact, *model.Q_exact])
+        B, Q = scaled[:n], scaled[n:]
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        unknown = {ij: k for k, (i, j) in enumerate(pairs) for ij in ((i, j), (j, i))}
+        A = [[0] * len(pairs) for _ in pairs]
+        for row, (i, j) in zip(A, pairs):  # (B S + S B^T)_ij = sum_k B_ik S_kj + S_ik B_jk
+            for k in range(n):
+                row[unknown[k, j]] += B[i][k]
+                row[unknown[i, k]] += B[j][k]
         try:
-            vec = exact.solve(A, rhs)
+            vec = exact.solve(A, [-Q[i][j] for i, j in pairs])
         except SingularSystem as e:
             raise SingularSystem(
                 "Lyapunov system singular; drift validation should have caught this"
             ) from e
-        rows = [[vec[i * n + j] for j in range(n)] for i in range(n)]
+        rows = [[vec[unknown[i, j]] for j in range(n)] for i in range(n)]
         return CovarianceMatrix(t=math.inf, sigma=exact.to_float(rows), sigma_exact=rows)
 
     B = model.B

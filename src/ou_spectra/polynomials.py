@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -375,33 +375,36 @@ def _sort_key(ordering: str):
     raise ValueError(f"unknown ordering {ordering!r}; pick one of {ORDERINGS}")
 
 
-def _homogeneous_indices(dim: int, n: int) -> list[MultiIndex]:
-    out = []
-    for combo in combinations_with_replacement(range(dim), n):
-        alpha = [0] * dim
-        for i in combo:
-            alpha[i] += 1
-        out.append(tuple(alpha))
-    return out
-
-
 def monomial_basis(
     dim: int, cap: int, ordering: str = "graded-lex", homogeneous: bool = False
 ) -> GradedBasis:
-    """Enumerate exponent vectors of degree == cap (homogeneous) or <= cap.
+    """Enumerate exponent vectors of degree == cap (homogeneous) or <= cap,
+    by degree; graded-lex orders each degree descending lexicographically.
 
     Cardinalities: C(dim+cap-1, cap) homogeneous, C(dim+cap, cap) full.
     """
     if dim < 1 or cap < 0:
         raise ValueError("need dim >= 1 and cap >= 0")
     key = _sort_key(ordering)
-    degrees = [cap] if homogeneous else range(cap + 1)
-    indices: list[MultiIndex] = []
-    for n in degrees:
-        indices.extend(sorted(_homogeneous_indices(dim, n), key=key))
-    expected = comb(dim + cap - 1, cap) if homogeneous else comb(dim + cap, cap)
-    assert len(indices) == expected
+    rows = exponent_array(dim, cap)[::-1]  # descending lexicographic order
+    rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]  # graded-lex
+    if homogeneous:
+        rows = rows[-comb(dim + cap - 1, cap) :]
+    indices = list(map(tuple, rows.tolist()))
+    if ordering != "graded-lex":
+        indices.sort(key=key)  # each key leads with the degree
     return GradedBasis(dim, cap, ordering, homogeneous, tuple(indices))
+
+
+def exponent_array(dim: int, cap: int) -> np.ndarray:
+    """Every exponent vector of degree <= cap as one row, in ascending
+    lexicographic order: the counts of the degree-cap multisets of dim + 1
+    variables, read backwards, the last variable taking up the slack."""
+    m = comb(dim + cap, cap)
+    picks = combinations_with_replacement(range(dim + 1), cap)
+    flat = np.fromiter(chain.from_iterable(picks), np.intp, m * cap)  # row i's picks, i (dim + 1) apart
+    flat += np.repeat(np.arange(m) * (dim + 1), cap)
+    return np.bincount(flat, minlength=m * (dim + 1)).reshape(m, dim + 1)[::-1, :dim]
 
 
 # -- Hermite products --------------------------------------------------

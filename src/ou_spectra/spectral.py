@@ -59,7 +59,7 @@ from .operator import (
     symmetric_power,
     wick_matrix,
 )
-from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
+from .polynomials import GradedBasis, SparsePolynomial, exponent_array, monomial_basis
 
 TOL_EIG = 1e-8
 TOL_ORTH = 1e-9
@@ -90,9 +90,24 @@ class DriftCluster:
 
 @dataclass(frozen=True)
 class SpectrumSet:
+    """The spectrum points as arrays, slowest decay first."""
+
     clusters: tuple[DriftCluster, ...]  # slowest decay first
     degree_cap: int
-    points: tuple[SpectrumPoint, ...]
+    point_values: np.ndarray  # complex, one per point
+    witness_rows: np.ndarray  # (compositions, clusters) exponents, grouped per point
+    bounds: np.ndarray  # point k's witnesses are witness_rows[bounds[k] : bounds[k + 1]]
+    rationals: tuple[Fraction, ...] | None = None  # the values, on the exact route
+
+    @cached_property
+    def points(self) -> tuple[SpectrumPoint, ...]:
+        """One SpectrumPoint per point, in order; built on first read."""
+        rows, b = list(map(tuple, self.witness_rows.tolist())), self.bounds.tolist()
+        exact = self.rationals or [None] * len(self.point_values)
+        return tuple(
+            SpectrumPoint(z, tuple(rows[lo:hi]), tuple(map(sum, rows[lo:hi])), q)
+            for z, lo, hi, q in zip(self.point_values.tolist(), b, b[1:], exact)
+        )
 
     @property
     def distinct(self) -> tuple[complex, ...]:
@@ -319,7 +334,12 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
     sum n_j <= cap, each with its witnesses n: the compositions of each
     degree <= cap into r parts, C(r + cap, cap) of them. On the exact route
     (rational drift eigenvalues) equal sums merge exactly, otherwise sums
-    within tol_eig, which joins resonances across degrees."""
+    within tol_eig, which joins resonances across degrees.
+
+    The sums are E times the cluster values, E the compositions in
+    lexicographic order (integer numerators on the exact route). A stable
+    sort chains them, breaking where consecutive sums are farther apart than
+    the merge distance; a float point is its chain's mean in that order."""
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
     found = _drift_clusters(model.B)
@@ -331,22 +351,38 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
     # slowest decay first, so witness exponent vectors read off against
     # (-a+d, -a-d)-style orderings
     drift = sorted(rational or found, key=lambda c: (-c.value.real, c.value.imag))
-    tol = 0 if rational else tol_eig
-    exponents = monomial_basis(len(drift), degree_cap).indices
-    raw = [(sum(nj * c.value for nj, c in zip(n, drift)), n) for n in exponents]
-    chains: list[list] = []
-    for v, n in sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag, vw[1])):
-        if chains and abs(v - chains[-1][-1][0]) <= tol:
-            chains[-1].append((v, n))
-        else:
-            chains.append([(v, n)])
-    points = []
-    for members in chains:
-        rep = sum(v for v, _ in members) / len(members)
-        ws = tuple(sorted(n for _, n in members))
-        points.append(SpectrumPoint(complex(rep), ws, tuple(map(sum, ws)), rep if rational else None))
-    points.sort(key=lambda p: (-p.value.real, p.value.imag))
-    return SpectrumSet(clusters=tuple(drift), degree_cap=degree_cap, points=tuple(points))
+    E = exponent_array(len(drift), degree_cap)
+    if rational:  # Python ints over one denominator, which do not overflow
+        den = math.lcm(*(c.value.denominator for c in drift))
+        sums = E.astype(object) @ np.array([int(c.value * den) for c in drift], dtype=object)
+        order = np.argsort(sums, kind="stable")
+        sums = sums[order]
+        new = np.r_[True, sums[1:] != sums[:-1]]
+        rationals = [Fraction(n, den) for n in sums[new].tolist()]
+        means = np.array([complex(q) for q in rationals])
+    else:
+        sums = np.zeros(len(E), dtype=complex)
+        for j, c in enumerate(drift):  # sum(n_j * value_j), term by term
+            sums = sums + E[:, j] * c.value
+        order = np.argsort(sums, kind="stable")  # complex sorts by (real, imag)
+        sums = sums[order]
+        new = np.r_[True, ~(np.abs(np.diff(sums)) <= tol_eig)]
+        bounds = np.r_[np.flatnonzero(new), len(sums)]
+        means = sums[bounds[:-1]]  # a chain of one sum is its own mean
+        for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            chain = sums[bounds[k] : bounds[k + 1]].tolist()
+            means[k] = sum(chain) / len(chain)
+    final = np.argsort(-means.conj(), kind="stable")  # by (-real, imag); ties keep the chain order
+    # the point of each row of E: its chain's rank in the final order
+    point = np.argsort(final)[np.cumsum(new) - 1][np.argsort(order)]
+    return SpectrumSet(
+        clusters=tuple(drift),
+        degree_cap=degree_cap,
+        point_values=means[final],
+        witness_rows=E[np.argsort(point, kind="stable")],
+        bounds=np.r_[0, np.cumsum(np.bincount(point))],
+        rationals=tuple(rationals[i] for i in final.tolist()) if rational else None,
+    )
 
 
 # -- operator eigenvalues and kernels ----------------------------------------
@@ -489,7 +525,7 @@ def generalized_eigenspaces(
     ||(M - mu)^k u|| is taken on the float operator matrix M.
     """
     sp = spectrum(model, degree_cap, tol_eig)
-    exact_route = sp.points[0].exact is not None
+    exact_route = sp.rationals is not None
     basis = monomial_basis(model.dim, degree_cap)
     if exact_route:
         W, scale = integer_wick_matrix(model, basis)

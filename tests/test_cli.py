@@ -716,3 +716,48 @@ class TestGroupsWriter:
         )
         assert report["backend"] == "float" and len(report["groups"]) == 70
         assert built == []
+
+
+class TestSpectrumWriter:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            section4_model(),  # rational, but its drift eigenvalues are -1 +/- i
+            validate_model(np.eye(3), [[-1.0, 2.0, 0.3], [-1.5, -1.0, 0.0], [0.2, 0.1, -2.5]]),
+            validate_model(np.eye(2), [[-1.5, 0.5], [0.5, -1.5]]),  # float resonances -1, -2
+            section5_model(Section5Params(2, 1, 1)),
+            validate_model([[2, 1], [1, 3]], [["-1/3", 1], [0, "-2/7"]]),
+        ],
+        ids=["section4", "complex-float", "float-resonant", "section5", "exact-fractions"],
+    )
+    def test_lines_are_the_point_dicts(self, model):
+        """Each point's line is the text json.dumps writes for its dict."""
+        sp = spectral.spectrum(model, 6)
+        assert list(cli._spectrum_json(sp)) == [
+            json.dumps(
+                {
+                    "value": cli.complex_json(p.value),
+                    "witnesses": [list(w) for w in p.witnesses],
+                    "degrees": list(p.degrees),
+                }
+            )
+            for p in sp.points
+        ]
+
+    def test_spectrum_builds_no_point(self, monkeypatch):
+        """spectrum on a 9-D float drift at degree 5 goes from the exponent
+        array to the report lines without a SpectrumPoint."""
+        built = []
+        original = spectral.SpectrumPoint.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.SpectrumPoint, "__init__", counting)
+        E = np.random.default_rng(9).standard_normal((9, 9))
+        B = E / 6 - 1.5 * np.eye(9)
+        Q = json.dumps(np.eye(9).tolist())
+        report = run_json(["spectrum", "--Q", Q, "--B", json.dumps(B.tolist()), "--degree", "5"])
+        assert len(report["spectrum"]) == 2002
+        assert built == []

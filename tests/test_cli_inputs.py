@@ -99,6 +99,31 @@ class TestLongSteps:
         assert simulation["max_relative_covariance_error"] < 0.2
 
 
+class TestFloatRange:
+    """A model at the edge of the float range is refused at validation, and
+    a spectrum sum past it is a typed error, not an invalid JSON number."""
+
+    BIG_B = "[[-1e308, 1e308], [0, -1e308]]"  # finite entries, but ||B||_1 overflows
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["simulate", "--paths", "10"], ["analyze"]])
+    def test_overflowing_norm_is_a_validation_error(self, command):
+        argv = [command[0], "--Q", "[[1,0],[0,1]]", "--B", self.BIG_B, *command[1:]]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "validation error: the 1-norm of B is inf, beyond the float range\n"
+
+    def test_exact_entry_past_the_float_range(self):
+        huge = "-1" + "0" * 400
+        assert_validation_error(["spectrum", "--Q", "[[1]]", "--B", f'[["{huge}"]]'])
+
+    def test_spectrum_sum_past_the_float_range(self):
+        code, out, err = run_cli(["spectrum", "--Q", "[[1]]", "--B", "[[-1e308]]", "--degree", "2"])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: a spectrum point is not finite, which JSON cannot hold\n"
+
+
 class TestNegativeFraction:
     def test_separate_argument_parses_like_equals_form(self):
         reports = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,11 +8,13 @@ import pytest
 import scipy.linalg
 
 from conftest import simpson_covariance, small_test_models
+from ou_spectra import exact
 from ou_spectra.errors import (
     InvalidParams,
     NotHurwitz,
     NotPositiveDefinite,
     NotSymmetric,
+    SingularSystem,
     ValidationError,
 )
 from ou_spectra.model import (
@@ -159,6 +162,63 @@ class TestLyapunov:
         m = validate_model(np.eye(2) * 1.0, np.array([[-1.3, 0.7], [-0.2, -2.1]]))
         ref = scipy.linalg.solve_continuous_lyapunov(m.B, -m.Q)
         assert solve_lyapunov(m).sigma == pytest.approx(ref, abs=1e-12)
+
+
+def _fraction_solve(a, b):
+    """a x = b by Gauss-Jordan elimination in Fractions; None when a is
+    singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def _leibniz_det(a):
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+        * math.prod(a[i][p[i]] for i in range(len(p)))
+        for p in itertools.permutations(range(len(a)))
+    )
+
+
+class TestExactElimination:
+    def test_solve_matches_fraction_elimination(self):
+        """Fraction-free elimination in integers gives the solution that
+        elimination in Fractions gives, also where a zero pivot forces a
+        row swap, and a singular system raises SingularSystem."""
+        rng = random.Random(3)
+        solved = singular = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            a = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            expected = _fraction_solve(a, b)
+            if expected is None:
+                with pytest.raises(SingularSystem):
+                    exact.solve(a, b)
+                singular += 1
+            else:
+                assert exact.solve(a, b) == expected
+                solved += 1
+        assert solved > 30 and singular > 30
+
+    def test_leading_minors_up_to_the_first_zero(self):
+        rng = random.Random(4)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            expected = [_leibniz_det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
+            if 0 in expected:
+                expected = expected[: expected.index(0) + 1]
+            assert exact.leading_minors(a) == expected
 
 
 class TestCovarianceAt:

@@ -12,6 +12,7 @@ from ou_spectra.gaussian import gram_matrix, inner_product
 from ou_spectra.polynomials import (
     SparsePolynomial,
     coefficient_text,
+    exponent_array,
     hermite_coefficients,
     hermite_tensor,
     index_degree,
@@ -121,6 +122,14 @@ class TestStructure:
         assert SparsePolynomial.from_json(q.to_json()) == q
 
 
+def _every_exponent(dim, cap):
+    """Every exponent vector in dim variables of degree <= cap, by recursion
+    on the first exponent."""
+    if dim == 1:
+        return [(k,) for k in range(cap + 1)]
+    return [(k, *rest) for k in range(cap + 1) for rest in _every_exponent(dim - 1, cap - k)]
+
+
 class TestMonomialBasis:
     def test_homogeneous_graded_lex_example(self):
         basis = monomial_basis(2, 2, "graded-lex", homogeneous=True)
@@ -144,6 +153,22 @@ class TestMonomialBasis:
         assert values == sorted(values)
         order = [basis.position(a) for a in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
         assert order == sorted(order)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_graded_lex_is_the_sorted_enumeration(self, dim):
+        """The graded-lex blocks, taken unsorted from the multiset
+        enumeration, are every exponent vector sorted by degree, then by
+        descending lexicographic order; exponent_array lists the same
+        vectors in ascending lexicographic order."""
+        for cap in range(8):
+            every = _every_exponent(dim, cap)
+            assert list(monomial_basis(dim, cap).indices) == sorted(
+                every, key=lambda a: (sum(a), tuple(-e for e in a))
+            )
+            assert monomial_basis(dim, cap, homogeneous=True).indices == tuple(
+                a for a in monomial_basis(dim, cap).indices if sum(a) == cap
+            )
+            assert exponent_array(dim, cap).tolist() == sorted(map(list, every))
 
     def test_orderings_are_strict_enumerations(self):
         for ordering in ("graded-lex", "v-nondecreasing", "v-nonincreasing"):

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_test_models
 from ou_spectra import exact
@@ -18,6 +21,9 @@ from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import operator_matrix, poly_coordinates
 from ou_spectra.polynomials import SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
+    TOL_EIG,
+    SpectrumPoint,
+    _drift_clusters,
     _nullspace_bounded,
     _rational_clusters,
     b_eigenvector_angle,
@@ -108,6 +114,115 @@ class TestSpectrum:
             witnesses.add(n)
         # 455 distinct exponent vectors of degree <= 3 are all of them
         assert len(witnesses) == 455
+
+
+def _spectrum_oracle(model, degree_cap, tol_eig=TOL_EIG):
+    """spectrum() as one Python loop over the compositions, one tuple each:
+    the (clusters, points) that the array route must give bit for bit."""
+    found = _drift_clusters(model.B)
+    rational = (
+        _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
+        if model.is_exact
+        else None
+    )
+    drift = sorted(rational or found, key=lambda c: (-c.value.real, c.value.imag))
+    tol = 0 if rational else tol_eig
+    exponents = monomial_basis(len(drift), degree_cap).indices
+    raw = [(sum(nj * c.value for nj, c in zip(n, drift)), n) for n in exponents]
+    chains: list[list] = []
+    for v, n in sorted(raw, key=lambda vw: (vw[0].real, vw[0].imag, vw[1])):
+        if chains and abs(v - chains[-1][-1][0]) <= tol:
+            chains[-1].append((v, n))
+        else:
+            chains.append([(v, n)])
+    points = []
+    for members in chains:
+        rep = sum(v for v, _ in members) / len(members)
+        ws = tuple(sorted(n for _, n in members))
+        points.append(SpectrumPoint(complex(rep), ws, tuple(map(sum, ws)), rep if rational else None))
+    points.sort(key=lambda p: (-p.value.real, p.value.imag))
+    return tuple(drift), tuple(points)
+
+
+@st.composite
+def float_drifts(draw):
+    """A real drift, N 1-4, under a random orthogonal similarity: real
+    eigenvalues and complex pairs a +- bi on a grid of halves, distinct real
+    parts, each moved by at most 2e-10, well inside TOL_EIG. So the sums of
+    some compositions fall within TOL_EIG of each other without being equal,
+    across degrees and through the pairs (a + bi) + (a - bi) = 2a."""
+    n = draw(st.integers(1, 4))
+    reals = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n, unique=True))
+    blocks, k = [], 0
+    while k < n:
+        a = -reals[k] / 2 + draw(st.sampled_from([0.0, 3e-11, -2e-10]))
+        if n - k >= 2 and draw(st.booleans()):
+            b = draw(st.integers(1, 4)) / 2
+            blocks.append(np.array([[a, b], [-b, a]]))
+            k += 2
+        else:
+            blocks.append(np.array([[a]]))
+            k += 1
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, n)))
+    return validate_model(np.eye(n), q @ scipy.linalg.block_diag(*blocks) @ q.T)
+
+
+@st.composite
+def exact_drifts(draw):
+    """A rational drift, N 1-4, upper triangular with a diagonal from a few
+    small values, so that many sums coincide exactly and some eigenvalues
+    repeat; or with a leading rotation block [[a, b], [-b, a]], whose
+    eigenvalues a +- bi are not rational and send the model down the float
+    route."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from([Fraction(-1), Fraction(-2), Fraction(-3), Fraction(-1, 2), Fraction(-3, 2)])
+    B = [
+        [draw(values) if i == j else draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if n >= 2 and draw(st.booleans()):
+        B[1][0] = -B[0][1] if B[0][1] else -1
+        B[0][1] = -B[1][0]
+        B[1][1] = B[0][0]
+    return validate_model(exact.identity(n), B)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestArraySpectrum:
+    """spectrum() on arrays gives the loop's points exactly: the values bit
+    for bit, the witnesses in order, the degrees and the exact values."""
+
+    SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+    @staticmethod
+    def check(model, cap):
+        drift, expected = _spectrum_oracle(model, cap)
+        sp = spectrum(model, cap)
+        assert sp.distinct == tuple(complex(c.value) for c in drift)
+        assert [(_bits(p.value), p.witnesses, p.degrees, p.exact) for p in sp.points] == [
+            (_bits(p.value), p.witnesses, p.degrees, p.exact) for p in expected
+        ]
+
+    @SETTINGS
+    @given(float_drifts(), st.integers(0, 6))
+    def test_float_drifts(self, model, cap):
+        self.check(model, cap)
+
+    @SETTINGS
+    @given(exact_drifts(), st.integers(0, 6))
+    def test_exact_drifts(self, model, cap):
+        self.check(model, cap)
+
+    def test_near_resonant_sums_merge(self):
+        """2 (-1 + 3e-11) and -2 lie within TOL_EIG: one point with two
+        witnesses, at the mean of the two sums."""
+        model = validate_model(np.eye(2), [[-1 + 3e-11, 0.0], [0.0, -2.0]])
+        self.check(model, 3)
+        point = next(p for p in spectrum(model, 3).points if abs(p.value + 2) < 1e-6)
+        assert point.witnesses == ((0, 1), (2, 0))
 
 
 class TestDriftClusters:
