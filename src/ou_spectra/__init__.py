@@ -27,16 +27,14 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gaussian import GaussianMeasure, MomentTable, gaussian_moment, gram_matrix, inner_product
+from .gaussian import MomentTable, gram_matrix, inner_product
 from .model import (
     CoordinateChange,
     CovarianceMatrix,
     OUModel,
-    SchurResult,
     covariance_at,
     matrix_exponential,
     normalize_model,
-    schur_triangularize,
     solve_lyapunov,
     validate_model,
 )
@@ -50,7 +48,6 @@ from .operator import (
     check_normal,
     hermite_rotation_matrix,
     homogeneous_drift_matrix,
-    nilpotent_drift_part,
     operator_matrix,
     rotation_split,
     semigroup_apply,
@@ -59,9 +56,7 @@ from .operator import (
 from .polynomials import (
     GradedBasis,
     SparsePolynomial,
-    hermite_tensor,
     index_degree,
-    lower_shift,
     monomial_basis,
     v_order,
 )

@@ -11,13 +11,11 @@ its arguments as they were.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
 from .errors import SingularSystem
 
-Scalar = Fraction
 Matrix = list[list[Fraction]]
 
 
@@ -55,25 +53,8 @@ def matrix(rows) -> Matrix:
     return out
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def max_abs(a: Matrix) -> Fraction:
-    return max((abs(x) for row in a for x in row), default=Fraction(0))
 
 
 def _bareiss(m: list[list[int]], swap: bool) -> list[int]:
@@ -189,14 +170,3 @@ def common_denominator_scale(a: Matrix) -> tuple[list[list[int]], int]:
 
 def to_float(a: Matrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None when irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None

@@ -18,9 +18,8 @@ term by term; it is the reference the tests compare that route against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .polynomials import EXACT_TYPES, SparsePolynomial
 
 def _normalize_sigma(sigma):
     """Return (rows, dim, exact_flag) with rows as tuple-of-tuples scalars."""
-    if isinstance(sigma, GaussianMeasure):
-        return sigma._rows, sigma.dim, sigma.is_exact
     if isinstance(sigma, np.ndarray):
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("covariance must be square")
@@ -48,28 +45,6 @@ def _normalize_sigma(sigma):
     else:
         rows = tuple(tuple(float(x) for x in row) for row in rows)
     return rows, n, exact
-
-
-@dataclass(frozen=True)
-class GaussianMeasure:
-    """Centered Gaussian with a symmetric positive-definite covariance."""
-
-    covariance: object
-
-    def __post_init__(self):
-        rows, dim, exact = _normalize_sigma(self.covariance)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "is_exact", exact)
-
-    @property
-    def normalization(self) -> float:
-        """Density prefactor (2 pi)^(-N/2) det(Sigma)^(-1/2)."""
-        det = np.linalg.det(np.array(self._rows, dtype=float))
-        return (2 * pi) ** (-self.dim / 2) * det ** (-0.5)
-
-    def moment(self, alpha) -> object:
-        return MomentTable(self).moment(alpha)
 
 
 class MomentTable:
@@ -110,11 +85,6 @@ class MomentTable:
                 total += self.rows[i][j] * bj * self._moment(tuple(gamma))
         self._memo[alpha] = total
         return total
-
-
-def gaussian_moment(sigma, alpha) -> object:
-    """E[x^alpha] for x ~ N(0, Sigma); exact Fraction when Sigma is rational."""
-    return MomentTable(sigma).moment(alpha)
 
 
 def inner_product(
@@ -170,21 +140,23 @@ def gram_matrix(fs, sigma, normalized: bool = False):
 
     G = C^T M conj(C), with C the family's coefficient columns over its joint
     support and M that support's moment matrix (basis_moment_gram). The
-    arithmetic is exact when sigma and every coefficient are rational;
-    normalization and the array returned are those of finish_gram.
+    arithmetic is exact when sigma and every coefficient are rational, real
+    when no coefficient is complex (a family with no terms counts as
+    complex); normalization and the array returned are those of finish_gram.
     """
     fs = list(fs)
-    measure = GaussianMeasure(sigma)
-    if any(f.dim != measure.dim for f in fs):
-        raise DimensionMismatch(f"polynomial dims {[f.dim for f in fs]} vs measure dim {measure.dim}")
+    table = MomentTable(sigma)
+    if any(f.dim != table.dim for f in fs):
+        raise DimensionMismatch(f"polynomial dims {[f.dim for f in fs]} vs measure dim {table.dim}")
     support = sorted({alpha for f in fs for alpha in f.terms})
     row = {alpha: k for k, alpha in enumerate(support)}
-    exact = measure.is_exact and all(f.is_exact for f in fs)
-    C = np.zeros((len(support), len(fs)), dtype=object if exact else complex)
+    exact = table.is_exact and all(f.is_exact for f in fs)
+    real = support and not any(isinstance(c, complex) for f in fs for c in f.terms.values())
+    C = np.zeros((len(support), len(fs)), dtype=object if exact else float if real else complex)
     for j, f in enumerate(fs):
         for alpha, c in f.terms.items():
             C[row[alpha], j] = c
-    M = basis_moment_gram(support, measure)
+    M = basis_moment_gram(support, sigma)
     if exact:
         return finish_gram(C.T @ M @ C, normalized)
     G = C.T @ M.astype(float) @ C.conj()

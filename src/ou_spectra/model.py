@@ -78,14 +78,7 @@ class CoordinateChange:
 
     H: np.ndarray
     H_inv: np.ndarray
-    kind: str  # "orthogonal" | "general-linear"
-
-
-@dataclass(frozen=True)
-class SchurResult:
-    change: CoordinateChange
-    lower: np.ndarray
-    complex_spectrum: bool  # True: 2x2 blocks present, triangular reduction over R unavailable
+    kind: str  # "general-linear": normalize_model's whitening and rotation
 
 
 def _entries_exact(rows) -> bool:
@@ -379,33 +372,3 @@ def normalize_model(model: OUModel) -> tuple[CoordinateChange, OUModel]:
     new_B = H @ model.B @ H_inv
     normalized = validate_model(new_Q, new_B, backend="float")
     return change, normalized
-
-
-def schur_triangularize(B) -> SchurResult:
-    """Orthogonal H with H B H^T lower triangular, eigenvalues on the diagonal.
-
-    Inputs that are already lower triangular pass through with H = I. Drifts
-    with complex spectrum only admit the real Schur form with 2x2 blocks; the
-    result is returned with ``complex_spectrum`` set so callers know the
-    triangular reduction over the reals does not apply.
-    """
-    import scipy.linalg  # on first use: loading it takes longer than the rest of the package
-
-    B = np.array(B, dtype=float)
-    n = B.shape[0]
-    if _is_triangular(B, lower=True):
-        I = np.eye(n)
-        return SchurResult(CoordinateChange(I, I, "orthogonal"), B.copy(), False)
-
-    T, Z = scipy.linalg.schur(B, output="real")
-    # upper (quasi-)triangular T = Z^T B Z; reverse the basis to get lower form
-    J = np.eye(n)[::-1]
-    H = J @ Z.T
-    lower = H @ B @ H.T
-    has_blocks = bool(np.any(np.abs(np.diag(lower, 1)) > 1e-12 * max(1.0, np.abs(lower).max())))
-    lower_clean = np.where(np.abs(lower) < 1e-14 * max(1.0, np.abs(lower).max()), 0.0, lower)
-    return SchurResult(
-        CoordinateChange(H=H, H_inv=H.T, kind="orthogonal"),
-        lower_clean,
-        has_blocks,
-    )

@@ -412,27 +412,6 @@ def homogeneous_drift_matrix(
     return _monomial_matrix(model, n, "drift", True, ordering)
 
 
-def nilpotent_drift_part(model: OUModel, n: int, ordering: str | None = None) -> OperatorMatrix:
-    """Drift matrix on homogeneous degree n minus lambda*n*I, for drifts with a
-    constant diagonal (Jordan-type single-eigenvalue inputs)."""
-    om = homogeneous_drift_matrix(model, n, ordering)
-    if model.is_exact:
-        diag = model.B_exact[0][0]
-        if any(model.B_exact[i][i] != diag for i in range(model.dim)):
-            raise ValueError("drift diagonal is not constant; no single-eigenvalue split")
-        entries = [
-            [om.entries[i][j] - (diag * n if i == j else 0) for j in range(om.size)]
-            for i in range(om.size)
-        ]
-        return OperatorMatrix(om.basis, "monomial", "nilpotent-part", entries, True)
-    diag = model.B[0, 0]
-    if np.abs(np.diag(model.B) - diag).max() > 1e-12:
-        raise ValueError("drift diagonal is not constant; no single-eigenvalue split")
-    return OperatorMatrix(
-        om.basis, "monomial", "nilpotent-part", om.as_array() - diag * n * np.eye(om.size), False
-    )
-
-
 # -- rotation machinery (doubled operator A = 2L) ---------------------------
 
 

@@ -1,28 +1,21 @@
-"""Sparse multivariate polynomials, graded monomial bases, Hermite products.
+"""Sparse multivariate polynomials and graded monomial bases.
 
 Coefficients are either exact (int / Fraction) or floating (float / complex);
 one polynomial never mixes the two families unless the caller explicitly
 converts with :meth:`SparsePolynomial.to_float`. Exponent vectors are plain
 tuples of nonnegative ints.
-
-Hermite polynomials follow the physicists' convention (weight e^{-x^2},
-H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}). The normalization constants
-2^k k! and the unit-variance-1/2 Gaussian both assume this convention; using
-the probabilists' family here would silently break every orthogonality value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement
-from math import comb, factorial, sqrt
+from math import comb
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import rational_sqrt
 
 EXACT_TYPES = (int, np.integer, Fraction)
 
@@ -36,19 +29,6 @@ def index_degree(alpha: MultiIndex) -> int:
 def v_order(alpha: MultiIndex) -> int:
     """Weighted exponent sum with 1-based coordinate weights: sum_j j*alpha_j."""
     return sum((j + 1) * a for j, a in enumerate(alpha))
-
-
-def lower_shift(alpha: MultiIndex, i: int) -> MultiIndex:
-    """Move one unit of exponent from coordinate i to coordinate i-1 (0-based i >= 1).
-
-    The image has v_order one less than the input.
-    """
-    if i < 1 or alpha[i] == 0:
-        raise ValueError(f"cannot shift coordinate {i} of {alpha}")
-    out = list(alpha)
-    out[i] -= 1
-    out[i - 1] += 1
-    return tuple(out)
 
 
 def _is_exact_coeff(c) -> bool:
@@ -405,72 +385,3 @@ def exponent_array(dim: int, cap: int) -> np.ndarray:
     flat = np.fromiter(chain.from_iterable(picks), np.intp, m * cap)  # row i's picks, i (dim + 1) apart
     flat += np.repeat(np.arange(m) * (dim + 1), cap)
     return np.bincount(flat, minlength=m * (dim + 1)).reshape(m, dim + 1)[::-1, :dim]
-
-
-# -- Hermite products --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def hermite_coefficients(k: int) -> tuple[int, ...]:
-    """Integer coefficients of the physicists' H_k, constant term first."""
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (0, 2)
-    prev2, prev = hermite_coefficients(k - 2), hermite_coefficients(k - 1)
-    out = [0] * (k + 1)
-    for j, c in enumerate(prev):
-        out[j + 1] += 2 * c
-    for j, c in enumerate(prev2):
-        out[j] -= 2 * (k - 1) * c
-    return tuple(out)
-
-
-def hermite_tensor(k, dilations=None, normalized: bool = False) -> SparsePolynomial:
-    """Product of dilated Hermite polynomials, prod_i H_{k_i}(d_i * x_i).
-
-    With all dilations 1 and ``normalized``, this is H_k / sqrt(2^|k| k!),
-    the family that is orthonormal for the centered Gaussian with covariance
-    I/2. Exact coefficients are kept whenever the dilations are rational and
-    the normalization constant is a perfect rational square; otherwise the
-    result is a float polynomial.
-    """
-    k = tuple(int(x) for x in k)
-    dim = len(k)
-    if any(x < 0 for x in k):
-        raise ValueError("Hermite orders must be nonnegative")
-    if dilations is None:
-        dilations = (1,) * dim
-    dilations = tuple(dilations)
-    if len(dilations) != dim:
-        raise DimensionMismatch("one dilation per coordinate required")
-    if any(
-        (isinstance(d, EXACT_TYPES) and d <= 0)
-        or (isinstance(d, float) and d <= 0)
-        for d in dilations
-    ):
-        raise ValueError("dilations must be strictly positive")
-
-    poly = SparsePolynomial.constant(dim, 1)
-    for i, (ki, di) in enumerate(zip(k, dilations)):
-        coeffs = hermite_coefficients(ki)
-        if isinstance(di, EXACT_TYPES):
-            di = Fraction(di)
-        terms = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                alpha = [0] * dim
-                alpha[i] = j
-                terms[tuple(alpha)] = c * di**j
-        poly = poly * SparsePolynomial(dim, terms)
-
-    if normalized:
-        scale_sq = Fraction(2) ** sum(k)
-        for ki in k:
-            scale_sq *= factorial(ki)
-        root = rational_sqrt(scale_sq)
-        if root is not None and poly.is_exact:
-            poly = poly * (1 / root)
-        else:
-            poly = poly.to_float() * (1.0 / sqrt(float(scale_sq)))
-    return poly

@@ -190,14 +190,6 @@ def save_ensemble(ensemble: Ensemble, path: str) -> dict:
     return sidecar
 
 
-def load_ensemble_samples(path: str) -> tuple[np.ndarray, dict]:
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    raw = np.fromfile(path, dtype="<f8")
-    samples = raw.reshape(sidecar["paths"], sidecar["dim"])
-    return samples, sidecar
-
-
 def ensemble_to_csv(ensemble: Ensemble, path: str):
     np.savetxt(
         path,

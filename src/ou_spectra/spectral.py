@@ -275,7 +275,7 @@ def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
     cluster, and close distinct ones stay apart, as they would not under
     (B - mu)^k. B^T and B have the same nullity sequences."""
     eigs = drift_eigenvalues(B)
-    floor = _roundoff_floor(float(np.linalg.norm(B)), RANK_RTOL)
+    floor = _roundoff_floor(float(_norm(B)), RANK_RTOL)
     # Kruskal's merges, closest pair first; a merged cluster keeps its halves
     cluster_of = {i: (i,) for i in range(len(eigs))}
     halves = {}
@@ -395,6 +395,16 @@ def operator_eigenvalues(om: OperatorMatrix) -> list[complex]:
     return [z for _, sl in degree_block_slices(om.basis) for z in drift_eigenvalues_raw(arr[sl, sl])]
 
 
+def _norm(a: np.ndarray, axis=None):
+    """np.linalg.norm(a, axis=axis) with no overflow in the squares: when a's
+    largest entry is 2^(e - 1) or more, e >= 1, the norm is taken on a times
+    2^-e and scaled back. Scaling by a power of two is exact, so wherever the
+    plain norm is finite this is the same value, up to squares far below its
+    roundoff."""
+    e = max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], 0)
+    return np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e), axis=axis), e)
+
+
 def _roundoff_floor(top: float, rank_rtol: float) -> float:
     """Singular values at or below this are roundoff for an operator of size top."""
     return top * max(rank_rtol * 1e-3, 1e-300)
@@ -497,14 +507,14 @@ def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float)
     index 1.
     """
     P = D - (mu if mu.imag else mu.real) * np.eye(D.shape[0])
-    scale = float(np.linalg.norm(D))
+    scale = float(_norm(D))
     nullity, basis, k, zero = 0, None, 0, 0.0
     while nullity < mult:
         k += 1
         A = P if basis is None else P - basis @ (basis.conj().T @ P)
         nullity, basis = _nullspace_bounded(A, nullity + 1, mult, rank_rtol, scale)
         # the kernel basis is right singular vectors, so these are the values called zero
-        zero = max(zero, float(np.linalg.norm(A @ basis, axis=0).max()))
+        zero = max(zero, float(_norm(A @ basis, axis=0).max()))
     return k, basis, zero
 
 
@@ -647,7 +657,3 @@ def b_eigenvector_angle(B, tol: float = 1e-10) -> float:
     v1, v2 = vecs[:, 0].real, vecs[:, 1].real
     cosang = abs(float(v1 @ v2)) / (np.linalg.norm(v1) * np.linalg.norm(v2))
     return acos(min(1.0, max(0.0, cosang)))
-
-
-def polynomial_space_dimension(dim: int, cap: int) -> int:
-    return comb(dim + cap, dim)

@@ -113,6 +113,19 @@ class TestFloatRange:
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err == "validation error: the 1-norm of B is inf, beyond the float range\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "B", ["[[-1e308, 0], [0, -1e307]]", "[[-1e308, 1e308], [0, -1e307]]", "[[-1e308, 5e307], [0, -1e307]]"]
+    )
+    def test_spectrum_of_a_drift_whose_frobenius_squares_overflow(self, B):
+        """The rank path's norms are taken on the drift scaled by a power of
+        two, so distinct eigenvalues near the float range stay apart."""
+        code, out, err = run_cli(["spectrum", "--Q", "[[1,0],[0,1]]", "--B", B, "--degree", "1"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["drift_eigenvalues"] == [{"re": -1e308, "im": 0.0}, {"re": -1e307, "im": 0.0}]
+        assert [p["value"]["re"] for p in report["spectrum"]] == [0.0, -1e307, -1e308]
+
     def test_exact_entry_past_the_float_range(self):
         huge = "-1" + "0" * 400
         assert_validation_error(["spectrum", "--Q", "[[1]]", "--B", f'[["{huge}"]]'])

@@ -3,18 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import isserlis_bruteforce, small_test_models
 from ou_spectra.errors import DimensionMismatch
 from ou_spectra.gaussian import (
-    GaussianMeasure,
     MomentTable,
     basis_moment_gram,
     finish_gram,
-    gaussian_moment,
     gram_matrix,
     inner_product,
 )
@@ -50,13 +48,14 @@ class TestMoments:
         for _ in range(20):
             alpha = (rng.randint(0, 5), rng.randint(0, 5))
             if sum(alpha) % 2 == 1:
-                assert gaussian_moment(sigma, alpha) == 0
+                assert MomentTable(sigma).moment(alpha) == 0
 
     def test_half_identity_values(self):
         # 1-D: E[x^2] = 1/2, E[x^4] = 3 sigma^4 = 3/4; independence gives E[x^2 y^2] = 1/4
-        assert gaussian_moment(HALF_I2, (2, 0)) == Fraction(1, 2)
-        assert gaussian_moment(HALF_I2, (4, 0)) == Fraction(3, 4)
-        assert gaussian_moment(HALF_I2, (2, 2)) == Fraction(1, 4)
+        table = MomentTable(HALF_I2)
+        assert table.moment((2, 0)) == Fraction(1, 2)
+        assert table.moment((4, 0)) == Fraction(3, 4)
+        assert table.moment((2, 2)) == Fraction(1, 4)
 
     def test_against_1d_quadrature(self):
         var = 0.5
@@ -66,18 +65,18 @@ class TestMoments:
                 -12,
                 12,
             )
-            value = gaussian_moment(np.array([[var]]), (k,))
+            value = MomentTable(np.array([[var]])).moment((k,))
             assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_section5_cross_moment(self, model5):
         sigma = solve_lyapunov(model5).sigma_exact
-        assert gaussian_moment(sigma, (1, 1)) == Fraction(1, 8)
+        assert MomentTable(sigma).moment((1, 1)) == Fraction(1, 8)
 
     def test_total_mass_one(self):
         for model in small_test_models():
             cov = solve_lyapunov(model)
             sigma = cov.sigma_exact if cov.is_exact else cov.sigma
-            assert gaussian_moment(sigma, (0,) * model.dim) == 1
+            assert MomentTable(sigma).moment((0,) * model.dim) == 1
 
     def test_recursion_matches_pair_partition_enumeration(self):
         rng = random.Random(5)
@@ -89,7 +88,7 @@ class TestMoments:
                 alpha = (rng.randint(0, 4), rng.randint(0, 4))
                 if sum(alpha) > 8 or sum(alpha) % 2:
                     continue
-                assert gaussian_moment(sigma, alpha) == isserlis_bruteforce(sigma, alpha)
+                assert MomentTable(sigma).moment(alpha) == isserlis_bruteforce(sigma, alpha)
 
     def test_recursion_identity_exact(self):
         # E[x_i x^alpha] = sum_j Sigma_ij alpha_j E[x^(alpha - e_j)]
@@ -110,9 +109,9 @@ class TestMoments:
 
     def test_object_array_of_rationals_stays_exact(self):
         sigma = np.array([[Fraction(1, 3)]], dtype=object)
-        value = gaussian_moment(sigma, (2,))
+        value = MomentTable(sigma).moment((2,))
         assert value == Fraction(1, 3) and isinstance(value, Fraction)
-        assert GaussianMeasure(sigma).is_exact
+        assert MomentTable(sigma).is_exact
 
     def test_monte_carlo_oracle_section5(self, model5):
         sigma = solve_lyapunov(model5).sigma
@@ -121,7 +120,7 @@ class TestMoments:
         for alpha in [(2, 0), (1, 1), (0, 2), (4, 0), (2, 2), (1, 3), (0, 4)]:
             samples = draws[:, 0] ** alpha[0] * draws[:, 1] ** alpha[1]
             mean, se = samples.mean(), samples.std(ddof=1) / np.sqrt(len(samples))
-            exact = float(gaussian_moment(sigma, alpha))
+            exact = float(MomentTable(sigma).moment(alpha))
             assert abs(mean - exact) < 4 * se
 
 
@@ -246,13 +245,29 @@ class TestGramMatchesPairings:
         assert np.all(np.abs(g - oracle) <= 1e-12 * scale)
         np.testing.assert_array_equal(g, g.conj().T)
 
+    @SETTINGS
+    @given(rational_families())
+    @example(
+        (
+            [SparsePolynomial(2, {(1, 0): 1}), SparsePolynomial(2, {(0, 1): 2, (1, 0): Fraction(1, 2)})],
+            [[1, 0], [0, 1]],
+        )
+    )
+    def test_real_float_family(self, family):
+        """A real family pairs to a real Gram; one with no terms stays complex."""
+        fs, S = family
+        fs = [f.to_float() for f in fs]
+        sigma = np.array(S, dtype=float)
+        g = gram_matrix(fs, sigma)
+        oracle = np.array([[inner_product(f, h, sigma) for h in fs] for f in fs], dtype=float)
+        assert g.dtype == (float if any(f.terms for f in fs) else complex)
+        scale = np.sqrt(np.outer(np.abs(oracle.diagonal()), np.abs(oracle.diagonal())))
+        assert np.all(np.abs(g - oracle) <= 1e-12 * scale)
+        np.testing.assert_array_equal(g, g.T)
+
 
 class TestGaussianMeasure:
-    def test_normalization_constant(self):
-        mu = GaussianMeasure(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        assert mu.normalization == pytest.approx(1 / np.pi)
-
     def test_moment_shortcut(self):
-        mu = GaussianMeasure([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-        assert mu.moment((2, 0)) == Fraction(1, 2)
-        assert mu.is_exact
+        table = MomentTable([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+        assert table.moment((2, 0)) == Fraction(1, 2)
+        assert table.is_exact

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import simpson_covariance, small_test_models
+from reference import mat_add, mat_mul
 from ou_spectra import exact
 from ou_spectra.errors import (
     InvalidParams,
@@ -21,7 +22,6 @@ from ou_spectra.model import (
     covariance_at,
     matrix_exponential,
     normalize_model,
-    schur_triangularize,
     solve_lyapunov,
     validate_model,
 )
@@ -140,17 +140,12 @@ class TestLyapunov:
         for model in small_test_models():
             if not model.is_exact:
                 continue
-            from ou_spectra import exact
-
             S = solve_lyapunov(model).sigma_exact
-            resid = exact.mat_add(
-                exact.mat_add(
-                    exact.mat_mul(model.B_exact, S),
-                    exact.mat_mul(S, exact.transpose(model.B_exact)),
-                ),
+            resid = mat_add(
+                mat_add(mat_mul(model.B_exact, S), mat_mul(S, exact.transpose(model.B_exact))),
                 model.Q_exact,
             )
-            assert exact.max_abs(resid) == 0
+            assert all(x == 0 for row in resid for x in row)
 
     def test_float_residual_small(self):
         m = validate_model(np.eye(2) * 1.0, np.array([[-1.3, 0.7], [-0.2, -2.1]]))
@@ -308,32 +303,3 @@ class TestNormalize:
         H = change.H
         assert np.abs(H @ model.Q @ H.T - normalized.Q).max() < 1e-12
         assert np.abs(H @ model.B @ change.H_inv - normalized.B).max() < 1e-12
-
-
-class TestSchur:
-    def test_lower_triangular_passthrough(self):
-        B = np.array([[-1.0, 0.0], [1.0, -3.0]])
-        res = schur_triangularize(B)
-        assert np.array_equal(res.change.H, np.eye(2))
-        assert np.array_equal(res.lower, B)
-        assert not res.complex_spectrum
-
-    def test_symmetric_becomes_diagonal(self):
-        B = np.array([[-2.0, 1.0], [1.0, -2.0]])
-        res = schur_triangularize(B)
-        H = res.change.H
-        assert np.abs(H @ H.T - np.eye(2)).max() < 1e-12
-        assert np.abs(res.lower - np.diag(np.diag(res.lower))).max() < 1e-10
-        assert sorted(np.diag(res.lower)) == pytest.approx([-3.0, -1.0])
-
-    def test_upper_input_gets_lowered(self):
-        B = np.array([[-1.0, 1.0], [0.0, -2.0]])
-        res = schur_triangularize(B)
-        assert not res.complex_spectrum
-        assert np.abs(np.triu(res.lower, 1)).max() < 1e-12
-        H = res.change.H
-        assert np.abs(H @ B @ H.T - res.lower).max() < 1e-12
-
-    def test_complex_spectrum_flagged(self, model4):
-        res = schur_triangularize(model4.B)
-        assert res.complex_spectrum

@@ -22,7 +22,6 @@ from ou_spectra.operator import (
     degree_block_slices,
     hermite_rotation_matrix,
     homogeneous_drift_matrix,
-    nilpotent_drift_part,
     operator_matrix,
     poly_coordinates,
     rotation_split,
@@ -216,9 +215,10 @@ class TestHomogeneousDrift:
         assert image == SparsePolynomial(2, {(1, 1): Fraction(2)})
 
     def test_nilpotent_part_matrix(self):
+        # the drift matrix minus n lambda I is R's: strictly upper triangular, nonzero
         model = validate_model([[1, 0], [0, 1]], [[-1, 0], [1, -1]])
-        R = nilpotent_drift_part(model, 2)
-        arr = R.as_array()
+        om = homogeneous_drift_matrix(model, 2)
+        arr = om.as_array() - (-1) * 2 * np.eye(om.size)
         assert np.abs(np.tril(arr)).max() == 0.0
         assert np.abs(arr).max() > 0
 
