@@ -351,7 +351,7 @@ class EncodedLines(list):
 
 def _drift_json(sp) -> list:
     """The drift eigenvalues the spectrum sp is built on: each cluster mean
-    repeated by its multiplicity, ascending as spectral.drift_eigenvalues."""
+    repeated by its multiplicity, ascending as model.drift_eigenvalues."""
     values = [z for z, m in zip(sp.distinct, sp.multiplicities) for _ in range(m)]
     return [complex_json(z) for z in sorted(values, key=lambda z: (z.real, z.imag))]
 
@@ -359,8 +359,6 @@ def _drift_json(sp) -> list:
 def _spectrum_json(sp) -> EncodedLines:
     """The points, each as the text json.dumps writes for its object, made
     straight from the arrays of sp; each witness and degree text once."""
-    if not np.isfinite(sp.point_values).all():
-        raise ConvergenceFailure("a spectrum point is not finite, which JSON cannot hold")
     rows = list(map(str, sp.witness_rows.tolist()))  # str of an int list is its JSON text
     degrees = list(map(str, sp.witness_rows.sum(axis=1).tolist()))
     z, b = sp.point_values, sp.bounds.tolist()

@@ -1,11 +1,11 @@
 """Small dense linear algebra over exact rationals.
 
 Matrices are plain lists of lists of Fraction, or of Python ints where a
-routine says so. Sizes stay tiny here (models are N <= 12, the Lyapunov
-system has one unknown per entry S_ij, i <= j, so at most 78), so Gaussian
-elimination with a nonzero pivot is all we need, fraction-free where the
-entries are integers. Every public routine returns fresh lists and leaves
-its arguments as they were.
+routine says so. Sizes stay tiny here (the spectral commands take N <= 12;
+the Lyapunov system has one unknown per entry S_ij, i <= j, so N(N+1)/2 of
+them), so Gaussian elimination with a nonzero pivot is all we need,
+fraction-free where the entries are integers. Every public routine returns
+fresh lists and leaves its arguments as they were.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 A model is a symmetric positive-definite diffusion matrix Q together with a
 Hurwitz drift matrix B (all eigenvalue real parts negative). The stationary
-covariance solves the Lyapunov equation B*S + S*B^T + Q = 0; we solve it as a
-linear system rather than integrating, which is exact in the rational
-backend. Quadrature of the defining integral survives only as a
-test oracle.
+covariance solves the Lyapunov equation B*S + S*B^T + Q = 0; we solve it as
+one symmetric linear system on both backends, which is exact in the rational
+backend. Every consumer of the drift eigenvalues calls drift_eigenvalues.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import exact
 from .errors import (
+    ConvergenceFailure,
     InvalidParams,
     NotHurwitz,
     NotPositiveDefinite,
@@ -125,8 +125,8 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
 
     Checks, in order: shapes, finite 1-norms of Q and B, symmetry of Q,
     positive definiteness of Q via leading principal minors, and the Hurwitz
-    property of B. Error messages name the offending norm, minor or
-    eigenvalue.
+    property of B, on the last of drift_eigenvalues(B). Error messages name
+    the offending norm, minor or eigenvalue. Any N is accepted.
     """
     Qf, Qx = _coerce_matrix(Q, "Q")
     Bf, Bx = _coerce_matrix(B, "B")
@@ -175,8 +175,7 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
             raise NotPositiveDefinite(f"leading {k + 1}x{k + 1} minor of Q is {minor} <= 0")
 
     # Hurwitz drift
-    eigs = drift_eigenvalues_raw(Bf)
-    worst = max(eigs, key=lambda z: z.real)
+    worst = drift_eigenvalues(Bf)[-1]
     if worst.real >= -tol_hurwitz:
         raise NotHurwitz(
             f"drift eigenvalue {worst} has real part >= -{tol_hurwitz}"
@@ -192,20 +191,20 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
     )
 
 
-def _is_triangular(a: np.ndarray, lower: bool) -> bool:
-    n = a.shape[0]
-    idx = np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)
-    return not np.any(a[idx])
-
-
-def drift_eigenvalues_raw(B: np.ndarray) -> list[complex]:
-    """Eigenvalues of the drift, reading the diagonal when B is exactly
-    triangular (defective triangular inputs would otherwise scatter by
-    ~eps^(1/k) under a dense eigen-solver)."""
+def drift_eigenvalues(B) -> list[complex]:
+    """Eigenvalues of the drift with algebraic multiplicity, ascending by
+    (real, imag). An exactly triangular B is read off its diagonal, since a
+    dense eigen-solver scatters a k-fold defective eigenvalue by about
+    eps^(1/k); an eigen-solver that fails raises ConvergenceFailure."""
     B = np.asarray(B, dtype=float)
-    if _is_triangular(B, lower=True) or _is_triangular(B, lower=False):
-        return [complex(x) for x in np.diag(B)]
-    return [complex(z) for z in np.linalg.eigvals(B)]
+    if not (np.any(np.triu(B, 1)) and np.any(np.tril(B, -1))):
+        vals = np.diag(B)
+    else:
+        try:
+            vals = np.linalg.eigvals(B)
+        except np.linalg.LinAlgError as e:
+            raise ConvergenceFailure(f"eigen-solver failed on {B!r}") from e
+    return sorted(map(complex, vals), key=lambda z: (z.real, z.imag))
 
 
 # -- matrix exponential -------------------------------------------------
@@ -281,40 +280,34 @@ def matrix_exponential(M, s: float = 1.0) -> np.ndarray:
 def solve_lyapunov(model: OUModel) -> CovarianceMatrix:
     """Stationary covariance: the unique S with B*S + S*B^T + Q = 0.
 
-    The exact backend solves for the N(N+1)/2 entries S_ij, i <= j, in
-    integers, with B and Q scaled by their common denominator, which leaves S
-    unchanged; the residual is identically zero. The float backend solves the
-    vectorized N^2 x N^2 system.
+    One linear system on both backends, for the N(N+1)/2 entries S_ij,
+    i <= j, from B and Q times one exact factor c, which leaves S unchanged.
+    On the exact backend c is the common denominator and the system is
+    integers, solved by exact.solve; the residual is identically zero. On
+    the float backend c is 2^-e, e >= 0 the binary exponent of B's largest
+    entry, so every coefficient, at most 2 c |B_ij|, stays finite.
     """
     n = model.dim
     if model.is_exact:
         scaled, _ = exact.common_denominator_scale([*model.B_exact, *model.Q_exact])
-        B, Q = scaled[:n], scaled[n:]
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        unknown = {ij: k for k, (i, j) in enumerate(pairs) for ij in ((i, j), (j, i))}
-        A = [[0] * len(pairs) for _ in pairs]
-        for row, (i, j) in zip(A, pairs):  # (B S + S B^T)_ij = sum_k B_ik S_kj + S_ik B_jk
-            for k in range(n):
-                row[unknown[k, j]] += B[i][k]
-                row[unknown[i, k]] += B[j][k]
-        try:
-            vec = exact.solve(A, [-Q[i][j] for i, j in pairs])
-        except SingularSystem as e:
-            raise SingularSystem(
-                "Lyapunov system singular; drift validation should have caught this"
-            ) from e
-        rows = [[vec[unknown[i, j]] for j in range(n)] for i in range(n)]
-        return CovarianceMatrix(t=math.inf, sigma=exact.to_float(rows), sigma_exact=rows)
-
-    B = model.B
-    A = np.kron(B, np.eye(n)) + np.kron(np.eye(n), B)
+    else:
+        e = max(math.frexp(float(np.abs(model.B).max()))[1], 0)
+        scaled = np.ldexp(np.vstack([model.B, model.Q]), -e).tolist()
+    B, Q = scaled[:n], scaled[n:]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    unknown = {ij: k for k, (i, j) in enumerate(pairs) for ij in ((i, j), (j, i))}
+    A = [[0] * len(pairs) for _ in pairs]
+    for row, (i, j) in zip(A, pairs):  # (B S + S B^T)_ij = sum_k B_ik S_kj + S_ik B_jk
+        for k in range(n):
+            row[unknown[k, j]] += B[i][k]
+            row[unknown[i, k]] += B[j][k]
+    rhs = [-Q[i][j] for i, j in pairs]
     try:
-        vec = np.linalg.solve(A, -model.Q.reshape(-1))
-    except np.linalg.LinAlgError as e:
-        raise SingularSystem(str(e)) from e
-    sigma = vec.reshape(n, n)
-    sigma = (sigma + sigma.T) / 2.0
-    return CovarianceMatrix(t=math.inf, sigma=sigma)
+        vec = exact.solve(A, rhs) if model.is_exact else np.linalg.solve(A, rhs).tolist()
+    except (SingularSystem, np.linalg.LinAlgError) as e:
+        raise SingularSystem("Lyapunov system singular; validation should have caught this") from e
+    rows = [[vec[unknown[i, j]] for j in range(n)] for i in range(n)]
+    return CovarianceMatrix(math.inf, np.array(rows, dtype=float), rows if model.is_exact else None)
 
 
 def covariance_at(model: OUModel, t: float) -> CovarianceMatrix:

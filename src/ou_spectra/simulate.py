@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CholeskyFailure, InvalidParams
-from .model import OUModel, covariance_at, drift_eigenvalues_raw, matrix_exponential
+from .model import OUModel, covariance_at, drift_eigenvalues, matrix_exponential
 from .polynomials import SparsePolynomial
 
 BURN_IN_DECAY = 1e-6
@@ -78,7 +78,7 @@ def default_burn_in(model: OUModel, h: float, decay: float = BURN_IN_DECAY) -> i
     non-normal B, but the spectral norm (an SVD) only where the Frobenius
     norm f, ||P|| <= f <= sqrt(N) ||P||, cannot decide.
     """
-    alpha = max(z.real for z in drift_eigenvalues_raw(model.B))
+    alpha = drift_eigenvalues(model.B)[-1].real
     if math.log(decay) / (h * alpha) > BURN_IN_CAP:
         raise InvalidParams(
             f"burn-in to {decay:g} needs more than {BURN_IN_CAP} steps of {h:g} "

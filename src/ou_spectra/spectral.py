@@ -2,9 +2,10 @@
 
 Everything rests on one list: the drift's eigenvalue clusters, each decided
 once by rank together with the linear forms of its left generalized
-eigenspace (_drift_clusters). For a rational model whose drift eigenvalues
-are all rational, each cluster is confirmed exactly, with exact forms, and
-the model takes the exact route, whether or not B is triangular.
+eigenspace (_drift_clusters, on model.drift_eigenvalues). For a rational
+model whose drift eigenvalues are all rational, each cluster is confirmed
+exactly, with exact forms from one RREF kernel, and the model takes the
+exact route, whether or not B is triangular.
 
 The generator's spectrum on polynomials of degree <= n is the set of sums
 sum_j n_j lambda_j over these clusters with sum n_j <= n (Metafune, Pallara
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from math import acos, comb
 
@@ -50,7 +51,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .gaussian import basis_moment_gram
-from .model import OUModel, drift_eigenvalues_raw
+from .model import OUModel, drift_eigenvalues
 from .operator import (
     OperatorMatrix,
     degree_block_slices,
@@ -66,6 +67,7 @@ TOL_ORTH = 1e-9
 TOL_NILP = 1e-9
 RANK_RTOL = 1e-10
 RANK_MIN_GAP = 1e4  # smallest singular-value ratio accepted as a rank gap
+NOT_FINITE = "a spectrum point is not finite, which JSON cannot hold"
 
 
 @dataclass(frozen=True)
@@ -248,21 +250,6 @@ class OrthogonalityReport:
 # -- drift spectrum ----------------------------------------------------------
 
 
-def drift_eigenvalues(B) -> list[complex]:
-    """Drift eigenvalues with algebraic multiplicity, conjugate-paired for
-    real input."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("drift must be square")
-    if B.shape[0] > 12:
-        raise UnsupportedDimension(f"drift eigenvalues supported for N <= 12, got N = {B.shape[0]}")
-    try:
-        vals = drift_eigenvalues_raw(B)
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceFailure(f"eigen-solver failed on {B!r}") from e
-    return sorted(vals, key=lambda z: (z.real, z.imag))
-
-
 def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
     """The drift eigenvalues clustered by rank, each cluster with its left
     generalized eigenspace from the kernel staircase of B^T - mu.
@@ -289,7 +276,7 @@ def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
     while todo:
         members = todo.pop()
         k = len(members)
-        mu = sum(eigs[i] for i in members) / k
+        mu = _mean([eigs[i] for i in members])
         try:
             index, forms, zero = _float_block_kernel(B.T, mu, k, RANK_RTOL)
         except RankDecisionAmbiguous:
@@ -301,6 +288,20 @@ def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
         else:
             todo.extend(halves[members])
     return out
+
+
+def _mean(values: list[complex]) -> complex:
+    """sum(values) / len(values). Where that overflows, the sum is taken on
+    the values times 2^-e, e the least that keeps it finite, and the mean
+    scaled back by math.ldexp, as _norm does for norms."""
+    mean = sum(values) / len(values)
+    if math.isfinite(mean.real) and math.isfinite(mean.imag):
+        return mean
+    top = max(max(abs(z.real), abs(z.imag)) for z in values)
+    e = math.frexp(top)[1] + len(values).bit_length() - 1023
+    total = sum(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in values)
+    mean = total / len(values)
+    return complex(math.ldexp(mean.real, e), math.ldexp(mean.imag, e))
 
 
 def _rational_clusters(B_exact, clusters) -> list[DriftCluster] | None:
@@ -339,9 +340,12 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
     The sums are E times the cluster values, E the compositions in
     lexicographic order (integer numerators on the exact route). A stable
     sort chains them, breaking where consecutive sums are farther apart than
-    the merge distance; a float point is its chain's mean in that order."""
+    the merge distance; a float point is its chain's mean in that order.
+    Here alone N > 12 and a point past the float range are refused."""
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
+    if model.dim > 12:
+        raise UnsupportedDimension(f"spectra are supported for N <= 12, got N = {model.dim}")
     found = _drift_clusters(model.B)
     rational = (
         _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
@@ -359,19 +363,24 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
         sums = sums[order]
         new = np.r_[True, sums[1:] != sums[:-1]]
         rationals = [Fraction(n, den) for n in sums[new].tolist()]
-        means = np.array([complex(q) for q in rationals])
+        try:
+            means = np.array([complex(q) for q in rationals])
+        except OverflowError as e:
+            raise ConvergenceFailure(NOT_FINITE) from e
     else:
         sums = np.zeros(len(E), dtype=complex)
-        for j, c in enumerate(drift):  # sum(n_j * value_j), term by term
-            sums = sums + E[:, j] * c.value
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            for j, c in enumerate(drift):  # sum(n_j * value_j), term by term
+                sums = sums + E[:, j] * c.value
+        if not np.isfinite(sums).all():
+            raise ConvergenceFailure(NOT_FINITE)
         order = np.argsort(sums, kind="stable")  # complex sorts by (real, imag)
         sums = sums[order]
         new = np.r_[True, ~(np.abs(np.diff(sums)) <= tol_eig)]
         bounds = np.r_[np.flatnonzero(new), len(sums)]
         means = sums[bounds[:-1]]  # a chain of one sum is its own mean
         for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
-            chain = sums[bounds[k] : bounds[k + 1]].tolist()
-            means[k] = sum(chain) / len(chain)
+            means[k] = _mean(sums[bounds[k] : bounds[k + 1]].tolist())
     final = np.argsort(-means.conj(), kind="stable")  # by (-real, imag); ties keep the chain order
     # the point of each row of E: its chain's rank in the final order
     point = np.argsort(final)[np.cumsum(new) - 1][np.argsort(order)]
@@ -392,7 +401,7 @@ def operator_eigenvalues(om: OperatorMatrix) -> list[complex]:
     """Eigenvalues of a degree-graded operator matrix, block by block, with
     triangular blocks read off the diagonal. A test oracle for spectrum()."""
     arr = om.as_array()
-    return [z for _, sl in degree_block_slices(om.basis) for z in drift_eigenvalues_raw(arr[sl, sl])]
+    return [z for _, sl in degree_block_slices(om.basis) for z in drift_eigenvalues(arr[sl, sl])]
 
 
 def _norm(a: np.ndarray, axis=None):
@@ -474,24 +483,21 @@ def _nullspace_bounded(
 
 def _exact_block_kernel(entries, mu, mult: int):
     """Nilpotency index and exact kernel basis of (A - mu)^k for an N x N
-    rational A in which mu has algebraic multiplicity mult: binary search of
-    the index on exact ranks, then the basis off an exact RREF."""
+    rational A in which mu has algebraic multiplicity mult.
+
+    P = s (A - mu), s the common denominator, is integer; the kernel is the
+    RREF kernel of P^mult, and the index the number of products by P that
+    take it to zero. As ker P^index = ker P^mult, both powers have one row
+    space, so an RREF of P^index gives the same basis."""
     n = len(entries)
     P = [[entries[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     P_int, _ = exact.common_denominator_scale(P)
-
-    @cache
-    def kernel(k: int):
-        return exact.nullspace(exact.int_matrix_power(P_int, k))
-
-    lo, hi = 1, mult
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if len(kernel(mid)) >= mult:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, kernel(lo)
+    kernel = exact.nullspace(exact.int_matrix_power(P_int, mult))
+    index, images = 0, kernel
+    while any(any(v) for v in images):
+        index += 1
+        images = [[sum(p * x for p, x in zip(row, v)) for row in P_int] for v in images]
+    return index, kernel
 
 
 def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float):

@@ -130,10 +130,35 @@ class TestFloatRange:
         huge = "-1" + "0" * 400
         assert_validation_error(["spectrum", "--Q", "[[1]]", "--B", f'[["{huge}"]]'])
 
+    @pytest.mark.filterwarnings("error")
+    def test_mean_of_a_repeated_eigenvalue_near_the_float_range(self):
+        """The cluster mean of -1e308 twice is summed on the values scaled by
+        a power of two, so it does not overflow."""
+        B = "[[-1e308, 0], [0, -1e308]]"
+        code, out, err = run_cli(["spectrum", "--Q", "[[1,0],[0,1]]", "--B", B, "--degree", "1"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["drift_eigenvalues"] == [{"re": -1e308, "im": 0.0}] * 2
+        assert [p["value"]["re"] for p in report["spectrum"]] == [0.0, -1e308]
+
+    @pytest.mark.filterwarnings("error")
     def test_spectrum_sum_past_the_float_range(self):
-        code, out, err = run_cli(["spectrum", "--Q", "[[1]]", "--B", "[[-1e308]]", "--degree", "2"])
-        assert code == cli.EXIT_VALIDATION
-        assert out == ""
+        """The sums are refused before any later stage sees them, and the
+        Lyapunov solve of analyze, on the scaled drift, does not overflow."""
+        for command in ("spectrum", "analyze"):
+            code, out, err = run_cli([command, "--Q", "[[1]]", "--B", "[[-1e308]]", "--degree", "2"])
+            assert code == cli.EXIT_VALIDATION
+            assert out == ""
+            assert err == "error: a spectrum point is not finite, which JSON cannot hold\n"
+
+
+    def test_exact_spectrum_sum_past_the_float_range(self):
+        """-2^1023 is a float, and so the exact route's eigenvalue; twice it
+        is not. The exact sums are integers and do not overflow, but the
+        point cannot be written as a JSON number."""
+        B = f'[["-{2**1023}"]]'
+        code, out, err = run_cli(["spectrum", "--Q", "[[1]]", "--B", B, "--degree", "2"])
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err == "error: a spectrum point is not finite, which JSON cannot hold\n"
 
 

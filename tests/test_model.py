@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import simpson_covariance, small_test_models
-from reference import mat_add, mat_mul
-from ou_spectra import exact
+from reference import identity, mat_add, mat_mul
+from ou_spectra import cli, exact
 from ou_spectra.errors import (
     InvalidParams,
     NotHurwitz,
@@ -157,6 +161,54 @@ class TestLyapunov:
         m = validate_model(np.eye(2) * 1.0, np.array([[-1.3, 0.7], [-0.2, -2.1]]))
         ref = scipy.linalg.solve_continuous_lyapunov(m.B, -m.Q)
         assert solve_lyapunov(m).sigma == pytest.approx(ref, abs=1e-12)
+
+
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def rational_hurwitz_pairs(draw):
+    """(Q, B) with Q = I + A A^T and B = -c I + E for small rational A, E,
+    N from 1 to 5; c = 1 + sum |E_ij| makes B Hurwitz (Gershgorin)."""
+    n = draw(st.integers(1, 5))
+    A = [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    E = [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    Q = mat_add(identity(n), mat_mul(A, exact.transpose(A)))
+    c = 1 + sum(abs(x) for row in E for x in row)
+    return Q, [[E[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+class TestLyapunovAcrossBackends:
+    """Both backends solve the one symmetric system on the entries S_ij,
+    i <= j: in integers on the exact one, in floats on the float one."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rational_hurwitz_pairs())
+    def test_float_solve_matches_exact(self, pair):
+        """B = -c I + E with ||E|| < c - 1 keeps the Lyapunov operator's
+        condition number below about 2 c, so the float solve is within a
+        few hundred roundoffs of the exact S, and backward stable."""
+        Q, B = pair
+        exact_sigma = exact.to_float(validate_model(Q, B).covariance.sigma_exact)
+        model = validate_model(Q, B, backend="float")
+        S = model.covariance.sigma
+        assert np.array_equal(S, S.T)
+        assert np.abs(S - exact_sigma).max() <= 1e-11 * np.abs(exact_sigma).max()
+        residual = model.B @ S + S @ model.B.T + model.Q
+        scale = model.dim * np.abs(model.B).max() * np.abs(S).max() + np.abs(model.Q).max()
+        assert np.abs(residual).max() <= 1e-13 * scale
+
+    @pytest.mark.filterwarnings("error")
+    def test_drift_near_the_float_range(self):
+        """2 B_11 = -2e308 overflows; 2 c B_11, c a power of two, does not,
+        so S_11 = 1 / 2e308 comes out, a subnormal, and not 0."""
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["analyze", "--Q", "[[1,0],[0,1]]", "--B", "[[-1e308,0],[0,-1e307]]", "--degree", "1"]
+        assert cli.run(argv, stream=out, err_stream=err) == 0, err.getvalue()
+        q_inf = np.array(json.loads(out.getvalue())["q_infinity"])
+        expected = np.diag([5e-309, 5e-308])
+        assert q_inf[0, 1] == q_inf[1, 0] == 0.0
+        assert np.abs(np.diag(q_inf) / np.diag(expected) - 1).max() <= 1e-15
 
 
 def _fraction_solve(a, b):

@@ -14,7 +14,7 @@ Gaussian, whose covariance is summed as a Taylor series too.
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -35,7 +35,12 @@ from ou_spectra.operator import (
     wick_matrix,
 )
 from ou_spectra.polynomials import SparsePolynomial, monomial_basis
-from ou_spectra.spectral import _nullspace_bounded, generalized_eigenspaces, spectrum
+from ou_spectra.spectral import (
+    _exact_block_kernel,
+    _nullspace_bounded,
+    generalized_eigenspaces,
+    spectrum,
+)
 from ou_spectra.worked_examples import section4_model
 from reference import hermite_tensor, identity, mat_add, mat_mul
 
@@ -324,6 +329,60 @@ class TestNilpotencyIndex:
             mu, k = Fraction(g.eigenvalue.real), g.nilpotency_index
             assert len(_exact_kernel(M, mu, k)) == g.multiplicity
             assert len(_exact_kernel(M, mu, k - 1)) < g.multiplicity
+
+
+@st.composite
+def similar_jordan_matrices(draw):
+    """(V J V^-1, lam, m): J holds Jordan blocks of sizes 1-3 at the rational
+    lam, m rows in all, and up to two simple eigenvalues elsewhere; V = L U
+    with L, U unit triangular and small rational, so V^-1 = U^-1 L^-1 is a
+    finite Neumann series and V J V^-1 is dense and rational."""
+    lam = draw(st.sampled_from((Fraction(-1), Fraction(-3, 2), Fraction(2, 3))))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 5))
+    others = draw(st.lists(st.sampled_from((Fraction(-2), Fraction(1, 2))), max_size=2))
+    n = sum(sizes) + len(others)
+    diagonal = [lam] * sum(sizes) + others
+    J = [[diagonal[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    block_ends = set(accumulate(sizes))
+    for i in range(sum(sizes) - 1):
+        if i + 1 not in block_ends:
+            J[i][i + 1] = Fraction(1)
+    N_low, N_up = (
+        [[draw(small_fractions) if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+        for _ in range(2)
+    )
+    N_up = exact.transpose(N_up)
+    L, U = mat_add(identity(n), N_low), mat_add(identity(n), N_up)
+    L_inv, U_inv = _unit_triangular_inverse(N_low), _unit_triangular_inverse(N_up)
+    V, V_inv = mat_mul(L, U), mat_mul(U_inv, L_inv)
+    return mat_mul(mat_mul(V, J), V_inv), lam, sum(sizes)
+
+
+def _unit_triangular_inverse(N):
+    """(I + N)^-1 = sum_k (-N)^k for a nilpotent N."""
+    n = len(N)
+    total, term = identity(n), identity(n)
+    for _ in range(n):
+        term = [[-x for x in row] for row in mat_mul(term, N)]
+        total = mat_add(total, term)
+    return total
+
+
+class TestExactBlockKernel:
+    @SETTINGS
+    @given(similar_jordan_matrices())
+    def test_least_power_and_its_kernel(self, case):
+        """The index is the least k with dim ker (A - lam)^k = m, here the
+        largest Jordan block, and the kernel is the RREF kernel of that
+        power itself."""
+        A, lam, m = case
+        P = [[x - (lam if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(A)]
+        power, k = P, 1
+        while len(exact.nullspace(power)) < m:
+            power, k = mat_mul(power, P), k + 1
+        index, kernel = _exact_block_kernel(A, lam, m)
+        assert index == k
+        assert kernel == exact.nullspace(power)
 
 
 class TestGroupsAreSpectrumPoints:
