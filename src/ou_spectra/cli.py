@@ -225,7 +225,6 @@ class RunConfig:
     tol_eig: float
     tol_orth: float
     tol_nilp: float
-    backend: str
     fmt: str
 
     def __post_init__(self):
@@ -251,11 +250,11 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", help="path to a JSON model file {'Q': [[..]], 'B': [[..]]}")
     p.add_argument("--Q", help="inline JSON for Q (alternative to --model)")
     p.add_argument("--B", help="inline JSON for B (alternative to --model)")
+    p.add_argument("--backend", choices=["auto", "exact", "float"], default="auto")
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--degree", type=int, default=4, help="degree cap (default 4)")
-    p.add_argument("--backend", choices=["auto", "exact", "float"], default="auto")
     p.add_argument("--format", choices=["json", "human", "csv"], default="json")
     p.add_argument("--tol-eig", type=float, default=TOL_EIG, help="merge distance of float spectrum "
                    "sums (resonances across degrees); drift eigenvalue clusters are decided by rank")
@@ -299,7 +298,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_model(args, config: RunConfig) -> OUModel:
+def _load_model(args) -> OUModel:
     sources = [args.model is not None, args.Q is not None or args.B is not None]
     if sum(sources) != 1:
         raise UsageError("provide exactly one model source: --model or --Q/--B")
@@ -313,7 +312,7 @@ def _load_model(args, config: RunConfig) -> OUModel:
             B = _parse_matrix_data(json.loads(args.B), "B")
         except json.JSONDecodeError as e:
             raise UsageError(f"inline matrix is not valid JSON: {e}") from e
-    return validate_model(Q, B, backend=config.backend)
+    return validate_model(Q, B, backend=args.backend)
 
 
 # -- report assembly -----------------------------------------------------------
@@ -446,7 +445,7 @@ def _q_infinity_json(model: OUModel):
 
 
 def _cmd_analyze(args, config: RunConfig) -> dict:
-    model = _load_model(args, config)
+    model = _load_model(args)
     report = _base_report(config, model)
     report["q_infinity"] = _q_infinity_json(model)
     dec = generalized_eigenspaces(model, config.degree, config.tol_eig)
@@ -459,7 +458,7 @@ def _cmd_analyze(args, config: RunConfig) -> dict:
 
 
 def _cmd_spectrum(args, config: RunConfig) -> dict:
-    model = _load_model(args, config)
+    model = _load_model(args)
     report = _base_report(config, model)
     sp = spectrum(model, config.degree, config.tol_eig)
     report["drift_eigenvalues"] = _drift_json(sp)
@@ -468,7 +467,7 @@ def _cmd_spectrum(args, config: RunConfig) -> dict:
 
 
 def _cmd_gram(args, config: RunConfig) -> dict:
-    model = _load_model(args, config)
+    model = _load_model(args)
     report = _base_report(config, model)
     cov = model.covariance
     basis = monomial_basis(model.dim, config.degree)
@@ -485,7 +484,7 @@ def _cmd_gram(args, config: RunConfig) -> dict:
 
 
 def _cmd_normalize(args, config: RunConfig) -> dict:
-    model = _load_model(args, config)
+    model = _load_model(args)
     change, normalized = normalize_model(model)
     report = _base_report(config, model)
     report["normalization"] = {
@@ -500,7 +499,7 @@ def _cmd_normalize(args, config: RunConfig) -> dict:
 
 
 def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
-    model = _load_model(args, config)
+    model = _load_model(args)
     if args.paths < 2:
         raise InvalidParams(
             f"--paths must be at least 2 for an empirical covariance, got {args.paths}"
@@ -728,7 +727,6 @@ def run(argv, stream=None, err_stream=None) -> int:
             tol_eig=args.tol_eig,
             tol_orth=args.tol_orth,
             tol_nilp=args.tol_nilp,
-            backend=args.backend,
             fmt=args.format,
         )
         if args.subcommand == "analyze":

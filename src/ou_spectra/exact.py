@@ -3,13 +3,15 @@
 Matrices are plain lists of lists of Fraction, or of Python ints where a
 routine says so. Sizes stay tiny here (the spectral commands take N <= 12;
 the Lyapunov system has one unknown per entry S_ij, i <= j, so N(N+1)/2 of
-them), so Gaussian elimination with a nonzero pivot is all we need,
-fraction-free where the entries are integers. Every public routine returns
+them), so one elimination serves every exact solve, minor and kernel: the
+fraction-free Bareiss elimination in Python ints, a rational matrix first
+scaled to integers by its common denominator. Every public routine returns
 fresh lists and leaves its arguments as they were.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -57,26 +59,30 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _bareiss(m: list[list[int]], swap: bool) -> list[int]:
-    """Fraction-free (Bareiss) elimination of the integer rows m, in place;
-    returns the pivots, the k-th one the leading k x k minor of m as swapped.
-    With swap, a zero pivot is traded for a lower row, and a column with none
-    raises SingularSystem; without, elimination stops at a zero pivot."""
-    n, prev, pivots = len(m), 1, []
-    for col in range(n):
+def _bareiss(m: list[list[int]], swap: bool) -> list[tuple[int, int]]:
+    """Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of the
+    integer rows m to echelon form, in place; returns (column, pivot) per
+    pivot row, the k-th pivot the k x k minor of m as swapped, on its first
+    k rows and the pivot columns. With swap, a zero pivot is traded for a
+    lower row, and a column with none left is skipped as free; without,
+    elimination stops at the first zero pivot, which is returned."""
+    prev, r, pivots = 1, 0, []
+    for col in range(len(m[0])):
+        if r == len(m):
+            break
         if swap:
-            r = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if r is None:
-                raise SingularSystem(f"exact solve: column {col} has no pivot")
-            m[col], m[r] = m[r], m[col]
-        p, top = m[col][col], m[col]
-        pivots.append(p)
+            k = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
+            if k is None:
+                continue
+            m[r], m[k] = m[k], m[r]
+        p, top = m[r][col], m[r]
+        pivots.append((col, p))
         if p == 0:
             break
-        for r in range(col + 1, n):
-            f, tail = m[r][col], zip(m[r][col + 1 :], top[col + 1 :])
-            m[r] = [0] * (col + 1) + [(p * x - f * y) // prev for x, y in tail]
-        prev = p
+        for k in range(r + 1, len(m)):
+            f, tail = m[k][col], zip(m[k][col + 1 :], top[col + 1 :])
+            m[k] = [0] * (col + 1) + [(p * x - f * y) // prev for x, y in tail]
+        prev, r = p, r + 1
     return pivots
 
 
@@ -85,7 +91,7 @@ def leading_minors(a: Matrix) -> list[Fraction]:
     to the first that is zero: the Bareiss pivots of s a, s the common
     denominator, over s^k."""
     m, s = common_denominator_scale(a)
-    return [Fraction(p, s ** (k + 1)) for k, p in enumerate(_bareiss(m, swap=False))]
+    return [Fraction(p, s ** (k + 1)) for k, (_, p) in enumerate(_bareiss(m, swap=False))]
 
 
 def solve(a: list[list[int]], b: list[int]) -> list[Fraction]:
@@ -95,48 +101,41 @@ def solve(a: list[list[int]], b: list[int]) -> list[Fraction]:
     end. Raises SingularSystem when a has no inverse."""
     n = len(a)
     m = [row[:] + [bi] for row, bi in zip(a, b)]
-    d = _bareiss(m, swap=True)[-1]
+    missing = set(range(n)) - {col for col, _ in _bareiss(m, swap=True)}
+    if missing:
+        raise SingularSystem(f"exact solve: column {min(missing)} has no pivot")
+    d = m[n - 1][n - 1]
     y = [0] * n
     for i in reversed(range(n)):
         y[i] = (m[i][n] * d - sum(m[i][j] * y[j] for j in range(i + 1, n))) // m[i][i]
     return [Fraction(v, d) for v in y]
 
 
-def nullspace(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel of a (m x n), via reduced row echelon form.
+def nullspace(a: Matrix) -> list[list[int]]:
+    """Integer basis of the right kernel of the rational m x n matrix a, one
+    vector per free column; the empty list for full column rank.
 
-    Returns one vector per free column; empty list for full column rank.
-    """
-    m, n = len(a), len(a[0])
-    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in a]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = {c for _, c in pivots}
+    Bareiss elimination of s a, s the common denominator, gives the pivot
+    columns. With d the last pivot, the kernel vector that is 1 at the free
+    column f and 0 at the other free columns is V / d, V an integer vector
+    (Cramer's rule) that back substitution finds from V_f = d. The basis is
+    each V times sign(d) / g, g the gcd of all their entries: the reduced row
+    echelon kernel scaled by the least common denominator of its entries."""
+    m, _ = common_denominator_scale(a)
+    n = len(m[0])
+    pivots = _bareiss(m, swap=True)
+    cols = [col for col, _ in pivots]
+    d = pivots[-1][1] if pivots else 1
     basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for r, c in pivots:
-            v[c] = -rows[r][free]
+    for free in sorted(set(range(n)) - set(cols)):
+        v = [0] * n
+        v[free] = d
+        for i in reversed(range(len(cols))):
+            c = cols[i]
+            v[c] = -sum(m[i][j] * v[j] for j in range(c + 1, n)) // m[i][c]
         basis.append(v)
-    return basis
+    g = math.gcd(*(x for v in basis for x in v)) * (1 if d > 0 else -1)
+    return [[x // g for x in v] for v in basis]
 
 
 def int_matrix_power(a: list[list[int]], k: int) -> list[list[int]]:
@@ -159,12 +158,10 @@ def int_matrix_power(a: list[list[int]], k: int) -> list[list[int]]:
 
 def common_denominator_scale(a: Matrix) -> tuple[list[list[int]], int]:
     """(s * a as an integer matrix, s) with s the lcm of all denominators."""
-    from math import lcm
-
     s = 1
     for row in a:
         for x in row:
-            s = lcm(s, x.denominator)
+            s = math.lcm(s, x.denominator)
     return [[int(x * s) for x in row] for row in a], s
 
 

@@ -4,10 +4,11 @@ The generator is L f = (1/2) tr(Q D^2 f) + <Bx, grad f>. Applied to
 polynomials it never raises the degree: the drift part D = <Bx, grad>
 preserves homogeneous degree and the diffusion part lowers it by exactly two,
 so every graded monomial basis yields a block upper triangular matrix. The
-matrices are filled from exponent arithmetic alone: D sends x^a to
+generator is one list of exponent steps (_generator_parts): D sends x^a to
 a_i B_ij x^(a - e_i + e_j) and the diffusion part sends it to
-1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j), summed over i and j.
-apply_L and its parts act on one sparse polynomial the same way.
+1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j), summed over i and j. The
+matrices scatter those steps on a basis's exponents; apply_L and its parts
+take them on one sparse polynomial's own exponents.
 
 The Wick map W = exp(-K), where K = 1/2 tr(S D^2) is the diffusion part with
 Q replaced by the stationary covariance S, intertwines the generator with its
@@ -92,46 +93,57 @@ class NormalCheck:
 
 def apply_diffusion(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
     """Second-order part (1/2) sum_ij Q_ij d^2 p / dx_i dx_j; lowers degree by 2."""
-    return _apply_part(model, p, diffusion=True)
+    return _apply(model, p, "diffusion")
 
 
 def apply_drift(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
     """First-order part <Bx, grad p>; preserves homogeneous degree."""
-    return _apply_part(model, p, diffusion=False)
-
-
-def _apply_part(model: OUModel, p: SparsePolynomial, diffusion: bool) -> SparsePolynomial:
-    """x^a goes to sum_ij 1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j)
-    under the diffusion part and to sum_ij a_i B_ij x^(a - e_i + e_j) under
-    the drift part; exact when the model and p are."""
-    if p.dim != model.dim:
-        raise DimensionMismatch(f"polynomial dim {p.dim} vs model dim {model.dim}")
-    exact = model.is_exact and p.is_exact
-    if diffusion:
-        M, half = (model.Q_exact, Fraction(1, 2)) if exact else (model.Q, 0.5)
-    else:
-        M = model.B_exact if exact else model.B
-    out: dict = {}
-    for alpha, c in p.terms.items():
-        for i in range(model.dim):
-            if alpha[i] == 0:
-                continue
-            for j in range(model.dim):
-                factor = alpha[i] * (alpha[j] - (i == j)) if diffusion else alpha[i]
-                if M[i][j] == 0 or factor == 0:
-                    continue
-                coef = half * M[i][j] * factor if diffusion else M[i][j] * factor
-                beta = list(alpha)
-                beta[i] -= 1
-                beta[j] += -1 if diffusion else 1
-                key = tuple(beta)
-                out[key] = out.get(key, 0) + coef * c
-    return SparsePolynomial(p.dim, out)
+    return _apply(model, p, "drift")
 
 
 def apply_L(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
     """Full generator; constants map to zero and degree never increases."""
-    return apply_diffusion(model, p) + apply_drift(model, p)
+    return _apply(model, p, "L")
+
+
+def _apply(model: OUModel, p: SparsePolynomial, operator: str) -> SparsePolynomial:
+    """The generator parts of operator taken on p's own exponent rows, so the
+    work is bounded by p's terms and needs no basis; exact when the model and
+    p are. Each image term takes its contributions in part order."""
+    if p.dim != model.dim:
+        raise DimensionMismatch(f"polynomial dim {p.dim} vs model dim {model.dim}")
+    exact = model.is_exact and p.is_exact
+    q = p if exact else p.to_float()
+    E = np.array(list(q.terms), dtype=int).reshape(len(q.terms), q.dim)
+    c = np.array(list(q.terms.values()), dtype=object)
+    dtype = object if exact else float
+    keys, values = [], []
+    for coef, factor, step in _generator_parts(model, E, operator, exact):
+        rows = np.flatnonzero(factor)
+        keys += map(tuple, (E[rows] + step).tolist())
+        values += (coef * factor[rows].astype(dtype) * c[rows]).tolist()
+    return SparsePolynomial(p.dim, zip(keys, values))
+
+
+def _generator_parts(model: OUModel, E: np.ndarray, operator: str, exact: bool) -> list:
+    """The generator as (coef, factor, step) parts on the exponent rows E: a
+    part sends row a to coef * factor[a] x^(a + step). For each pair (i, j)
+    the diffusion part gives 1/2 Q_ij, a_i (a_j - delta_ij) and -e_i - e_j,
+    and the drift part B_ij, a_i and e_j - e_i; "drift" and "diffusion" take
+    their own parts, any other operator both, diffusion first. Coefficients
+    are Fractions when exact, floats otherwise; zero ones are left out."""
+    Q, B = (model.Q_exact, model.B_exact) if exact else (model.Q, model.B)
+    unit = np.eye(model.dim, dtype=int)
+    pairs = [(i, j) for i in range(model.dim) for j in range(model.dim)]
+    parts = []
+    if operator != "drift":
+        half = Fraction(1, 2) if exact else 0.5
+        parts += [
+            (half * Q[i][j], E[:, i] * (E[:, j] - (i == j)), -unit[i] - unit[j]) for i, j in pairs
+        ]
+    if operator != "diffusion":
+        parts += [(B[i][j], E[:, i], unit[j] - unit[i]) for i, j in pairs]
+    return [part for part in parts if part[0] != 0]
 
 
 # -- coordinates -----------------------------------------------------------
@@ -141,13 +153,13 @@ def poly_coordinates(p: SparsePolynomial, basis: GradedBasis):
     """Coefficient vector of p in a monomial basis; rejects stray terms."""
     pos = {alpha: k for k, alpha in enumerate(basis.indices)}
     vec = [0] * len(basis)
-    for alpha, c in p.terms.items():
+    for alpha, coef in p.terms.items():
         if alpha not in pos:
             raise BasisUnavailable(
                 f"term {alpha} falls outside the basis (cap {basis.cap}, "
                 f"homogeneous={basis.homogeneous})"
             )
-        vec[pos[alpha]] = c
+        vec[pos[alpha]] = coef
     return vec
 
 
@@ -194,36 +206,20 @@ def operator_matrix(
 
 
 def _monomial_matrix(model, n, operator, homogeneous, ordering, exact=None):
-    """Fill the matrix from exponent arithmetic: the drift sends x^a to
-    sum_ij a_i B_ij x^(a - e_i + e_j) and the diffusion to
-    sum_ij 1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j). For each pair
-    (i, j) the map a -> target is one to one, so each pair adds one entry to
-    each column it reaches, in the order apply_drift and apply_diffusion
-    sum them. Entries are Fractions when exact (by default: when the model
-    is), floats otherwise."""
+    """Scatter the generator parts (_generator_parts) on the basis exponents
+    into the matrix: for each pair (i, j) the map a -> a + step is one to
+    one, so each part adds one entry to each column it reaches, in the order
+    apply_L sums them. Entries are Fractions when exact (by default: when
+    the model is), floats otherwise."""
     if operator not in ("L", "A", "drift", "diffusion"):
         raise ValueError(f"unknown operator tag {operator!r}")
     exact = model.is_exact if exact is None else exact
     basis = monomial_basis(model.dim, n, ordering, homogeneous)
-    Q, B = (model.Q_exact, model.B_exact) if exact else (model.Q, model.B)
     E, row_of = _exponents(basis)
     out = np.zeros((len(basis), len(basis)), dtype=object if exact else float)
-    unit = np.eye(model.dim, dtype=int)
-    parts = []
-    if operator != "drift":
-        half = Fraction(1, 2) if exact else 0.5
-        parts += [
-            (half * Q[i][j], E[:, i] * (E[:, j] - (i == j)), -unit[i] - unit[j])
-            for i in range(model.dim)
-            for j in range(model.dim)
-        ]
-    if operator != "diffusion":
-        parts += [
-            (B[i][j], E[:, i], unit[j] - unit[i]) for i in range(model.dim) for j in range(model.dim)
-        ]
-    for coef, factor, step in parts:
+    for coef, factor, step in _generator_parts(model, E, operator, exact):
         cols = np.flatnonzero(factor)
-        if coef == 0 or not cols.size:
+        if not cols.size:
             continue
         rows = row_of(E[cols] + step)
         if (rows < 0).any():

@@ -84,16 +84,6 @@ class SparsePolynomial:
     def constant(cls, dim: int, c) -> "SparsePolynomial":
         return cls(dim, {tuple([0] * dim): c})
 
-    @classmethod
-    def variable(cls, dim: int, i: int) -> "SparsePolynomial":
-        alpha = [0] * dim
-        alpha[i] = 1
-        return cls(dim, {tuple(alpha): 1})
-
-    @classmethod
-    def monomial(cls, dim: int, alpha, c=1) -> "SparsePolynomial":
-        return cls(dim, {tuple(alpha): c})
-
     # -- structure ----------------------------------------------------
     @property
     def degree(self) -> int:
@@ -107,14 +97,6 @@ class SparsePolynomial:
     @property
     def is_exact(self) -> bool:
         return all(_is_exact_coeff(c) for c in self.terms.values())
-
-    def coefficient(self, alpha) -> object:
-        return self.terms.get(tuple(alpha), 0)
-
-    def graded_part(self, n: int) -> "SparsePolynomial":
-        return SparsePolynomial(
-            self.dim, {a: c for a, c in self.terms.items() if index_degree(a) == n}
-        )
 
     # -- ring operations ----------------------------------------------
     def _check_dim(self, other: "SparsePolynomial"):
@@ -264,20 +246,6 @@ class SparsePolynomial:
             out.append({"alpha": list(alpha), "re": re, "im": im})
         return {"dim": self.dim, "terms": out}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SparsePolynomial":
-        terms = {}
-        for t in data["terms"]:
-            re, im = t["re"], t.get("im", 0)
-            if isinstance(re, str):
-                c = Fraction(re)
-                if im not in (0, "0"):
-                    c = float(c) + 1j * float(Fraction(str(im)))
-            else:
-                c = complex(re, im) if im else float(re)
-            terms[tuple(t["alpha"])] = c
-        return cls(data["dim"], terms)
-
 
 def monomial_text(alpha: MultiIndex) -> str:
     """x^alpha as text, e.g. 'x1^2*x3'; the empty string for alpha = 0."""
@@ -337,9 +305,6 @@ class GradedBasis:
 
     def __len__(self):
         return len(self.indices)
-
-    def position(self, alpha: MultiIndex) -> int:
-        return self.indices.index(tuple(alpha))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(index_degree(a) for a in self.indices)

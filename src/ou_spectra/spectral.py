@@ -4,7 +4,7 @@ Everything rests on one list: the drift's eigenvalue clusters, each decided
 once by rank together with the linear forms of its left generalized
 eigenspace (_drift_clusters, on model.drift_eigenvalues). For a rational
 model whose drift eigenvalues are all rational, each cluster is confirmed
-exactly, with exact forms from one RREF kernel, and the model takes the
+exactly, with integer forms from one exact kernel, and the model takes the
 exact route, whether or not B is triangular.
 
 The generator's spectrum on polynomials of degree <= n is the set of sums
@@ -262,7 +262,7 @@ def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
     cluster, and close distinct ones stay apart, as they would not under
     (B - mu)^k. B^T and B have the same nullity sequences."""
     eigs = drift_eigenvalues(B)
-    floor = _roundoff_floor(float(_norm(B)), RANK_RTOL)
+    floor = _roundoff_floor(float(_norm(B)))
     # Kruskal's merges, closest pair first; a merged cluster keeps its halves
     cluster_of = {i: (i,) for i in range(len(eigs))}
     halves = {}
@@ -278,7 +278,7 @@ def _drift_clusters(B: np.ndarray) -> list[DriftCluster]:
         k = len(members)
         mu = _mean([eigs[i] for i in members])
         try:
-            index, forms, zero = _float_block_kernel(B.T, mu, k, RANK_RTOL)
+            index, forms, zero = _float_block_kernel(B.T, mu, k)
         except RankDecisionAmbiguous:
             if k == 1:
                 raise
@@ -312,8 +312,8 @@ def _rational_clusters(B_exact, clusters) -> list[DriftCluster] | None:
     The rational eigenvalues of s B, s the common denominator of B, are
     integers, so each mean is rounded to a multiple of 1/s; equal ones merge.
     Each value r of multiplicity m is confirmed by dim ker (B^T - r)^m = m,
-    and the multiplicities sum to N. The forms are that kernel's exact
-    basis, scaled to integers."""
+    and the multiplicities sum to N. The forms are that kernel's integer
+    basis."""
     _, s = exact.common_denominator_scale(B_exact)
     sizes: dict[Fraction, int] = {}
     for mu, m in clusters:
@@ -325,7 +325,7 @@ def _rational_clusters(B_exact, clusters) -> list[DriftCluster] | None:
         index, kernel = _exact_block_kernel(Bt, r, m)
         if len(kernel) != m:
             return None
-        forms = np.array(exact.common_denominator_scale(kernel)[0], dtype=object).T
+        forms = np.array(kernel, dtype=object).T
         out.append(DriftCluster(r, m, index, forms))
     return out
 
@@ -414,13 +414,13 @@ def _norm(a: np.ndarray, axis=None):
     return np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e), axis=axis), e)
 
 
-def _roundoff_floor(top: float, rank_rtol: float) -> float:
+def _roundoff_floor(top: float) -> float:
     """Singular values at or below this are roundoff for an operator of size top."""
-    return top * max(rank_rtol * 1e-3, 1e-300)
+    return top * (RANK_RTOL * 1e-3)
 
 
 def _nullspace_bounded(
-    mat: np.ndarray, lo_nullity: int, hi_nullity: int, rank_rtol: float, scale: float = 0.0
+    mat: np.ndarray, lo_nullity: int, hi_nullity: int, scale: float = 0.0
 ):
     """Nullity and an orthonormal kernel basis, with the nullity known a
     priori to lie in [lo_nullity, hi_nullity].
@@ -434,7 +434,7 @@ def _nullspace_bounded(
     ``scale`` is the size of the operator that mat was taken from; singular
     values are judged against the larger of it and mat's own largest one, so
     a matrix that is roundoff at that scale has a full kernel. Singular values
-    below a floor at rank_rtol * 1e-3 of it all count as zero, so the cut
+    below a floor at RANK_RTOL * 1e-3 of it all count as zero, so the cut
     never falls between two roundoff values (an exact 0 and a 1e-18, say).
     """
     n = mat.shape[1]
@@ -452,12 +452,12 @@ def _nullspace_bounded(
                 f"SVD of a {mat.shape[0]}x{n} kernel matrix did not converge: {e}"
             ) from e
     asc = s[::-1]  # ascending
-    if asc.size == 0 or asc[-1] <= rank_rtol * scale:
+    if asc.size == 0 or asc[-1] <= RANK_RTOL * scale:
         return n, np.eye(n, dtype=complex)
     top = max(asc[-1], scale)
     hi_nullity = min(hi_nullity, n)
     lo_nullity = max(lo_nullity, 0)
-    floor = _roundoff_floor(top, rank_rtol)
+    floor = _roundoff_floor(top)
     best_nullity, best_gap = None, 0.0
     for nu in range(lo_nullity, hi_nullity + 1):
         low = asc[nu - 1] if nu >= 1 else None  # largest singular value called zero
@@ -482,13 +482,13 @@ def _nullspace_bounded(
 
 
 def _exact_block_kernel(entries, mu, mult: int):
-    """Nilpotency index and exact kernel basis of (A - mu)^k for an N x N
+    """Nilpotency index and integer kernel basis of (A - mu)^k for an N x N
     rational A in which mu has algebraic multiplicity mult.
 
-    P = s (A - mu), s the common denominator, is integer; the kernel is the
-    RREF kernel of P^mult, and the index the number of products by P that
-    take it to zero. As ker P^index = ker P^mult, both powers have one row
-    space, so an RREF of P^index gives the same basis."""
+    P = s (A - mu), s the common denominator, is integer; the kernel is
+    exact.nullspace of P^mult, and the index the number of products by P
+    that take it to zero. As ker P^index = ker P^mult, exact.nullspace of
+    P^index gives the same basis: it depends on the kernel alone."""
     n = len(entries)
     P = [[entries[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     P_int, _ = exact.common_denominator_scale(P)
@@ -500,7 +500,7 @@ def _exact_block_kernel(entries, mu, mult: int):
     return index, kernel
 
 
-def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float):
+def _float_block_kernel(D: np.ndarray, mu: complex, mult: int):
     """Nilpotency index and orthonormal basis of ker (D - mu)^k for a matrix
     D with mult eigenvalues in the cluster at mu, and the largest singular
     value called zero on the way. A real mu keeps the arithmetic real.
@@ -518,7 +518,7 @@ def _float_block_kernel(D: np.ndarray, mu: complex, mult: int, rank_rtol: float)
     while nullity < mult:
         k += 1
         A = P if basis is None else P - basis @ (basis.conj().T @ P)
-        nullity, basis = _nullspace_bounded(A, nullity + 1, mult, rank_rtol, scale)
+        nullity, basis = _nullspace_bounded(A, nullity + 1, mult, scale)
         # the kernel basis is right singular vectors, so these are the values called zero
         zero = max(zero, float(_norm(A @ basis, axis=0).max()))
     return k, basis, zero

@@ -5,6 +5,9 @@ are the Wick powers W x^alpha of a normalized model up to scale (Janson,
 Gaussian Hilbert Spaces, 1997, ch. 3), built here from the three-term
 recurrence instead of the Wick recursion. The exact matrix sum and product
 check identities such as the Lyapunov residual and L W = W D in Fractions.
+The reduced row echelon kernel in Fractions is the oracle of the
+fraction-free exact.nullspace, and the nested loops of apply_part the
+oracle of the generator's exponent steps.
 """
 
 from fractions import Fraction
@@ -13,6 +16,7 @@ from math import factorial, isqrt, sqrt
 
 from ou_spectra.errors import DimensionMismatch
 from ou_spectra.exact import Matrix, transpose
+from ou_spectra.model import OUModel
 from ou_spectra.polynomials import EXACT_TYPES, SparsePolynomial
 
 
@@ -27,6 +31,72 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def rref_nullspace(a: Matrix) -> list[list[Fraction]]:
+    """Basis of the right kernel of a (m x n), via reduced row echelon form.
+
+    Returns one vector per free column; empty list for full column rank.
+    """
+    m, n = len(a), len(a[0])
+    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in a]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == m:
+            break
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, c in pivots:
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def apply_part(model: OUModel, p: SparsePolynomial, diffusion: bool) -> SparsePolynomial:
+    """x^a goes to sum_ij 1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j)
+    under the diffusion part and to sum_ij a_i B_ij x^(a - e_i + e_j) under
+    the drift part; exact when the model and p are."""
+    if p.dim != model.dim:
+        raise DimensionMismatch(f"polynomial dim {p.dim} vs model dim {model.dim}")
+    exact = model.is_exact and p.is_exact
+    if diffusion:
+        M, half = (model.Q_exact, Fraction(1, 2)) if exact else (model.Q, 0.5)
+    else:
+        M = model.B_exact if exact else model.B
+    out: dict = {}
+    for alpha, c in p.terms.items():
+        for i in range(model.dim):
+            if alpha[i] == 0:
+                continue
+            for j in range(model.dim):
+                factor = alpha[i] * (alpha[j] - (i == j)) if diffusion else alpha[i]
+                if M[i][j] == 0 or factor == 0:
+                    continue
+                coef = half * M[i][j] * factor if diffusion else M[i][j] * factor
+                beta = list(alpha)
+                beta[i] -= 1
+                beta[j] += -1 if diffusion else 1
+                key = tuple(beta)
+                out[key] = out.get(key, 0) + coef * c
+    return SparsePolynomial(p.dim, out)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

@@ -173,6 +173,17 @@ class TestNegativeFraction:
         assert reports[0] == reports[1]
 
 
+class TestPaperExampleBackend:
+    @pytest.mark.parametrize("example", ["section4", "section5"])
+    def test_backend_flag_is_a_usage_error(self, example):
+        """The bundled examples fix their own backend, so --backend is not
+        one of their flags: it ends in a usage error, not in a report that
+        ignores it."""
+        code, out, err = run_cli(["paper-example", example, "--backend", "float", "--degree", "1"])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("usage error: ") and "--backend" in err
+
+
 class TestImportCost:
     def test_cli_import_does_not_load_scipy(self):
         code = "import sys, ou_spectra.cli; print('scipy' in sys.modules)"
@@ -202,7 +213,7 @@ class TestSvdConvergence:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fails)
-        nullity, basis = _nullspace_bounded(np.diag([1.0, 0.0, 2.0]), 0, 3, 1e-10)
+        nullity, basis = _nullspace_bounded(np.diag([1.0, 0.0, 2.0]), 0, 3)
         assert nullity == 1
         assert np.abs(np.abs(basis[:, 0]) - np.array([0, 1, 0])).max() < 1e-14
 
@@ -215,7 +226,7 @@ class TestSvdConvergence:
         monkeypatch.setattr(np.linalg, "svd", fails)
         monkeypatch.setattr(scipy.linalg, "svd", fails)
         with pytest.raises(ConvergenceFailure):
-            _nullspace_bounded(np.diag([1.0, 0.0, 2.0]), 0, 3, 1e-10)
+            _nullspace_bounded(np.diag([1.0, 0.0, 2.0]), 0, 3)
         code, out, err = run_cli(
             ["analyze", "--Q", "[[1, 0], [0, 1]]", "--B", "[[-1, 0.5], [0.25, -2]]"]
         )

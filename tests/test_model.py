@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson_covariance, small_test_models
-from reference import identity, mat_add, mat_mul
+from reference import identity, mat_add, mat_mul, rref_nullspace
 from ou_spectra import cli, exact
 from ou_spectra.errors import (
     InvalidParams,
@@ -256,6 +256,21 @@ class TestExactElimination:
                 assert exact.solve(a, b) == expected
                 solved += 1
         assert solved > 30 and singular > 30
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_nullspace_is_the_scaled_rref_kernel(self, data):
+        """On rank-deficient integer matrices L R, exact.nullspace is the
+        reduced row echelon kernel in Fractions scaled by the least common
+        denominator of its entries, in Python ints."""
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        rank, entries = data.draw(st.integers(0, 8)), st.integers(-4, 4)
+        L = [[data.draw(entries) for _ in range(rank)] for _ in range(rows)]
+        R = [[data.draw(entries) for _ in range(cols)] for _ in range(rank)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*R)] or [0] * cols for row in L]
+        kernel = exact.nullspace(a)
+        assert kernel == exact.common_denominator_scale(rref_nullspace(a))[0]
+        assert all(type(x) is int for v in kernel for x in v)
 
     def test_leading_minors_up_to_the_first_zero(self):
         rng = random.Random(4)

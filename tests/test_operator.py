@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_test_models
 from ou_spectra.errors import (
@@ -29,6 +31,7 @@ from ou_spectra.operator import (
 )
 from ou_spectra.polynomials import ORDERINGS, SparsePolynomial, monomial_basis
 from ou_spectra.worked_examples import section5_eigenfunctions
+from reference import apply_part
 
 
 def random_float_poly(rng, dim, max_degree):
@@ -51,7 +54,7 @@ class TestApply:
             assert apply_L(model5, v) == v * mu
 
     def test_linear_monomial(self, model5):
-        x1 = SparsePolynomial.variable(2, 0)
+        x1 = SparsePolynomial(2, {(1, 0): 1})
         assert apply_L(model5, x1) == x1 * Fraction(-1)  # -a + d at (2,1,1)
 
     def test_degree_never_increases(self):
@@ -81,7 +84,23 @@ class TestApply:
 
     def test_dimension_mismatch(self, model5):
         with pytest.raises(DimensionMismatch):
-            apply_L(model5, SparsePolynomial.variable(3, 0))
+            apply_L(model5, SparsePolynomial(3, {(1, 0, 0): 1}))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_the_nested_loops(self, data):
+        """On multi-term exact polynomials, apply_L, apply_drift and
+        apply_diffusion equal the nested loops of reference.apply_part, and
+        on each float monomial apply_L gives the same floats: one term's
+        image takes its contributions in the same order on both routes."""
+        model = data.draw(rational_models())
+        p = data.draw(exact_polys(model.dim))
+        assert apply_drift(model, p) == apply_part(model, p, diffusion=False)
+        assert apply_diffusion(model, p) == apply_part(model, p, diffusion=True)
+        assert apply_L(model, p) == reference_L(model, p)
+        for alpha, c in p.terms.items():
+            x = SparsePolynomial(model.dim, {alpha: float(c)})
+            assert apply_L(model, x) == reference_L(model, x)
 
 
 class TestOperatorMatrix:
@@ -135,11 +154,38 @@ class TestOperatorMatrix:
             operator_matrix(model5, 2, "monomial", operator="L", homogeneous=True)
 
 
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def rational_models(draw):
+    """Q = I + A A^T and B = E - c I for small rational A, E with N from 1 to
+    3; c = 1 + sum |E_ij| makes B Hurwitz (Gershgorin). Zero entries are
+    common, so some generator steps drop out."""
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(Fraction(0)), small_fractions)
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    E = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    Q = [[int(i == j) + sum(a * b for a, b in zip(A[i], A[j])) for j in range(n)] for i in range(n)]
+    c = 1 + sum(abs(x) for row in E for x in row)
+    return validate_model(Q, [[E[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)])
+
+
+def exact_polys(dim):
+    """Up to eight terms, each exponent 0-3, with rational coefficients."""
+    alpha = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+    return st.dictionaries(alpha, small_fractions, max_size=8).map(lambda t: SparsePolynomial(dim, t))
+
+
+def reference_L(model, p):
+    return apply_part(model, p, diffusion=True) + apply_part(model, p, diffusion=False)
+
+
 APPLY = {
-    "L": apply_L,
-    "A": lambda model, p: apply_L(model, p) * 2,
-    "drift": apply_drift,
-    "diffusion": apply_diffusion,
+    "L": reference_L,
+    "A": lambda model, p: reference_L(model, p) * 2,
+    "drift": lambda model, p: apply_part(model, p, diffusion=False),
+    "diffusion": lambda model, p: apply_part(model, p, diffusion=True),
 }
 
 
@@ -149,9 +195,9 @@ class TestMonomialMatrixColumns:
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_column_is_the_image(self, operator, ordering, homogeneous):
         """Column alpha holds the coordinates of the operator applied to
-        x^alpha, exactly: Fractions for the exact models, and the same floats
-        as apply_L for a float one. Where an image leaves the homogeneous
-        space, both raise."""
+        x^alpha by the nested loops of reference.apply_part, exactly:
+        Fractions for the exact models, and the same floats for a float one.
+        Where an image leaves the homogeneous space, both raise."""
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 3))
         models = small_test_models() + [
@@ -164,7 +210,7 @@ class TestMonomialMatrixColumns:
                 try:
                     expected = [
                         poly_coordinates(
-                            APPLY[operator](model, SparsePolynomial.monomial(model.dim, a, one)), basis
+                            APPLY[operator](model, SparsePolynomial(model.dim, {a: one})), basis
                         )
                         for a in basis.indices
                     ]
@@ -210,7 +256,7 @@ class TestHomogeneousDrift:
     def test_nilpotent_part_action(self):
         # with B = lambda I + R, R x^alpha = sum alpha_i x^(alpha shifted down)
         model = validate_model([[1, 0], [0, 1]], [[-1, 0], [1, -1]])
-        x2sq = SparsePolynomial.monomial(2, (0, 2), Fraction(1))
+        x2sq = SparsePolynomial(2, {(0, 2): Fraction(1)})
         image = apply_drift(model, x2sq) - x2sq * (Fraction(-1) * 2)
         assert image == SparsePolynomial(2, {(1, 1): Fraction(2)})
 
@@ -302,7 +348,7 @@ class TestSemigroup:
         assert out.max_coeff_diff(one) < 1e-14
 
     def test_scalar_linear_decay(self, model_1d):
-        x = SparsePolynomial.variable(1, 0)
+        x = SparsePolynomial(1, {(1,): 1})
         for t in (0.3, 1.0):
             out = semigroup_apply(model_1d, t, x)
             assert out.max_coeff_diff(x * math.exp(-t)) < 1e-14

@@ -62,10 +62,9 @@ class TestRingAxioms:
 
 
 class TestStructure:
-    def test_degree_and_graded_part(self):
+    def test_degree(self):
         p = SparsePolynomial(2, {(2, 1): 1, (0, 0): 5})
         assert p.degree == 3
-        assert p.graded_part(3) == SparsePolynomial(2, {(2, 1): 1})
         assert SparsePolynomial.zero(2).degree == -1
 
     def test_dimension_mismatch(self):
@@ -112,12 +111,6 @@ class TestStructure:
                 pieces.append(f"- {body[1:]}" if body.startswith("-") else f"+ {body}")
         assert render_terms(texts) == (" ".join(pieces) if pieces else "0")
 
-    def test_json_round_trip(self):
-        p = SparsePolynomial(2, {(2, 0): Fraction(1, 3), (0, 1): Fraction(-2)})
-        assert SparsePolynomial.from_json(p.to_json()) == p
-        q = SparsePolynomial(2, {(1, 1): 0.5, (0, 0): 1.25})
-        assert SparsePolynomial.from_json(q.to_json()) == q
-
 
 def _every_exponent(dim, cap):
     """Every exponent vector in dim variables of degree <= cap, by recursion
@@ -148,7 +141,7 @@ class TestMonomialBasis:
         basis = monomial_basis(3, 2, "v-nondecreasing", homogeneous=True)
         values = [v_order(a) for a in basis.indices]
         assert values == sorted(values)
-        order = [basis.position(a) for a in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+        order = [basis.indices.index(a) for a in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
         assert order == sorted(order)
 
     @pytest.mark.parametrize("dim", range(1, 8))

@@ -396,11 +396,11 @@ class TestNullspaceWindow:
     def test_ambiguous_when_no_gap_in_window(self):
         mat = np.diag([3.0, 2.0, 1.0])
         with pytest.raises(RankDecisionAmbiguous):
-            _nullspace_bounded(mat, 1, 2, 1e-10)
+            _nullspace_bounded(mat, 1, 2)
 
     def test_clean_kernel(self):
         mat = np.diag([1.0, 0.0, 2.0])
-        nullity, basis = _nullspace_bounded(mat, 0, 3, 1e-10)
+        nullity, basis = _nullspace_bounded(mat, 0, 3)
         assert nullity == 1
         assert np.abs(np.abs(basis[:, 0]) - np.array([0, 1, 0])).max() < 1e-14
 

@@ -76,7 +76,7 @@ class TestEigenfunctions:
 
     def test_constant_term_of_v3_at_211(self):
         v3 = section5_eigenfunctions(Section5Params(2, 1, 1))[2][0]
-        assert v3.coefficient((0, 0)) == Fraction(-5, 6)
+        assert v3.terms[(0, 0)] == Fraction(-5, 6)
 
     def test_quartic_only_in_resonant_case(self):
         assert len(section5_eigenfunctions(Section5Params(2, 1, 1))) == 4
