@@ -50,7 +50,6 @@ from .operator import (
 from .polynomials import (
     SparsePolynomial,
     coefficient_text,
-    index_degree,
     monomial_basis,
     monomial_text,
     render_terms,
@@ -373,11 +372,12 @@ def _group_lines(dec, tol_nilp: float) -> EncodedLines:
     columns: the text json.dumps writes for the group's object, floats by
     float.__repr__ as the json encoder writes them. Each listed polynomial
     is written as SparsePolynomial.to_json and render would write it: terms
-    in ascending (degree, exponent) order, text in the reverse order. The
-    order, each basis row's term text up to its "re" value and the monomial
-    texts are made once."""
+    in ascending (degree, exponent) order, text in the reverse order: on
+    the graded-lex basis, each degree block reversed. The order, each basis
+    row's term text up to its "re" value and the monomial texts are made
+    once."""
     indices = dec.basis.indices
-    order = sorted(range(len(indices)), key=lambda k: (index_degree(indices[k]), indices[k]))
+    order = [k for sl in dec.basis.blocks for k in reversed(range(sl.start, sl.stop))]
     heads = [f'{{"alpha": [{", ".join(map(str, indices[k]))}], "re": ' for k in order]
     monomials = [monomial_text(indices[k]) for k in order]
     poly_head = f'{{"dim": {dec.basis.dim}, "terms": ['
@@ -472,11 +472,11 @@ def _cmd_gram(args, config: RunConfig) -> dict:
     cov = model.covariance
     basis = monomial_basis(model.dim, config.degree)
     # the Gram matrix of the monomials is their moment matrix
-    moments = basis_moment_gram(basis.indices, cov.sigma_exact if cov.is_exact else cov.sigma)
+    moments = basis_moment_gram(basis.exponents, cov.sigma_exact if cov.is_exact else cov.sigma)
     g = finish_gram(moments, args.normalized)
     report["q_infinity"] = _q_infinity_json(model)
     report["gram"] = {
-        "basis": [list(a) for a in basis.indices],
+        "basis": basis.exponents.tolist(),
         "normalized": bool(args.normalized),
         "entries": matrix_json(g),
     }

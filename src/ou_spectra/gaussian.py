@@ -24,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import DimensionMismatch
-from .polynomials import EXACT_TYPES, SparsePolynomial
+from .polynomials import EXACT_TYPES, SparsePolynomial, exponent_keys
 
 
 def _normalize_sigma(sigma):
@@ -87,16 +87,13 @@ class MomentTable:
         return total
 
 
-def inner_product(
-    p: SparsePolynomial, q: SparsePolynomial, sigma, table: MomentTable | None = None
-):
+def inner_product(p: SparsePolynomial, q: SparsePolynomial, sigma):
     """L^2(gamma) pairing <p, q> = integral of p * conj(q) dgamma.
 
     Sesquilinear: the second argument is conjugated, matching the complex L^2
     convention; for real polynomials this is the plain symmetric pairing.
     """
-    if table is None:
-        table = MomentTable(sigma)
+    table = MomentTable(sigma)
     if p.dim != table.dim or q.dim != table.dim:
         raise DimensionMismatch(
             f"polynomials of dim {p.dim}/{q.dim} against measure of dim {table.dim}"
@@ -117,32 +114,31 @@ def basis_moment_gram(exponents, sigma) -> np.ndarray:
     rational, floats otherwise.
 
     Each distinct exponent sum is computed once. Sums are keyed by their
-    mixed-radix value in base 2 m + 1, m the largest exponent, where no digit
-    carries, so the key of alpha_i + alpha_j is the sum of the keys. Keys that
-    could pass int64 (many variables or large exponents) are held as Python
-    integers."""
+    exponent_keys in base 2 m + 1, m the largest exponent, where no digit
+    carries, so the key of alpha_i + alpha_j is the sum of the keys; each
+    distinct sum is read off the first pair that has its key."""
     table = MomentTable(sigma)
     E = np.array(exponents, dtype=np.int64).reshape(len(exponents), table.dim)
-    radix = 2 * int(E.max(initial=0)) + 1
-    dtype = np.int64 if radix**table.dim <= 2**63 else object
-    weights = radix ** np.arange(table.dim).astype(dtype)
-    keys = E.astype(dtype) @ weights
-    distinct, inverse = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
-    sums = (distinct[:, None] // weights) % radix
+    keys = exponent_keys(E, 2 * int(E.max(initial=0)) + 1)
+    _, first, inverse = np.unique(
+        keys[:, None] + keys[None, :], return_index=True, return_inverse=True
+    )
+    i, j = np.divmod(first, len(E))
     moments = np.array(
-        [table.moment(a) for a in sums.tolist()], dtype=object if table.is_exact else float
+        [table.moment(a) for a in (E[i] + E[j]).tolist()],
+        dtype=object if table.is_exact else float,
     )
     return moments[inverse].reshape(len(E), len(E))
 
 
-def gram_matrix(fs, sigma, normalized: bool = False):
+def gram_matrix(fs, sigma):
     """Pairwise inner products G[i][j] = <f_i, f_j>, Hermitian by construction.
 
     G = C^T M conj(C), with C the family's coefficient columns over its joint
     support and M that support's moment matrix (basis_moment_gram). The
     arithmetic is exact when sigma and every coefficient are rational, real
     when no coefficient is complex (a family with no terms counts as
-    complex); normalization and the array returned are those of finish_gram.
+    complex); the array returned is that of finish_gram.
     """
     fs = list(fs)
     table = MomentTable(sigma)
@@ -158,10 +154,10 @@ def gram_matrix(fs, sigma, normalized: bool = False):
             C[row[alpha], j] = c
     M = basis_moment_gram(support, sigma)
     if exact:
-        return finish_gram(C.T @ M @ C, normalized)
+        return finish_gram(C.T @ M @ C, False)
     G = C.T @ M.astype(float) @ C.conj()
     upper = np.triu(G, 1)
-    return finish_gram(upper + upper.conj().T + np.diag(G.diagonal().real), normalized)
+    return finish_gram(upper + upper.conj().T + np.diag(G.diagonal().real), False)
 
 
 def finish_gram(g: np.ndarray, normalized: bool) -> np.ndarray:

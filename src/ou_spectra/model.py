@@ -61,9 +61,8 @@ class OUModel:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Covariance at time t, with t = inf meaning the stationary one."""
+    """A covariance: the stationary one, or the one accumulated up to a time t."""
 
-    t: float
     sigma: np.ndarray
     sigma_exact: exact.Matrix | None = None
 
@@ -120,7 +119,7 @@ def _finite(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL) -> OUModel:
+def validate_model(Q, B, backend: str = "auto") -> OUModel:
     """Validate (Q, B) and fix the scalar backend.
 
     Checks, in order: shapes, finite 1-norms of Q and B, symmetry of Q,
@@ -176,9 +175,9 @@ def validate_model(Q, B, backend: str = "auto", tol_hurwitz: float = HURWITZ_TOL
 
     # Hurwitz drift
     worst = drift_eigenvalues(Bf)[-1]
-    if worst.real >= -tol_hurwitz:
+    if worst.real >= -HURWITZ_TOL:
         raise NotHurwitz(
-            f"drift eigenvalue {worst} has real part >= -{tol_hurwitz}"
+            f"drift eigenvalue {worst} has real part >= -{HURWITZ_TOL}"
         )
 
     return OUModel(
@@ -307,7 +306,7 @@ def solve_lyapunov(model: OUModel) -> CovarianceMatrix:
     except (SingularSystem, np.linalg.LinAlgError) as e:
         raise SingularSystem("Lyapunov system singular; validation should have caught this") from e
     rows = [[vec[unknown[i, j]] for j in range(n)] for i in range(n)]
-    return CovarianceMatrix(math.inf, np.array(rows, dtype=float), rows if model.is_exact else None)
+    return CovarianceMatrix(np.array(rows, dtype=float), rows if model.is_exact else None)
 
 
 def covariance_at(model: OUModel, t: float) -> CovarianceMatrix:
@@ -334,7 +333,7 @@ def covariance_at(model: OUModel, t: float) -> CovarianceMatrix:
     for _ in range(doublings):
         sigma = sigma + E @ sigma @ E.T
         E = E @ E
-    return CovarianceMatrix(t=float(t), sigma=(sigma + sigma.T) / 2.0)
+    return CovarianceMatrix(sigma=(sigma + sigma.T) / 2.0)
 
 
 # -- coordinate changes ---------------------------------------------------

@@ -57,8 +57,6 @@ class OperatorMatrix:
     coordinates of the image of basis element j."""
 
     basis: GradedBasis
-    basis_kind: str  # "monomial" | "hermite-normal-form"
-    operator: str
     entries: object  # list-of-lists (exact) or ndarray (float)
     is_exact: bool
 
@@ -85,7 +83,6 @@ class RotationSplit:
 class NormalCheck:
     normal: bool
     defect: float
-    tol: float
 
 
 # -- pointwise action ------------------------------------------------------
@@ -151,28 +148,17 @@ def _generator_parts(model: OUModel, E: np.ndarray, operator: str, exact: bool) 
 
 def poly_coordinates(p: SparsePolynomial, basis: GradedBasis):
     """Coefficient vector of p in a monomial basis; rejects stray terms."""
-    pos = {alpha: k for k, alpha in enumerate(basis.indices)}
+    terms = list(p.terms)
+    rows = basis.row_of(np.array(terms, dtype=int).reshape(len(terms), p.dim))
+    if (rows < 0).any():
+        raise BasisUnavailable(
+            f"term {terms[int(np.argmin(rows))]} falls outside the basis (cap {basis.cap}, "
+            f"homogeneous={basis.homogeneous})"
+        )
     vec = [0] * len(basis)
-    for alpha, coef in p.terms.items():
-        if alpha not in pos:
-            raise BasisUnavailable(
-                f"term {alpha} falls outside the basis (cap {basis.cap}, "
-                f"homogeneous={basis.homogeneous})"
-            )
-        vec[pos[alpha]] = coef
+    for row, coef in zip(rows.tolist(), p.terms.values()):
+        vec[row] = coef
     return vec
-
-
-def degree_block_slices(basis: GradedBasis) -> list[tuple[int, slice]]:
-    """Contiguous index ranges of each total degree in a graded basis."""
-    out = []
-    degrees = basis.degrees()
-    start = 0
-    for k in range(1, len(degrees) + 1):
-        if k == len(degrees) or degrees[k] != degrees[start]:
-            out.append((degrees[start], slice(start, k)))
-            start = k
-    return out
 
 
 # -- matrices --------------------------------------------------------------
@@ -184,10 +170,9 @@ def operator_matrix(
     basis_kind: str = "monomial",
     operator: str = "L",
     homogeneous: bool = False,
-    ordering: str | None = None,
     exact: bool | None = None,
 ) -> OperatorMatrix:
-    """Assemble the operator's matrix on a degree-capped basis.
+    """Assemble the operator's matrix on a degree-capped graded-lex basis.
 
     Monomial bases carry every operator tag; their entries are exact for
     exact models unless exact=False asks for floats. The Hermite basis needs
@@ -198,72 +183,37 @@ def operator_matrix(
     graded-lex drift matrix and R = diag(sqrt(alpha! lambda^alpha)). The
     entries are floats.
     """
+    basis = monomial_basis(model.dim, n, homogeneous=homogeneous)
     if basis_kind == "monomial":
-        return _monomial_matrix(model, n, operator, homogeneous, ordering or "graded-lex", exact)
+        return _monomial_matrix(model, basis, operator, model.is_exact if exact is None else exact)
     if basis_kind == "hermite-normal-form":
-        return _hermite_matrix(model, n, operator, homogeneous)
+        return _hermite_matrix(model, basis, operator)
     raise ValueError(f"unknown basis kind {basis_kind!r}")
 
 
-def _monomial_matrix(model, n, operator, homogeneous, ordering, exact=None):
+def _monomial_matrix(model: OUModel, basis: GradedBasis, operator: str, exact: bool):
     """Scatter the generator parts (_generator_parts) on the basis exponents
     into the matrix: for each pair (i, j) the map a -> a + step is one to
     one, so each part adds one entry to each column it reaches, in the order
-    apply_L sums them. Entries are Fractions when exact (by default: when
-    the model is), floats otherwise."""
+    apply_L sums them. Entries are Fractions when exact, floats otherwise."""
     if operator not in ("L", "A", "drift", "diffusion"):
         raise ValueError(f"unknown operator tag {operator!r}")
-    exact = model.is_exact if exact is None else exact
-    basis = monomial_basis(model.dim, n, ordering, homogeneous)
-    E, row_of = _exponents(basis)
+    E = basis.exponents
     out = np.zeros((len(basis), len(basis)), dtype=object if exact else float)
     for coef, factor, step in _generator_parts(model, E, operator, exact):
         cols = np.flatnonzero(factor)
         if not cols.size:
             continue
-        rows = row_of(E[cols] + step)
+        rows = basis.row_of(E[cols] + step)
         if (rows < 0).any():
             raise BasisUnavailable(
-                f"operator {operator!r} leaves the homogeneous degree-{n} space; "
+                f"operator {operator!r} leaves the homogeneous degree-{basis.cap} space; "
                 "use the full basis"
             )
         out[rows, cols] += coef * factor[cols].astype(out.dtype)
     if operator == "A":
         out *= 2
-    entries = out.tolist() if exact else out
-    return OperatorMatrix(basis, "monomial", operator, entries, exact)
-
-
-def _exponents(basis: GradedBasis):
-    """The basis exponents as an (size, N) int array, and a lookup from an
-    array of exponent vectors to their rows (-1 outside the basis), by
-    mixed-radix keys in base cap + 2."""
-    E = np.array(basis.indices, dtype=int).reshape(len(basis), basis.dim)
-    radix = basis.cap + 2
-    weights = radix ** np.arange(basis.dim, dtype=np.int64 if radix**basis.dim < 2**63 else object)
-    keys = E @ weights
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-
-    def row_of(targets: np.ndarray) -> np.ndarray:
-        k = targets @ weights
-        at = np.minimum(np.searchsorted(sorted_keys, k), len(keys) - 1)
-        inside = (sorted_keys[at] == k) & (targets >= 0).all(axis=-1)
-        return np.where(inside, order[at], -1)
-
-    return E, row_of
-
-
-def monomial_steps(basis: GradedBasis):
-    """How a full graded basis is built one variable at a time: _exponents,
-    each monomial's first variable i, the row of x^alpha / x_i (-1 for
-    alpha = 0), and the (N, size) array of the rows of x_j x^beta (-1 past
-    the cap)."""
-    E, row_of = _exponents(basis)
-    unit = np.eye(basis.dim, dtype=int)
-    first = (E > 0).argmax(axis=1)
-    up = np.array([row_of(E + unit[j]) for j in range(basis.dim)])
-    return E, row_of, first, row_of(E - unit[first]), up
+    return OperatorMatrix(basis, out.tolist() if exact else out, exact)
 
 
 def symmetric_power(T: np.ndarray, basis: GradedBasis) -> list[np.ndarray]:
@@ -273,11 +223,10 @@ def symmetric_power(T: np.ndarray, basis: GradedBasis) -> list[np.ndarray]:
     is y^(gamma - e_i) times y_i, i the first factor of gamma: one shifted add
     per variable. T's dtype sets the arithmetic: floats, complex, or Python
     numbers in an object array."""
-    _, _, first, parent, up = monomial_steps(basis)
-    blocks = [sl for _, sl in degree_block_slices(basis)]
+    first, parent, up = basis.steps
     Y = np.ones((1, 1), dtype=T.dtype)
     out = [Y]
-    for lower, sl in zip(blocks, blocks[1:]):
+    for lower, sl in zip(basis.blocks, basis.blocks[1:]):
         size = sl.stop - sl.start
         prev, Y = Y[:, parent[sl] - lower.start], np.zeros((size, size), dtype=T.dtype)
         for j in range(basis.dim):
@@ -305,10 +254,10 @@ def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMa
     basis = monomial_basis(model.dim, n)
     if not exact:
         W = _wick_recursion(model.covariance.sigma, basis)
-        return OperatorMatrix(basis, "monomial", "wick", W, False)
+        return OperatorMatrix(basis, W, False)
     W, scale = integer_wick_matrix(model, basis)
     entries = [[Fraction(w, scale) for w in row] for row in W.tolist()]
-    return OperatorMatrix(basis, "monomial", "wick", entries, True)
+    return OperatorMatrix(basis, entries, True)
 
 
 def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray, int]:
@@ -320,9 +269,10 @@ def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray,
     in a Wick power contributes one factor of S; scale = s^(n // 2)."""
     S_int, s = common_denominator_scale(model.covariance.sigma_exact)
     W = _wick_recursion(np.array(S_int, dtype=object), basis)
-    deg = np.array(basis.degrees())
-    lift = np.maximum(basis.cap // 2 - (deg[None, :] - deg[:, None]) // 2, 0)
-    return W * s ** lift.astype(object), s ** (basis.cap // 2)
+    for d, rows in enumerate(basis.blocks):  # W is zero below the block diagonal
+        for e, cols in enumerate(basis.blocks[d:], d):
+            W[rows, cols] *= s ** (basis.cap // 2 - (e - d) // 2)
+    return W, s ** (basis.cap // 2)
 
 
 def _wick_recursion(S: np.ndarray, basis: GradedBasis) -> np.ndarray:
@@ -333,20 +283,18 @@ def _wick_recursion(S: np.ndarray, basis: GradedBasis) -> np.ndarray:
     alpha: one shifted copy of the parent column plus at most N axpys, over
     the rows of degree below alpha's. S's dtype sets the arithmetic: floats,
     or Python numbers in an object array."""
-    E, row_of, first, parent, up = monomial_steps(basis)
-    size, unit = len(basis), np.eye(basis.dim, dtype=int)
-    ends = np.cumsum(np.bincount(E.sum(axis=1), minlength=basis.cap + 1)).tolist()
-    down = [row_of(E[parent] - unit[j]).tolist() for j in range(basis.dim)]
-    W = np.zeros((size, size), dtype=S.dtype)
+    E, (first, parent, up), blocks = basis.exponents, basis.steps, basis.blocks
+    down = basis.row_of(E[parent] - np.eye(basis.dim, dtype=int)[:, None]).tolist()
+    W = np.zeros((len(basis), len(basis)), dtype=S.dtype)
     W[0, 0] = 1
-    for c in range(1, size):
-        i, a, d = first[c], E[parent[c]], E[c].sum()
-        low = ends[d - 1]  # rows of degree < d
-        W[up[i][:low], c] = W[:low, parent[c]]
-        for j in np.flatnonzero(a):
-            if S[i, j]:
-                low = ends[d - 2]
-                W[:low, c] -= (S[i, j] * int(a[j])) * W[:low, down[j][c]]
+    for d in range(1, basis.cap + 1):
+        low, lower = blocks[d - 1].stop, blocks[d - 1].start  # rows of degree < d, < d - 1
+        for c in range(blocks[d].start, blocks[d].stop):
+            i, a = first[c], E[parent[c]]
+            W[up[i][:low], c] = W[:low, parent[c]]
+            for j in np.flatnonzero(a):
+                if S[i, j]:
+                    W[:lower, c] -= (S[i, j] * int(a[j])) * W[:lower, down[j][c]]
     return W
 
 
@@ -368,7 +316,7 @@ def _check_normalized(model: OUModel):
     return ok_q and ok_diag
 
 
-def _hermite_matrix(model, n, operator, homogeneous):
+def _hermite_matrix(model: OUModel, basis: GradedBasis, operator: str):
     if operator not in ("L", "A"):
         raise ValueError(f"the Hermite basis carries only 'L' and 'A', not {operator!r}")
     if not _check_normalized(model):
@@ -376,36 +324,34 @@ def _hermite_matrix(model, n, operator, homogeneous):
             "Hermite normal-form basis needs Q = I and a diagonal stationary covariance; "
             "run normalize_model first"
         )
-    drift = _monomial_matrix(model, n, "drift", homogeneous, "graded-lex", exact=False)
+    drift = _monomial_matrix(model, basis, "drift", False)
     lam = np.diag(model.covariance.sigma)
     r = np.array(
         [
             math.sqrt(math.prod(math.factorial(a) * l**a for a, l in zip(alpha, lam)))
-            for alpha in drift.basis.indices
+            for alpha in basis.indices
         ]
     )
     entries = r[:, None] * drift.entries / r[None, :]
     if operator == "A":
         entries = 2.0 * entries
-    return OperatorMatrix(drift.basis, "hermite-normal-form", operator, entries, False)
+    return OperatorMatrix(basis, entries, False)
 
 
-def homogeneous_drift_matrix(
-    model: OUModel, n: int, ordering: str | None = None
-) -> OperatorMatrix:
+def homogeneous_drift_matrix(model: OUModel, n: int) -> OperatorMatrix:
     """Matrix of the drift part on homogeneous degree-n monomials.
 
-    The default ordering sorts exponent vectors by the weighted sum
+    The ordering sorts exponent vectors by the weighted sum
     sum_j j*alpha_j, oriented so a one-eigenvalue Jordan-type drift (the
     off-diagonal mass on one side of the diagonal) exposes its nilpotent part
     as a strictly upper triangular block.
     """
-    if ordering is None:
-        B = model.B
-        above = np.abs(np.triu(B, 1)).sum()
-        below = np.abs(np.tril(B, -1)).sum()
-        ordering = "v-nonincreasing" if above > 0 and below == 0 else "v-nondecreasing"
-    return _monomial_matrix(model, n, "drift", True, ordering)
+    B = model.B
+    above = np.abs(np.triu(B, 1)).sum()
+    below = np.abs(np.tril(B, -1)).sum()
+    ordering = "v-nonincreasing" if above > 0 and below == 0 else "v-nondecreasing"
+    basis = monomial_basis(model.dim, n, ordering, homogeneous=True)
+    return _monomial_matrix(model, basis, "drift", model.is_exact)
 
 
 # -- rotation machinery (doubled operator A = 2L) ---------------------------
@@ -455,7 +401,7 @@ def hermite_rotation_matrix(split: RotationSplit, n: int) -> OperatorMatrix:
         m[kappa + 1, kappa] = v
         m[kappa, kappa + 1] = -v
     basis = monomial_basis(2, n, "graded-lex", homogeneous=True)
-    return OperatorMatrix(basis, "hermite-normal-form", "rotation-part", m, False)
+    return OperatorMatrix(basis, m, False)
 
 
 # -- semigroup action on polynomials ----------------------------------------
@@ -482,7 +428,7 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
     c = np.array(poly_coordinates(p.to_float(), basis))
     heat = _wick_recursion(-covariance_at(model, t).sigma, basis) @ c
     moved = symmetric_power(matrix_exponential(model.B, t).T, basis)
-    out = np.concatenate([Y @ heat[sl] for (_, sl), Y in zip(degree_block_slices(basis), moved)])
+    out = np.concatenate([Y @ heat[sl] for sl, Y in zip(basis.blocks, moved)])
     return SparsePolynomial(model.dim, zip(basis.indices, out.tolist()))
 
 
@@ -493,4 +439,4 @@ def check_normal(M, tol: float = 1e-12) -> NormalCheck:
         raise ValueError("check_normal needs a square matrix")
     D = A @ A.conj().T - A.conj().T @ A
     defect = float(np.abs(D).max())
-    return NormalCheck(normal=defect <= tol, defect=defect, tol=tol)
+    return NormalCheck(normal=defect <= tol, defect=defect)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import comb
 
@@ -33,10 +34,6 @@ def v_order(alpha: MultiIndex) -> int:
 
 def _is_exact_coeff(c) -> bool:
     return isinstance(c, EXACT_TYPES)
-
-
-def _conj(c):
-    return c.conjugate() if isinstance(c, complex) else c
 
 
 class SparsePolynomial:
@@ -130,41 +127,15 @@ class SparsePolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            if other == 0:
-                return SparsePolynomial.zero(self.dim)
-            return SparsePolynomial(
-                self.dim, {a: c * other for a, c in self.terms.items()}
-            )
-        self._check_dim(other)
-        out: dict[MultiIndex, object] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                s = out.get(key, 0) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparsePolynomial(self.dim, out)
+        """Product with a scalar."""
+        if isinstance(other, SparsePolynomial):
+            return NotImplemented
+        if other == 0:
+            return SparsePolynomial.zero(self.dim)
+        return SparsePolynomial(self.dim, {a: c * other for a, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self * other
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SparsePolynomial.constant(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "SparsePolynomial":
-        return SparsePolynomial(self.dim, {a: _conj(c) for a, c in self.terms.items()})
 
     def to_float(self) -> "SparsePolynomial":
         """Explicit exact -> floating conversion. Lossy for rationals whose
@@ -175,16 +146,6 @@ class SparsePolynomial:
         return SparsePolynomial(self.dim, out)
 
     # -- evaluation ---------------------------------------------------
-    def __call__(self, point):
-        total = 0
-        for a, c in self.terms.items():
-            v = c
-            for x, e in zip(point, a):
-                if e:
-                    v = v * x**e
-            total += v
-        return total
-
     def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on each row of an (m, dim) array."""
         X = np.asarray(X, dtype=float)
@@ -207,9 +168,6 @@ class SparsePolynomial:
         return (not self.terms and other == 0) or self.terms == {
             tuple([0] * self.dim): other
         }
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def max_coeff_diff(self, other: "SparsePolynomial") -> float:
         """Largest |coefficient difference| across the union of supports."""
@@ -290,12 +248,15 @@ def coefficient_text(c) -> str:
 
 # -- graded bases ------------------------------------------------------
 
-ORDERINGS = ("graded-lex", "v-nondecreasing", "v-nonincreasing")
-
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Ordered enumeration of exponent vectors with |alpha| <= cap (or == cap)."""
+    """Ordered enumeration of exponent vectors with |alpha| <= cap (or == cap).
+
+    The basis owns its exponent index, each part built once on first read:
+    the exponents as an array, the row slice of each degree, the row lookup
+    and, for a full graded basis, the steps that build it one variable at a
+    time. Equality compares the fields alone."""
 
     dim: int
     cap: int
@@ -306,39 +267,84 @@ class GradedBasis:
     def __len__(self):
         return len(self.indices)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(index_degree(a) for a in self.indices)
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The exponent vectors as the rows of a read-only (size, N) int array."""
+        E = np.array(self.indices, dtype=int).reshape(len(self.indices), self.dim)
+        E.flags.writeable = False
+        return E
+
+    @cached_property
+    def blocks(self) -> tuple[slice, ...]:
+        """The rows of each degree d <= cap as blocks[d], empty for a degree
+        the basis lacks; the rows are sorted by degree."""
+        ends = np.cumsum(np.bincount(self.exponents.sum(axis=1), minlength=self.cap + 1)).tolist()
+        return tuple(slice(a, b) for a, b in zip([0, *ends], ends))
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        keys = exponent_keys(self.exponents, self.cap + 1)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
+    def row_of(self, targets: np.ndarray) -> np.ndarray:
+        """The row of each exponent vector of targets, an (..., N) int array,
+        and -1 for one outside the basis. A vector with an entry outside
+        [0, cap] is never in the basis; the others are told apart by their
+        keys in base cap + 1."""
+        sorted_keys, order = self._sorted_keys
+        k = exponent_keys(targets, self.cap + 1)
+        at = np.minimum(np.searchsorted(sorted_keys, k), len(order) - 1)
+        inside = (sorted_keys[at] == k) & ((targets >= 0) & (targets <= self.cap)).all(axis=-1)
+        return np.where(inside, order[at], -1)
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """How a full graded basis is built one variable at a time: each
+        monomial's first variable i, the row of x^alpha / x_i (-1 for
+        alpha = 0), and the (N, size) array of the rows of x_j x^alpha (-1
+        past the cap)."""
+        E, unit = self.exponents, np.eye(self.dim, dtype=int)
+        first = (E > 0).argmax(axis=1)
+        steps = (first, self.row_of(E - unit[first]), self.row_of(E + unit[:, None]))
+        for a in steps:
+            a.flags.writeable = False
+        return steps
 
 
-def _sort_key(ordering: str):
-    if ordering == "graded-lex":
-        return lambda a: (index_degree(a), tuple(-e for e in a))
-    if ordering == "v-nondecreasing":
-        return lambda a: (index_degree(a), v_order(a), tuple(-e for e in a))
-    if ordering == "v-nonincreasing":
-        return lambda a: (index_degree(a), -v_order(a), tuple(-e for e in a))
-    raise ValueError(f"unknown ordering {ordering!r}; pick one of {ORDERINGS}")
+def exponent_keys(E: np.ndarray, radix: int) -> np.ndarray:
+    """The mixed-radix keys sum_j E[..., j] radix^j of exponent vectors, one
+    per vector; distinct for vectors whose entries lie in [0, radix). They
+    are int64 when every such key fits, else Python ints."""
+    dim = E.shape[-1]
+    dtype = np.int64 if radix**dim <= 2**63 else object
+    return np.asarray(E).astype(dtype) @ radix ** np.arange(dim).astype(dtype)
+
+
+# the weight of the v-order in each ordering's key (degree, weight * v_order, descending lex)
+_V_WEIGHT = {"graded-lex": 0, "v-nondecreasing": 1, "v-nonincreasing": -1}
+ORDERINGS = tuple(_V_WEIGHT)
 
 
 def monomial_basis(
     dim: int, cap: int, ordering: str = "graded-lex", homogeneous: bool = False
 ) -> GradedBasis:
     """Enumerate exponent vectors of degree == cap (homogeneous) or <= cap,
-    by degree; graded-lex orders each degree descending lexicographically.
+    by degree; graded-lex orders each degree descending lexicographically,
+    the v-orderings by v_order first, ascending or descending.
 
     Cardinalities: C(dim+cap-1, cap) homogeneous, C(dim+cap, cap) full.
     """
     if dim < 1 or cap < 0:
         raise ValueError("need dim >= 1 and cap >= 0")
-    key = _sort_key(ordering)
+    if ordering not in _V_WEIGHT:
+        raise ValueError(f"unknown ordering {ordering!r}; pick one of {ORDERINGS}")
     rows = exponent_array(dim, cap)[::-1]  # descending lexicographic order
-    rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]  # graded-lex
+    v = rows @ np.arange(1, dim + 1) * _V_WEIGHT[ordering]  # v_order of each row, weighted
+    rows = rows[np.lexsort((v, rows.sum(axis=1)))]  # stable: ties keep descending lex
     if homogeneous:
         rows = rows[-comb(dim + cap - 1, cap) :]
-    indices = list(map(tuple, rows.tolist()))
-    if ordering != "graded-lex":
-        indices.sort(key=key)  # each key leads with the degree
-    return GradedBasis(dim, cap, ordering, homogeneous, tuple(indices))
+    return GradedBasis(dim, cap, ordering, homogeneous, tuple(map(tuple, rows.tolist())))
 
 
 def exponent_array(dim: int, cap: int) -> np.ndarray:

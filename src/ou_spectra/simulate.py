@@ -67,9 +67,9 @@ class PairingEstimate:
     paths: int
 
 
-def default_burn_in(model: OUModel, h: float, decay: float = BURN_IN_DECAY) -> int:
+def default_burn_in(model: OUModel, h: float) -> int:
     """Smallest step count m with spectral norm ||e^(m h B)|| below the decay
-    target.
+    target BURN_IN_DECAY.
 
     ||e^(m h B)|| >= e^(m h alpha), with alpha the largest real part of the
     drift eigenvalues, so m > ln(decay) / (h alpha). A drift for which that
@@ -78,7 +78,7 @@ def default_burn_in(model: OUModel, h: float, decay: float = BURN_IN_DECAY) -> i
     non-normal B, but the spectral norm (an SVD) only where the Frobenius
     norm f, ||P|| <= f <= sqrt(N) ||P||, cannot decide.
     """
-    alpha = drift_eigenvalues(model.B)[-1].real
+    alpha, decay = drift_eigenvalues(model.B)[-1].real, BURN_IN_DECAY
     if math.log(decay) / (h * alpha) > BURN_IN_CAP:
         raise InvalidParams(
             f"burn-in to {decay:g} needs more than {BURN_IN_CAP} steps of {h:g} "

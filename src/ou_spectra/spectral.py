@@ -23,9 +23,8 @@ The products come from operator.symmetric_power, as the semigroup's do.
 
 W, and the operator matrix for the residuals, are built in the arithmetic of
 the route: on the exact route W is integers over one denominator
-(operator.integer_wick_matrix), otherwise floats, also for a rational model
-with complex drift eigenvalues. The exact route needs no
-operator matrix; SpectralDecomposition.matrix builds it when read. Each group
+(operator.integer_wick_matrix) and no operator matrix is built, otherwise
+floats, also for a rational model with complex drift eigenvalues. Each group
 keeps its coefficient columns; listed_terms reads the listed polynomials off
 them, and EigenGroup.polynomials builds them as SparsePolynomials only when
 read.
@@ -54,7 +53,6 @@ from .gaussian import basis_moment_gram
 from .model import OUModel, drift_eigenvalues
 from .operator import (
     OperatorMatrix,
-    degree_block_slices,
     integer_wick_matrix,
     operator_matrix,
     symmetric_power,
@@ -118,9 +116,6 @@ class SpectrumSet:
     @property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.clusters)
-
-    def values(self) -> list[complex]:
-        return [p.value for p in self.points]
 
     def block_multiplicities(self, point: SpectrumPoint) -> list[int]:
         """Algebraic multiplicity of a point in each drift block D_0..D_cap:
@@ -196,18 +191,11 @@ class SpectralDecomposition:
     spectrum: SpectrumSet
     tol_eig: float = TOL_EIG
 
-    @cached_property
-    def matrix(self) -> OperatorMatrix:
-        """The generator's matrix on the basis, exact for exact models; built
-        on first read, as no route needs it whole."""
-        return operator_matrix(self.model, self.degree_cap, "monomial", "L")
-
-    def group_at(self, value: complex, tol: float | None = None) -> EigenGroup:
-        tol = self.tol_eig if tol is None else tol
+    def group_at(self, value: complex) -> EigenGroup:
         for g in self.groups:
-            if abs(g.eigenvalue - value) <= tol:
+            if abs(g.eigenvalue - value) <= self.tol_eig:
                 return g
-        raise KeyError(f"no eigenvalue group within {tol} of {value}")
+        raise KeyError(f"no eigenvalue group within {self.tol_eig} of {value}")
 
 
 @dataclass(frozen=True)
@@ -401,7 +389,7 @@ def operator_eigenvalues(om: OperatorMatrix) -> list[complex]:
     """Eigenvalues of a degree-graded operator matrix, block by block, with
     triangular blocks read off the diagonal. A test oracle for spectrum()."""
     arr = om.as_array()
-    return [z for _, sl in degree_block_slices(om.basis) for z in drift_eigenvalues(arr[sl, sl])]
+    return [z for sl in om.basis.blocks for z in drift_eigenvalues(arr[sl, sl])]
 
 
 def _norm(a: np.ndarray, axis=None):
@@ -432,10 +420,12 @@ def _nullspace_bounded(
     is reported as ambiguous rather than guessed.
 
     ``scale`` is the size of the operator that mat was taken from; singular
-    values are judged against the larger of it and mat's own largest one, so
-    a matrix that is roundoff at that scale has a full kernel. Singular values
-    below a floor at RANK_RTOL * 1e-3 of it all count as zero, so the cut
-    never falls between two roundoff values (an exact 0 and a 1e-18, say).
+    values are judged against the larger of it and mat's own largest one.
+    Singular values below a floor at RANK_RTOL * 1e-3 of it all count as
+    zero, so the cut never falls between two roundoff values (an exact 0 and
+    a 1e-18, say), and a matrix whose singular values all lie below the
+    floor has a full kernel: the same floor at which _drift_clusters keeps
+    a cluster.
     """
     n = mat.shape[1]
     try:
@@ -452,12 +442,12 @@ def _nullspace_bounded(
                 f"SVD of a {mat.shape[0]}x{n} kernel matrix did not converge: {e}"
             ) from e
     asc = s[::-1]  # ascending
-    if asc.size == 0 or asc[-1] <= RANK_RTOL * scale:
+    top = max(asc[-1] if asc.size else 0.0, scale)
+    floor = _roundoff_floor(top)
+    if asc.size == 0 or asc[-1] <= floor:
         return n, np.eye(n, dtype=complex)
-    top = max(asc[-1], scale)
     hi_nullity = min(hi_nullity, n)
     lo_nullity = max(lo_nullity, 0)
-    floor = _roundoff_floor(top)
     best_nullity, best_gap = None, 0.0
     for nu in range(lo_nullity, hi_nullity + 1):
         low = asc[nu - 1] if nu >= 1 else None  # largest singular value called zero
@@ -589,9 +579,9 @@ def _wick_products(clusters, basis: GradedBasis, W: np.ndarray):
     """
     T = np.hstack([c.forms for c in clusters])
     owner = [j for j, c in enumerate(clusters) for _ in range(c.multiplicity)]  # cluster of each form
-    patterns = np.array(basis.indices, dtype=int) @ np.eye(len(clusters), dtype=int)[owner]
+    patterns = basis.exponents @ np.eye(len(clusters), dtype=int)[owner]
     images, columns = [], {}
-    for (_, sl), Y in zip(degree_block_slices(basis), symmetric_power(T, basis)):
+    for sl, Y in zip(basis.blocks, symmetric_power(T, basis)):
         images.append(W[:, sl] @ Y)
         for g, n in enumerate(patterns[sl].tolist()):
             columns.setdefault(tuple(n), []).append(g)
@@ -625,7 +615,7 @@ def orthogonality_report(
     exact ones, so a block entry is their pairing divided by both coordinate
     norms.
     """
-    G = basis_moment_gram(dec.basis.indices, dec.model.covariance.sigma)
+    G = basis_moment_gram(dec.basis.exponents, dec.model.covariance.sigma)
     V = np.hstack([np.asarray(g.vectors, dtype=complex) for g in dec.groups])
     H = V.T @ G @ V.conj()
     norms = np.sqrt(np.abs(np.diag(H).real))
@@ -648,9 +638,11 @@ def orthogonality_report(
 # -- drift eigenvector geometry (N = 2) ---------------------------------------
 
 
-def b_eigenvector_angle(B, tol: float = 1e-10) -> float:
+def b_eigenvector_angle(B) -> float:
     """Angle in [0, pi/2] between the two real eigenvector lines of a 2x2
-    drift with distinct real eigenvalues."""
+    drift with distinct real eigenvalues; eigenvalues count as real, and as
+    distinct, to 1e-10."""
+    tol = 1e-10
     B = np.asarray(B, dtype=float)
     if B.shape != (2, 2):
         raise UnsupportedDimension("eigenvector angle is a 2x2 construction")

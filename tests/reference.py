@@ -7,11 +7,13 @@ recurrence instead of the Wick recursion. The exact matrix sum and product
 check identities such as the Lyapunov residual and L W = W D in Fractions.
 The reduced row echelon kernel in Fractions is the oracle of the
 fraction-free exact.nullspace, and the nested loops of apply_part the
-oracle of the generator's exponent steps.
+oracle of the generator's exponent steps. The library multiplies
+polynomials only by scalars; the product and power of two polynomials
+below serve the oracles that expand products of linear forms.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, isqrt, sqrt
 
 from ou_spectra.errors import DimensionMismatch
@@ -163,7 +165,7 @@ def hermite_tensor(k, dilations=None, normalized: bool = False) -> SparsePolynom
                 alpha = [0] * dim
                 alpha[i] = j
                 terms[tuple(alpha)] = c * di**j
-        poly = poly * SparsePolynomial(dim, terms)
+        poly = multiply(poly, SparsePolynomial(dim, terms))
 
     if normalized:
         scale_sq = Fraction(2) ** sum(k)
@@ -175,3 +177,20 @@ def hermite_tensor(k, dilations=None, normalized: bool = False) -> SparsePolynom
         else:
             poly = poly.to_float() * (1.0 / sqrt(float(scale_sq)))
     return poly
+
+
+def multiply(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
+    """p q, term by term."""
+    if p.dim != q.dim:
+        raise DimensionMismatch(f"dim {p.dim} vs {q.dim}")
+    out: dict = {}
+    for a, ca in p.terms.items():
+        for b, cb in q.terms.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return SparsePolynomial(p.dim, out)
+
+
+def power(p: SparsePolynomial, n: int) -> SparsePolynomial:
+    """p^n as n products from the constant 1."""
+    return reduce(multiply, [p] * n, SparsePolynomial.constant(p.dim, 1))

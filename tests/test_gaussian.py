@@ -187,7 +187,7 @@ class TestGram:
             SparsePolynomial(2, {(1, 0): 1.0 + 1.0j}),
             SparsePolynomial(2, {(1, 0): 2.0 - 0.5j, (0, 1): 1.0}),
         ]
-        g = gram_matrix(fs, sigma, normalized=True)
+        g = finish_gram(gram_matrix(fs, sigma), True)
         assert g[0][0] == g[1][1] == 1
         assert 0 < abs(g[0][1]) <= 1
 

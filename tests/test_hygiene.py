@@ -5,7 +5,9 @@ package's __init__ imports only to re-export, so it is left out. Every
 top-level definition of a module is named somewhere beyond its own
 definition: in its module, in another module of the package, in the
 acceptance tests or in the benchmark harness; a definition only the unit
-tests read is test code and belongs in tests/.
+tests read is test code and belongs in tests/. Likewise every defaulted
+parameter of a function, method or dataclass is set by some call there: a
+setting that no caller sets is a constant.
 """
 
 import ast
@@ -96,3 +98,78 @@ def test_an_unnamed_definition_is_found():
         "b.py": "from a import helper\n",
     }
     assert unnamed_definitions(modules, ["import a\n"]) == ["a.py:dead"]
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, list[str], list[str]]]:
+    """(callee name, parameters in call position order, defaulted
+    parameters) of each function, method and dataclass of a module. A
+    method's positions skip self or cls; __init__ and a dataclass are called
+    by the class name."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any("dataclass" in names_in(d) for d in node.decorator_list):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            out.append((node.name, [f.target.id for f in fields], [f.target.id for f in fields if f.value]))
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            out.append((name, positional[id(node) in owner :], defaulted))
+    return out
+
+
+def set_parameters(trees: list[ast.AST]) -> dict[str, set]:
+    """For each callee name, the keywords its calls pass and their counts of
+    positional arguments; "*" when a call passes * or **."""
+    out: dict[str, set] = {}
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        seen = out.setdefault(getattr(call.func, "id", getattr(call.func, "attr", None)), set())
+        seen.add(len(call.args))
+        seen.update(k.arg or "*" for k in call.keywords)
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            seen.add("*")
+    return out
+
+
+def unset_defaults(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """'module:callee(parameter)' for each defaulted parameter of the
+    modules' functions, methods and dataclasses that no call of a module or
+    a reader sets, by keyword or by position. Calls are matched to
+    definitions by the callee's name alone."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    calls = set_parameters([*trees.values(), *map(ast.parse, readers)])
+    found = []
+    for module, tree in trees.items():
+        for name, positional, defaulted in defaulted_parameters(tree):
+            seen = calls.get(name, set())
+            if "*" in seen:
+                continue
+            reached = positional[: max((n for n in seen if isinstance(n, int)), default=0)]
+            found += [f"{module}:{name}({p})" for p in defaulted if p not in seen and p not in reached]
+    return found
+
+
+def test_every_default_is_set_by_some_call():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert unset_defaults(modules, [p.read_text() for p in READERS]) == []
+
+
+def test_an_unset_default_is_found():
+    modules = {
+        "a.py": (
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\nclass Cfg:\n    size: int\n    tol: float = 1e-9\n    seed: int = 0\n\n"
+            "def solve(x, tol=1e-9, steps=10, *, exact=None):\n    return x\n\n"
+            "class Table:\n    def __init__(self, rows, cap=None):\n        self.rows = rows\n\n"
+            "    def at(self, k, default=0):\n        return default\n"
+        ),
+        "b.py": "from a import Cfg, Table, solve\n\nsolve(1, 1e-6)\nCfg(3, seed=1)\nTable([]).at(2, 5)\n",
+    }
+    assert unset_defaults(modules, ["from a import Table\n\nTable(*[[1], 2])\n"]) == [
+        "a.py:Cfg(tol)",
+        "a.py:solve(steps)",
+        "a.py:solve(exact)",
+    ]

@@ -17,11 +17,11 @@ from ou_spectra.errors import (
 from ou_spectra.gaussian import inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import (
+    _monomial_matrix,
     apply_L,
     apply_diffusion,
     apply_drift,
     check_normal,
-    degree_block_slices,
     hermite_rotation_matrix,
     homogeneous_drift_matrix,
     operator_matrix,
@@ -121,7 +121,7 @@ class TestOperatorMatrix:
                 continue
             om = operator_matrix(model, 3)
             arr = om.as_array()
-            slices = degree_block_slices(om.basis)
+            slices = list(enumerate(om.basis.blocks))
             # entries from lower-degree columns into higher-degree rows vanish
             for di, si in slices:
                 for dj, sj in slices:
@@ -132,7 +132,7 @@ class TestOperatorMatrix:
                 block = [
                     row[sk] for row in (np.array(om.entries, dtype=object)[sk])
                 ]
-                drift = homogeneous_drift_matrix(model, dk, ordering="graded-lex")
+                drift = operator_matrix(model, dk, "monomial", "drift", homogeneous=True)
                 assert [list(r) for r in block] == drift.entries
 
     def test_rotation_model_doubled_operator_on_hermite(self, model4):
@@ -197,7 +197,8 @@ class TestMonomialMatrixColumns:
         """Column alpha holds the coordinates of the operator applied to
         x^alpha by the nested loops of reference.apply_part, exactly:
         Fractions for the exact models, and the same floats for a float one.
-        Where an image leaves the homogeneous space, both raise."""
+        Where an image leaves the homogeneous space, both raise. The
+        v-orderings are reached through the basis that _monomial_matrix takes."""
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 3))
         models = small_test_models() + [
@@ -216,9 +217,9 @@ class TestMonomialMatrixColumns:
                     ]
                 except BasisUnavailable:
                     with pytest.raises(BasisUnavailable):
-                        operator_matrix(model, n, "monomial", operator, homogeneous, ordering)
+                        _monomial_matrix(model, basis, operator, model.is_exact)
                     continue
-                om = operator_matrix(model, n, "monomial", operator, homogeneous, ordering)
+                om = _monomial_matrix(model, basis, operator, model.is_exact)
                 assert om.basis == basis and om.is_exact == model.is_exact
                 entries = om.entries if om.is_exact else om.entries.tolist()
                 assert [list(col) for col in zip(*entries)] == expected

@@ -4,12 +4,13 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ou_spectra.errors import DimensionMismatch
-from ou_spectra.gaussian import gram_matrix, inner_product
+from ou_spectra.gaussian import finish_gram, gram_matrix, inner_product
 from ou_spectra.polynomials import (
+    ORDERINGS,
     SparsePolynomial,
     coefficient_text,
     exponent_array,
@@ -36,23 +37,15 @@ class TestRingAxioms:
             p, q, r = (random_poly(rng) for _ in range(3))
             assert (p + q) + r == p + (q + r)
             assert p + q == q + p
-            assert (p * q) * r == p * (q * r)
-            assert p * q == q * p
-            assert p * (q + r) == p * q + p * r
+            assert (p + q) * Fraction(3, 2) == p * Fraction(3, 2) + q * Fraction(3, 2)
             assert p - p == SparsePolynomial.zero(2)
 
     def test_zero_coefficients_never_stored(self):
         rng = random.Random(7)
         for _ in range(20):
             p, q = random_poly(rng), random_poly(rng)
-            for poly in (p + q, p * q, p - q):
+            for poly in (p + q, p - q):
                 assert all(c != 0 for c in poly.terms.values())
-
-    def test_power_matches_repeated_multiplication(self):
-        p = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(-2), (0, 0): Fraction(1, 3)})
-        assert p**0 == SparsePolynomial.constant(2, 1)
-        assert p**1 == p
-        assert p**3 == p * p * p
 
     def test_exactness_tracking(self):
         p = SparsePolynomial(2, {(1, 0): Fraction(1, 3)})
@@ -76,8 +69,7 @@ class TestStructure:
     def test_evaluate_matches_rows(self):
         p = SparsePolynomial(2, {(2, 0): 4, (0, 0): -2})
         X = np.array([[0.5, 1.0], [2.0, -1.0]])
-        vals = p.evaluate_rows(X)
-        assert vals == pytest.approx([p((0.5, 1.0)), p((2.0, -1.0))])
+        assert p.evaluate_rows(X) == pytest.approx([4 * 0.5**2 - 2, 4 * 2.0**2 - 2])
 
     def test_render(self):
         p = SparsePolynomial(1, {(2,): 4, (0,): -2})
@@ -166,6 +158,52 @@ class TestMonomialBasis:
             assert len(set(basis.indices)) == len(basis)
 
 
+def _key_sort(dim, cap, ordering, homogeneous):
+    """The basis as the sort of every exponent vector by a key that leads
+    with the degree and ends with descending lexicographic order."""
+    sign = {"graded-lex": 0, "v-nondecreasing": 1, "v-nonincreasing": -1}[ordering]
+    every = [a for a in _every_exponent(dim, cap) if not homogeneous or sum(a) == cap]
+    return sorted(every, key=lambda a: (sum(a), sign * v_order(a), tuple(-e for e in a)))
+
+
+class TestExponentIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.sampled_from(ORDERINGS), st.booleans())
+    def test_the_basis_owns_its_index(self, dim, cap, ordering, homogeneous):
+        basis = monomial_basis(dim, cap, ordering, homogeneous)
+        assert list(basis.indices) == _key_sort(dim, cap, ordering, homogeneous)
+        E = basis.exponents
+        assert E.tolist() == [list(a) for a in basis.indices] and not E.flags.writeable
+        assert basis.row_of(E).tolist() == list(range(len(basis)))
+        unit = np.eye(dim, dtype=int)
+        outside = [
+            unit[0] - 2 * unit[-1],  # a negative entry
+            (cap + 1) * unit[0],  # above the cap, with the key of x_2 in base cap + 1
+            cap * unit[0] + unit[-1],  # above the cap
+            *([np.zeros(dim, dtype=int)] if homogeneous and cap else []),  # below a homogeneous cap
+        ]
+        assert basis.row_of(np.array(outside)).tolist() == [-1] * len(outside)
+        assert len(basis.blocks) == cap + 1
+        assert [sl.start for sl in basis.blocks] == [0] + [sl.stop for sl in basis.blocks[:-1]]
+        assert basis.blocks[-1].stop == len(basis)
+        for d, sl in enumerate(basis.blocks):
+            assert (E[sl].sum(axis=1) == d).all()
+        assert basis == monomial_basis(dim, cap, ordering, homogeneous)
+
+    def test_steps_build_the_full_basis(self):
+        for dim, cap in ((1, 4), (3, 3), (4, 2)):
+            basis = monomial_basis(dim, cap)
+            E, unit = basis.exponents, np.eye(dim, dtype=int)
+            first, parent, up = basis.steps
+            assert parent[0] == -1
+            assert (E[parent[1:]] + unit[first[1:]] == E[1:]).all()
+            assert all(a[: first[k]] == (0,) * first[k] for k, a in enumerate(basis.indices))
+            for j in range(dim):
+                inside = up[j] >= 0
+                assert (E[up[j][inside]] == E[inside] + unit[j]).all()
+                assert (E[~inside].sum(axis=1) == cap).all()
+
+
 class TestVOrder:
     def test_extremes(self):
         assert v_order((5, 0, 0)) == 5
@@ -203,7 +241,7 @@ class TestHermite:
     def test_normalized_gram_is_identity_exactly(self):
         sigma = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
         ks = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        g = gram_matrix([hermite_tensor(k) for k in ks], sigma, normalized=True)
+        g = finish_gram(gram_matrix([hermite_tensor(k) for k in ks], sigma), True)
         for i in range(len(ks)):
             for j in range(len(ks)):
                 assert g[i][j] == (1 if i == j else 0)

@@ -229,7 +229,7 @@ class TestConfigValidation:
         from ou_spectra.model import CovarianceMatrix
 
         def broken(model, h):
-            return CovarianceMatrix(t=h, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
+            return CovarianceMatrix(sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
         monkeypatch.setattr(sim, "covariance_at", broken)
         with pytest.raises(CholeskyFailure):

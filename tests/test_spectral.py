@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import small_test_models
 from reference import identity
-from ou_spectra import exact
+from ou_spectra import cli, exact
 from ou_spectra.errors import (
     ComplexSpectrum,
     ConvergenceFailure,
@@ -77,16 +79,16 @@ class TestSpectrum:
     def test_rotation_cap2(self, model4):
         sp = spectrum(model4, 2)
         expected = [0, -1 + 1j, -1 - 1j, -2, -2 + 2j, -2 - 2j]
-        assert_multisets_close(sp.values(), [complex(v) for v in expected], 1e-12)
+        assert_multisets_close(sp.point_values.tolist(), [complex(v) for v in expected], 1e-12)
 
     def test_triangular_cap2(self, model5):
         sp = spectrum(model5, 2)
         expected = [0, -1, -3, -2, -4, -6]
-        assert_multisets_close(sp.values(), [complex(v) for v in expected], 1e-12)
+        assert_multisets_close(sp.point_values.tolist(), [complex(v) for v in expected], 1e-12)
 
     def test_cap_zero(self, model5):
         sp = spectrum(model5, 0)
-        assert sp.values() == [0j]
+        assert sp.point_values.tolist() == [0j]
         assert sp.points[0].witnesses == ((0, 0),)
 
     def test_witnesses_record_resonance(self, model5):
@@ -97,7 +99,7 @@ class TestSpectrum:
 
     def test_single_eigenvalue_drift(self, jordan2):
         sp = spectrum(jordan2, 3)
-        assert_multisets_close(sp.values(), [0j, -1 + 0j, -2 + 0j, -3 + 0j], 1e-12)
+        assert_multisets_close(sp.point_values.tolist(), [0j, -1 + 0j, -2 + 0j, -3 + 0j], 1e-12)
 
     def test_twelve_distinct_eigenvalues_cap3(self):
         # base-4 digits keep every sum of at most three eigenvalues distinct
@@ -249,6 +251,35 @@ class TestDriftClusters:
         sp = spectrum(self.rotated(values, 12), 1)
         assert len(sp.distinct) == 12
         assert_multisets_close(sp.distinct, [complex(v) for v in values], 1e-12)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(
+            float_drifts(),
+            st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-9, 1e-4, 1.0]).map(
+                lambda gap: validate_model(np.eye(2), np.diag([-1.0, -1.0 - gap]))
+            ),
+        )
+    )
+    def test_forms_match_the_multiplicity(self, model):
+        """Each cluster has one linear form per eigenvalue it holds, where
+        the rank calls are decisive."""
+        try:
+            clusters = _drift_clusters(model.B)
+        except RankDecisionAmbiguous:
+            return
+        for c in clusters:
+            assert c.forms.shape == (model.dim, c.multiplicity)
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9])
+    def test_gap_between_roundoff_and_rank_gap_is_ambiguous(self, gap):
+        """diag(-1, -1 - gap): the pair's zero, gap / 2, is above the
+        roundoff floor, so the pair splits; each single then has one
+        singular value of about gap, neither roundoff nor a decisive rank
+        gap, and the spectrum exits with the ambiguity code."""
+        B = json.dumps([[-1.0, 0.0], [0.0, -1.0 - gap]])
+        argv = ["spectrum", "--Q", "[[1, 0], [0, 1]]", "--B", B, "--degree", "1"]
+        assert cli.run(argv, io.StringIO(), io.StringIO()) == cli.EXIT_AMBIGUOUS
 
     def test_split_rational_cluster_is_merged(self):
         # pieces of one defective eigenvalue pass dim ker (B^T - r)^m = m
