@@ -43,15 +43,12 @@ from .operator import (
     OperatorMatrix,
     RotationSplit,
     apply_L,
-    apply_diffusion,
-    apply_drift,
     check_normal,
     hermite_rotation_matrix,
     homogeneous_drift_matrix,
     operator_matrix,
     rotation_split,
     semigroup_apply,
-    wick_matrix,
 )
 from .polynomials import (
     GradedBasis,

@@ -50,6 +50,7 @@ from .operator import (
 from .polynomials import (
     SparsePolynomial,
     coefficient_text,
+    index_degree,
     monomial_basis,
     monomial_text,
     render_terms,
@@ -155,19 +156,8 @@ def scalar_json(x):
     return float(x)
 
 
-def complex_json(z: complex):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def matrix_json(m):
     return [[scalar_json(x) for x in row] for row in m]
-
-
-def _poly_json(p: SparsePolynomial) -> dict:
-    out = p.to_json()
-    out["text"] = p.render()
-    return out
 
 
 # -- model file parsing --------------------------------------------------------
@@ -351,7 +341,7 @@ def _drift_json(sp) -> list:
     """The drift eigenvalues the spectrum sp is built on: each cluster mean
     repeated by its multiplicity, ascending as model.drift_eigenvalues."""
     values = [z for z, m in zip(sp.distinct, sp.multiplicities) for _ in range(m)]
-    return [complex_json(z) for z in sorted(values, key=lambda z: (z.real, z.imag))]
+    return [scalar_json(complex(z)) for z in sorted(values, key=lambda z: (z.real, z.imag))]
 
 
 def _spectrum_json(sp) -> EncodedLines:
@@ -367,40 +357,60 @@ def _spectrum_json(sp) -> EncodedLines:
     )
 
 
+def _term_heads(alphas) -> tuple[list[str], list[str]]:
+    """For each exponent vector, its term's JSON text up to the "re" value
+    and its monomial text."""
+    heads = [f'{{"alpha": [{", ".join(map(str, a))}], "re": ' for a in alphas]
+    return heads, [monomial_text(a) for a in alphas]
+
+
+def _polynomial_text(dim: int, heads: list[str], monomials: list[str], values: list) -> str:
+    """The text json.dumps writes for a polynomial's object, with the terms
+    in ascending (degree, exponent) order: heads and monomials are their
+    _term_heads, values their coefficients, and "text" renders them in the
+    reverse order. A float is written by float.__repr__, as the json encoder
+    writes it; a rational keeps exactness as a "p/q" string in "re", with
+    "im" "0"."""
+    texts = [coefficient_text(c) for c in values]
+    terms = ", ".join(
+        [
+            head
+            + (
+                f'{c!r}, "im": 0.0}}'
+                if type(c) is float
+                else f'{c.real!r}, "im": {c.imag!r}}}'
+                if type(c) is complex
+                else f'"{t}", "im": "0"}}'
+            )
+            for head, c, t in zip(heads, values, texts)
+        ]
+    )
+    text = render_terms(zip(reversed(monomials), reversed(texts)))
+    # monomial and coefficient texts hold no character JSON escapes
+    return f'{{"dim": {dim}, "terms": [{terms}], "text": "{text}"}}'
+
+
 def _group_lines(dec, tol_nilp: float) -> EncodedLines:
     """The groups, each encoded as JSON text straight from its coefficient
     columns: the text json.dumps writes for the group's object, floats by
     float.__repr__ as the json encoder writes them. Each listed polynomial
-    is written as SparsePolynomial.to_json and render would write it: terms
-    in ascending (degree, exponent) order, text in the reverse order: on
-    the graded-lex basis, each degree block reversed. The order, each basis
-    row's term text up to its "re" value and the monomial texts are made
-    once."""
+    is written by _polynomial_text, whose ascending (degree, exponent) order
+    is, on the graded-lex basis, each degree block reversed. The order and
+    each basis row's term heads are made once."""
     indices = dec.basis.indices
     order = [k for sl in dec.basis.blocks for k in reversed(range(sl.start, sl.stop))]
-    heads = [f'{{"alpha": [{", ".join(map(str, indices[k]))}], "re": ' for k in order]
-    monomials = [monomial_text(indices[k]) for k in order]
-    poly_head = f'{{"dim": {dec.basis.dim}, "terms": ['
+    heads, monomials = _term_heads([indices[k] for k in order])
     lines = EncodedLines()
     for g in dec.groups:
         z, residual = complex(g.eigenvalue), float(g.max_power_residual)
         if not math.isfinite(residual):  # listed_terms rejects non-finite coefficients
             raise ConvergenceFailure("an eigen-group has a non-finite value, which JSON cannot hold")
-        exact = g.coefficients.dtype == object  # integers over g.denominator
-        polys = []
-        for rows, values in listed_terms(g.coefficients[order], g.denominator):
-            texts = [coefficient_text(c) for c in values]
-            if exact:
-                tails = [f'"{t}", "im": "0"}}' for t in texts]
-            else:  # listed_terms lists a coefficient real to roundoff as a float
-                tails = [
-                    f'{c!r}, "im": 0.0}}' if type(c) is float else f'{c.real!r}, "im": {c.imag!r}}}'
-                    for c in values
-                ]
-            terms = ", ".join([heads[r] + tail for r, tail in zip(rows, tails)])
-            text = render_terms(zip([monomials[r] for r in reversed(rows)], reversed(texts)))
-            # monomial and coefficient texts hold no character JSON escapes
-            polys.append(f'{poly_head}{terms}], "text": "{text}"}}')
+        polys = [
+            _polynomial_text(
+                dec.basis.dim, [heads[r] for r in rows], [monomials[r] for r in rows], values
+            )
+            for rows, values in listed_terms(g.coefficients[order], g.denominator)
+        ]
         lines.append(
             f'{{"eigenvalue": {{"re": {z.real!r}, "im": {z.imag!r}}}, '
             f'"multiplicity": {g.multiplicity}, "nilpotency_index": {g.nilpotency_index}, '
@@ -419,7 +429,7 @@ def _orthogonality_json(report) -> dict:
     H, worst, tol = report.gram, report.worst, report.tol_orth
     if not (np.isfinite(H).all() and np.isfinite(worst).all()):
         raise ConvergenceFailure("the pair Gram has a non-finite entry, which JSON cannot hold")
-    eigenvalues = [json.dumps(complex_json(z)) for z in report.eigenvalues]
+    eigenvalues = [json.dumps(scalar_json(complex(z))) for z in report.eigenvalues]
     bounds = [*report.starts.tolist(), len(H)]
     pairs = EncodedLines()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
@@ -583,16 +593,14 @@ def _example_section5(config: RunConfig, params: Section5Params) -> dict:
     report["drift_eigenvalues"] = _drift_json(spectrum(model, 0))
     eigenfunctions = section5_eigenfunctions(params)
     names = ["v1", "v2", "v3", "v4"][: len(eigenfunctions)]
-    funcs = []
+    funcs = EncodedLines()
     for name, (v, mu) in zip(names, eigenfunctions):
-        residual = apply_L(model, v) - v * mu
+        alphas = sorted(v.terms, key=lambda a: (index_degree(a), a))
+        poly = _polynomial_text(v.dim, *_term_heads(alphas), [v.terms[a] for a in alphas])
+        residual_zero = (apply_L(model, v) - v * mu).is_zero
         funcs.append(
-            {
-                "name": name,
-                "polynomial": _poly_json(v),
-                "eigenvalue": scalar_json(mu),
-                "generator_residual_zero": residual.is_zero,
-            }
+            f'{{"name": "{name}", "polynomial": {poly}, "eigenvalue": {json.dumps(scalar_json(mu))}, '
+            f'"generator_residual_zero": {json.dumps(residual_zero)}}}'
         )
     # g[0] pairs the constant 1 with each eigenfunction, g[i + 1] pairs v_(i+1)
     one = SparsePolynomial.constant(2, Fraction(1))

@@ -7,15 +7,14 @@ so every graded monomial basis yields a block upper triangular matrix. The
 generator is one list of exponent steps (_generator_parts): D sends x^a to
 a_i B_ij x^(a - e_i + e_j) and the diffusion part sends it to
 1/2 a_i (a_j - delta_ij) Q_ij x^(a - e_i - e_j), summed over i and j. The
-matrices scatter those steps on a basis's exponents; apply_L and its parts
-take them on one sparse polynomial's own exponents.
+matrices scatter those steps on a basis's exponents; apply_L takes them on
+one sparse polynomial's own exponents.
 
 The Wick map W = exp(-K), where K = 1/2 tr(S D^2) is the diffusion part with
 Q replaced by the stationary covariance S, intertwines the generator with its
 drift part: L W = W D. Its matrix is filled column by column by the Wick
 recursion :x^(a + e_i): = x_i :x^a: - sum_j S_ij a_j :x^(a - e_j):.
-Monomial matrices come in Fractions or in floats, as the caller asks; by
-default they are exact for exact models. For a normalized model the Hermite
+Monomial matrices are exact for exact models. For a normalized model the Hermite
 tensors are the Wick powers W x^alpha up to scale, so the matrix of L on them
 is a diagonal similarity of the drift matrix, with no Gaussian integral. The
 semigroup on degree <= n is e^(tL) = Sub(e^(tB)) W_(-S_t): the Wick recursion
@@ -86,16 +85,6 @@ class NormalCheck:
 
 
 # -- pointwise action ------------------------------------------------------
-
-
-def apply_diffusion(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
-    """Second-order part (1/2) sum_ij Q_ij d^2 p / dx_i dx_j; lowers degree by 2."""
-    return _apply(model, p, "diffusion")
-
-
-def apply_drift(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
-    """First-order part <Bx, grad p>; preserves homogeneous degree."""
-    return _apply(model, p, "drift")
 
 
 def apply_L(model: OUModel, p: SparsePolynomial) -> SparsePolynomial:
@@ -170,22 +159,20 @@ def operator_matrix(
     basis_kind: str = "monomial",
     operator: str = "L",
     homogeneous: bool = False,
-    exact: bool | None = None,
 ) -> OperatorMatrix:
     """Assemble the operator's matrix on a degree-capped graded-lex basis.
 
     Monomial bases carry every operator tag; their entries are exact for
-    exact models unless exact=False asks for floats. The Hermite basis needs
-    a normalized model (Q = I, stationary covariance S diagonal) and carries
-    only "L" and "A". Its elements are the
-    orthonormal Hermite tensors W x^alpha / sqrt(alpha! lambda^alpha), with
-    lambda = diag S, so by L W = W D its matrix is R D R^(-1): D is the
-    graded-lex drift matrix and R = diag(sqrt(alpha! lambda^alpha)). The
-    entries are floats.
+    exact models. The Hermite basis needs a normalized model (Q = I,
+    stationary covariance S diagonal) and carries only "L" and "A". Its
+    elements are the orthonormal Hermite tensors
+    W x^alpha / sqrt(alpha! lambda^alpha), with lambda = diag S, so by
+    L W = W D its matrix is R D R^(-1): D is the graded-lex drift matrix and
+    R = diag(sqrt(alpha! lambda^alpha)). The entries are floats.
     """
     basis = monomial_basis(model.dim, n, homogeneous=homogeneous)
     if basis_kind == "monomial":
-        return _monomial_matrix(model, basis, operator, model.is_exact if exact is None else exact)
+        return _monomial_matrix(model, basis, operator, model.is_exact)
     if basis_kind == "hermite-normal-form":
         return _hermite_matrix(model, basis, operator)
     raise ValueError(f"unknown basis kind {basis_kind!r}")
@@ -235,31 +222,6 @@ def symmetric_power(T: np.ndarray, basis: GradedBasis) -> list[np.ndarray]:
     return out
 
 
-def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMatrix:
-    """Matrix of the Wick map W = exp(-K) on the graded-lex monomials of
-    degree <= n, where K = 1/2 tr(S D^2) is the diffusion part with Q replaced
-    by the stationary covariance S.
-
-    W intertwines the generator with its drift part D = <Bx, grad>:
-    L W = W D. The Lyapunov equation makes the commutator [K, D] equal to
-    minus the diffusion part of L, and that commutes with K, so
-    W D W^(-1) = D + 1/2 tr(Q D^2) = L. W maps each generalized eigenspace of a
-    homogeneous drift block onto one of L.
-
-    Column alpha is the Wick power :x^alpha: of S (_wick_recursion). The
-    entries are Fractions when exact (by default: when the model is), from
-    the integer recursion of integer_wick_matrix, and floats otherwise.
-    """
-    exact = model.is_exact if exact is None else exact
-    basis = monomial_basis(model.dim, n)
-    if not exact:
-        W = _wick_recursion(model.covariance.sigma, basis)
-        return OperatorMatrix(basis, W, False)
-    W, scale = integer_wick_matrix(model, basis)
-    entries = [[Fraction(w, scale) for w in row] for row in W.tolist()]
-    return OperatorMatrix(basis, entries, True)
-
-
 def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray, int]:
     """(scale * W as an array of Python ints, scale) for an exact model, on a
     full graded-lex basis of cap n.
@@ -277,7 +239,15 @@ def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray,
 
 def _wick_recursion(S: np.ndarray, basis: GradedBasis) -> np.ndarray:
     """The Wick powers :x^alpha: of S as the columns of a matrix on a full
-    graded-lex basis, by the recursion
+    graded-lex basis. For S the stationary covariance this is the matrix of
+    the Wick map W = exp(-K), K = 1/2 tr(S D^2) the diffusion part with Q
+    replaced by S. W intertwines the generator with its drift part
+    D = <Bx, grad>: L W = W D. The Lyapunov equation makes the commutator
+    [K, D] equal to minus the diffusion part of L, and that commutes with K,
+    so W D W^(-1) = D + 1/2 tr(Q D^2) = L. W maps each generalized
+    eigenspace of a homogeneous drift block onto one of L.
+
+    Column alpha is built by the recursion
     :x^(a + e_i): = x_i :x^a: - sum_j S_ij a_j :x^(a - e_j): (Janson,
     Gaussian Hilbert Spaces, 1997, ch. 3), with i the first variable of
     alpha: one shifted copy of the parent column plus at most N axpys, over

@@ -190,20 +190,6 @@ class SparsePolynomial:
     def __repr__(self):
         return f"SparsePolynomial({self.dim}, {self.render()!r})"
 
-    def to_json(self) -> dict:
-        """Canonical JSON form: {"terms": [{"alpha": [...], "re": .., "im": ..}]}.
-
-        Rational coefficients keep exactness as "p/q" strings in "re".
-        """
-        items = sorted(
-            self.terms.items(), key=lambda kv: (index_degree(kv[0]), kv[0])
-        )
-        out = []
-        for alpha, c in items:
-            re, im = coefficient_json(c)
-            out.append({"alpha": list(alpha), "re": re, "im": im})
-        return {"dim": self.dim, "terms": out}
-
 
 def monomial_text(alpha: MultiIndex) -> str:
     """x^alpha as text, e.g. 'x1^2*x3'; the empty string for alpha = 0."""
@@ -220,16 +206,6 @@ def render_terms(terms) -> str:
         for mono, cs in terms
     ]
     return " + ".join(bodies).replace(" + -", " - ") or "0"
-
-
-def coefficient_json(c) -> tuple:
-    """(re, im) of a coefficient in JSON: rationals keep exactness as a
-    "p/q" string in re, with im "0"."""
-    if isinstance(c, complex):
-        return c.real, c.imag
-    if not isinstance(c, float) and isinstance(c, EXACT_TYPES):
-        return str(Fraction(c)), "0"
-    return float(c), 0.0
 
 
 def coefficient_text(c) -> str:

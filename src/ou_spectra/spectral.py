@@ -12,7 +12,7 @@ sum_j n_j lambda_j over these clusters with sum n_j <= n (Metafune, Pallara
 and Priola, J. Funct. Anal. 196, 2002). Generalized eigenspaces follow from
 the Wick intertwining L W = W D. Here D = <Bx, grad> is the drift part,
 which keeps the degree, and W = exp(-1/2 tr(S D^2)) is the Wick map of the
-stationary covariance S (operator.wick_matrix). D acts on a linear form
+stationary covariance S (operator._wick_recursion). D acts on a linear form
 y = u . x as B^T acts on u, and it is a derivation. So a product of forms,
 n_j of them from ker (B^T - lambda_j)^(k_j) for each cluster j, lies in the
 generalized eigenspace of D at sum_j n_j lambda_j, with nilpotency index
@@ -21,13 +21,13 @@ every degree, so each generalized eigenspace of L is W applied to the
 products whose sum is its point: no kernel is solved on any degree block.
 The products come from operator.symmetric_power, as the semigroup's do.
 
-W, and the operator matrix for the residuals, are built in the arithmetic of
-the route: on the exact route W is integers over one denominator
-(operator.integer_wick_matrix) and no operator matrix is built, otherwise
-floats, also for a rational model with complex drift eigenvalues. Each group
-keeps its coefficient columns; listed_terms reads the listed polynomials off
-them, and EigenGroup.polynomials builds them as SparsePolynomials only when
-read.
+W, and the operator matrix for the residuals, are built on the
+decomposition's one basis in the arithmetic of the route: on the exact route
+W is integers over one denominator (operator.integer_wick_matrix) and no
+operator matrix is built, otherwise both are floats, also for a rational
+model with complex drift eigenvalues. Each group keeps its coefficient
+columns; listed_terms reads the listed polynomials off them, and
+EigenGroup.polynomials builds them as SparsePolynomials only when read.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ from .gaussian import basis_moment_gram
 from .model import OUModel, drift_eigenvalues
 from .operator import (
     OperatorMatrix,
+    _monomial_matrix,
+    _wick_recursion,
     integer_wick_matrix,
-    operator_matrix,
     symmetric_power,
-    wick_matrix,
 )
 from .polynomials import GradedBasis, SparsePolynomial, exponent_array, monomial_basis
 
@@ -334,12 +334,18 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
         raise ValueError("degree cap must be >= 0")
     if model.dim > 12:
         raise UnsupportedDimension(f"spectra are supported for N <= 12, got N = {model.dim}")
-    found = _drift_clusters(model.B)
-    rational = (
-        _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
-        if model.is_exact
-        else None
-    )
+    rational = None
+    try:
+        found = _drift_clusters(model.B)
+    except RankDecisionAmbiguous:
+        # a close pair that no float rank call parts may still be rational:
+        # confirm each float eigenvalue exactly on its own
+        singles = [(z, 1) for z in drift_eigenvalues(model.B)]
+        found = rational = model.is_exact and _rational_clusters(model.B_exact, singles)
+        if not rational:
+            raise
+    if model.is_exact and rational is None:
+        rational = _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
     # slowest decay first, so witness exponent vectors read off against
     # (-a+d, -a-d)-style orderings
     drift = sorted(rational or found, key=lambda c: (-c.value.real, c.value.imag))
@@ -536,8 +542,8 @@ def generalized_eigenspaces(
     if exact_route:
         W, scale = integer_wick_matrix(model, basis)
     else:
-        W = wick_matrix(model, degree_cap, exact=False).entries
-        M = operator_matrix(model, degree_cap, "monomial", "L", exact=False).entries.astype(complex)
+        W = _wick_recursion(model.covariance.sigma, basis)
+        M = _monomial_matrix(model, basis, "L", False).entries.astype(complex)
     images, columns = _wick_products(sp.clusters, basis, W)
     groups = []
     for p in sp.points:

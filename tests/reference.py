@@ -9,7 +9,10 @@ The reduced row echelon kernel in Fractions is the oracle of the
 fraction-free exact.nullspace, and the nested loops of apply_part the
 oracle of the generator's exponent steps. The library multiplies
 polynomials only by scalars; the product and power of two polynomials
-below serve the oracles that expand products of linear forms.
+below serve the oracles that expand products of linear forms. The library
+builds the Wick map only on the basis of a decomposition; wick_matrix below
+builds it on its own basis, as an OperatorMatrix. polynomial_json is the
+oracle of the JSON text the report writes for a polynomial.
 """
 
 from fractions import Fraction
@@ -19,7 +22,8 @@ from math import factorial, isqrt, sqrt
 from ou_spectra.errors import DimensionMismatch
 from ou_spectra.exact import Matrix, transpose
 from ou_spectra.model import OUModel
-from ou_spectra.polynomials import EXACT_TYPES, SparsePolynomial
+from ou_spectra.operator import OperatorMatrix, _wick_recursion, integer_wick_matrix
+from ou_spectra.polynomials import EXACT_TYPES, SparsePolynomial, index_degree, monomial_basis
 
 
 def identity(n: int) -> Matrix:
@@ -194,3 +198,42 @@ def multiply(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
 def power(p: SparsePolynomial, n: int) -> SparsePolynomial:
     """p^n as n products from the constant 1."""
     return reduce(multiply, [p] * n, SparsePolynomial.constant(p.dim, 1))
+
+
+def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMatrix:
+    """Matrix of the Wick map W = exp(-K) on the graded-lex monomials of
+    degree <= n, K = 1/2 tr(S D^2) the diffusion part with Q replaced by the
+    stationary covariance S (operator._wick_recursion). The entries are
+    Fractions when exact (by default: when the model is), from the integer
+    recursion of integer_wick_matrix, and floats otherwise."""
+    exact = model.is_exact if exact is None else exact
+    basis = monomial_basis(model.dim, n)
+    if not exact:
+        W = _wick_recursion(model.covariance.sigma, basis)
+        return OperatorMatrix(basis, W, False)
+    W, scale = integer_wick_matrix(model, basis)
+    entries = [[Fraction(w, scale) for w in row] for row in W.tolist()]
+    return OperatorMatrix(basis, entries, True)
+
+
+def coefficient_json(c) -> tuple:
+    """(re, im) of a coefficient in JSON: rationals keep exactness as a
+    "p/q" string in re, with im "0"."""
+    if isinstance(c, complex):
+        return c.real, c.imag
+    if not isinstance(c, float) and isinstance(c, EXACT_TYPES):
+        return str(Fraction(c)), "0"
+    return float(c), 0.0
+
+
+def polynomial_json(p: SparsePolynomial) -> dict:
+    """The report's object for p: {"dim", "terms", "text"}, the terms
+    {"alpha", "re", "im"} in ascending (degree, exponent) order and the text
+    p.render(). Rational coefficients keep exactness as "p/q" strings in
+    "re"."""
+    items = sorted(p.terms.items(), key=lambda kv: (index_degree(kv[0]), kv[0]))
+    terms = []
+    for alpha, c in items:
+        re, im = coefficient_json(c)
+        terms.append({"alpha": list(alpha), "re": re, "im": im})
+    return {"dim": p.dim, "terms": terms, "text": p.render()}

@@ -17,7 +17,6 @@ from ou_spectra.errors import ConvergenceFailure, RankDecisionAmbiguous, SchemaE
 from ou_spectra.model import validate_model
 from ou_spectra.polynomials import (
     SparsePolynomial,
-    coefficient_json,
     coefficient_text,
     index_degree,
     monomial_text,
@@ -29,7 +28,13 @@ from ou_spectra.spectral import (
     listed_terms,
     orthogonality_report,
 )
-from ou_spectra.worked_examples import Section5Params, section4_model, section5_model
+from ou_spectra.worked_examples import (
+    Section5Params,
+    section4_model,
+    section5_eigenfunctions,
+    section5_model,
+)
+from reference import coefficient_json, polynomial_json
 
 
 def run_cli(argv):
@@ -286,6 +291,29 @@ class TestPaperExample:
         assert len(report["example"]["eigenfunctions"]) == 3
         assert report["example"]["pairings"]["<v1,v3>"] == "1/18"
 
+    @pytest.mark.parametrize("params", [("2", "1", "1"), ("3", "1", "2"), ("5/2", "1/3", "-3/4")])
+    def test_eigenfunction_lines(self, params):
+        """Each eigenfunction's line is the text json.dumps writes for its
+        object, with the polynomial as reference.polynomial_json writes it."""
+        a, d, c = params
+        code, out, err = run_cli(["paper-example", "section5", "--a", a, "--d", d, "--c", c])
+        assert code == 0, err
+        funcs = section5_eigenfunctions(Section5Params(*map(Fraction, params)))
+        expected = [
+            json.dumps(
+                {
+                    "name": f"v{k + 1}",
+                    "polynomial": polynomial_json(v),
+                    "eigenvalue": str(mu),
+                    "generator_residual_zero": True,
+                }
+            )
+            for k, (v, mu) in enumerate(funcs)
+        ]
+        lines = [line.strip().rstrip(",") for line in out.splitlines()]
+        start = lines.index('"eigenfunctions": [') + 1
+        assert lines[start : start + len(funcs) + 1] == [*expected, "]"]
+
     def test_section4_report(self):
         report = run_json(["paper-example", "section4", "--degree", "4"])
         ex = report["example"]
@@ -404,7 +432,7 @@ def dense_float_decomposition(draws):
 def pair_dicts(rep) -> list[dict]:
     """One object per PairVerdict of rep, as the report wrote each pair
     before its lines were encoded from the pair Gram directly."""
-    eigenvalues = [cli.complex_json(z) for z in rep.eigenvalues]
+    eigenvalues = [cli.scalar_json(complex(z)) for z in rep.eigenvalues]
     return [
         {
             "eigenvalue_i": eigenvalues[p.i],
@@ -500,7 +528,7 @@ def group_dicts(dec, tol_nilp: float) -> list[dict]:
             polys.append({"dim": dec.basis.dim, "terms": terms, "text": text})
         out.append(
             {
-                "eigenvalue": cli.complex_json(g.eigenvalue),
+                "eigenvalue": cli.scalar_json(complex(g.eigenvalue)),
                 "multiplicity": g.multiplicity,
                 "nilpotency_index": g.nilpotency_index,
                 "max_power_residual": g.max_power_residual,
@@ -672,8 +700,8 @@ class TestGroupsWriter:
         ids=["section4", "complex-float", "section5", "exact-dense"],
     )
     def test_columns_match_the_polynomials(self, model, exact_route):
-        """Each listed polynomial is written as SparsePolynomial.to_json and
-        render write it: with Fraction coefficients on the exact route, and
+        """Each listed polynomial is written as reference.polynomial_json
+        writes it: with Fraction coefficients on the exact route, and
         on the float route as the tidied unit vector, with real and complex
         coefficients."""
         dec = generalized_eigenspaces(model, 4)
@@ -693,7 +721,7 @@ class TestGroupsWriter:
                     )
                 else:
                     expected = _tidy_poly(g.vectors[:, k], dec.basis)
-                assert poly == {**expected.to_json(), "text": expected.render()}
+                assert poly == polynomial_json(expected)
                 assert g.polynomials[k] == expected
                 kinds.update(type(c) for c in expected.terms.values())
         assert kinds == ({Fraction} if exact_route else {float, complex})
@@ -736,7 +764,7 @@ class TestSpectrumWriter:
         assert list(cli._spectrum_json(sp)) == [
             json.dumps(
                 {
-                    "value": cli.complex_json(p.value),
+                    "value": cli.scalar_json(complex(p.value)),
                     "witnesses": [list(w) for w in p.witnesses],
                     "degrees": list(p.degrees),
                 }

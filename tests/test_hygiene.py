@@ -1,13 +1,13 @@
 """Source hygiene of the package, read with the standard library's ast.
 
 Every name a module imports at top level is used in that module. The
-package's __init__ imports only to re-export, so it is left out. Every
-top-level definition of a module is named somewhere beyond its own
-definition: in its module, in another module of the package, in the
-acceptance tests or in the benchmark harness; a definition only the unit
-tests read is test code and belongs in tests/. Likewise every defaulted
-parameter of a function, method or dataclass is set by some call there: a
-setting that no caller sets is a constant.
+package's __init__ imports only to re-export, so it is left out, and a
+re-export is no caller. Every top-level definition of a module is named
+somewhere beyond its own definition: in its module, in another module of
+the package, in the acceptance tests or in the benchmark harness; a
+definition only the unit tests read is test code and belongs in tests/.
+Likewise every defaulted parameter of a function, method or dataclass is
+set by some call there: a setting that no caller sets is a constant.
 """
 
 import ast
@@ -71,16 +71,18 @@ def defined_names(node: ast.stmt) -> list[str]:
 
 def unnamed_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """'module:name' for each top-level definition of the modules (file name
-    to source), __init__.py aside, that no other statement of any module,
-    nor any reader, names."""
+    to source) that no other statement of a module, nor any reader, names.
+    __init__.py is left out: its re-exports name nothing."""
     statements = [
-        (module, node) for module, source in modules.items() for node in ast.parse(source).body
+        (module, node)
+        for module, source in modules.items()
+        if module != "__init__.py"
+        for node in ast.parse(source).body
     ]
     named = [names_in(node) for _, node in statements] + [names_in(ast.parse(s)) for s in readers]
     return [
         f"{module}:{name}"
         for k, (module, node) in enumerate(statements)
-        if module != "__init__.py"
         for name in defined_names(node)
         if not any(name in names for i, names in enumerate(named) if i != k)
     ]
@@ -98,6 +100,15 @@ def test_an_unnamed_definition_is_found():
         "b.py": "from a import helper\n",
     }
     assert unnamed_definitions(modules, ["import a\n"]) == ["a.py:dead"]
+
+
+def test_a_definition_only_reexported_is_found():
+    modules = {
+        "__init__.py": "from .a import helper, exported\n\n__all__ = ['helper', 'exported']\n",
+        "a.py": "def helper():\n    return 1\n\ndef exported():\n    return 2\n",
+        "b.py": "from .a import helper\n",
+    }
+    assert unnamed_definitions(modules, []) == ["a.py:exported"]
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, list[str], list[str]]]:

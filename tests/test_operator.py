@@ -17,10 +17,9 @@ from ou_spectra.errors import (
 from ou_spectra.gaussian import inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import (
+    _apply,
     _monomial_matrix,
     apply_L,
-    apply_diffusion,
-    apply_drift,
     check_normal,
     hermite_rotation_matrix,
     homogeneous_drift_matrix,
@@ -75,10 +74,10 @@ class TestApply:
             p = SparsePolynomial(2, terms)
             if p.is_zero:
                 continue
-            drifted = apply_drift(model5, p)
+            drifted = _apply(model5, p, "drift")
             if not drifted.is_zero:
                 assert {sum(a) for a in drifted.terms} == {n}
-            diffused = apply_diffusion(model5, p)
+            diffused = _apply(model5, p, "diffusion")
             if not diffused.is_zero:
                 assert {sum(a) for a in diffused.terms} == {n - 2}
 
@@ -89,14 +88,14 @@ class TestApply:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_matches_the_nested_loops(self, data):
-        """On multi-term exact polynomials, apply_L, apply_drift and
-        apply_diffusion equal the nested loops of reference.apply_part, and
+        """On multi-term exact polynomials, apply_L and its drift and
+        diffusion parts equal the nested loops of reference.apply_part, and
         on each float monomial apply_L gives the same floats: one term's
         image takes its contributions in the same order on both routes."""
         model = data.draw(rational_models())
         p = data.draw(exact_polys(model.dim))
-        assert apply_drift(model, p) == apply_part(model, p, diffusion=False)
-        assert apply_diffusion(model, p) == apply_part(model, p, diffusion=True)
+        assert _apply(model, p, "drift") == apply_part(model, p, diffusion=False)
+        assert _apply(model, p, "diffusion") == apply_part(model, p, diffusion=True)
         assert apply_L(model, p) == reference_L(model, p)
         for alpha, c in p.terms.items():
             x = SparsePolynomial(model.dim, {alpha: float(c)})
@@ -258,7 +257,7 @@ class TestHomogeneousDrift:
         # with B = lambda I + R, R x^alpha = sum alpha_i x^(alpha shifted down)
         model = validate_model([[1, 0], [0, 1]], [[-1, 0], [1, -1]])
         x2sq = SparsePolynomial(2, {(0, 2): Fraction(1)})
-        image = apply_drift(model, x2sq) - x2sq * (Fraction(-1) * 2)
+        image = _apply(model, x2sq, "drift") - x2sq * (Fraction(-1) * 2)
         assert image == SparsePolynomial(2, {(1, 1): Fraction(2)})
 
     def test_nilpotent_part_matrix(self):

@@ -22,7 +22,7 @@ from ou_spectra.errors import (
 from ou_spectra.gaussian import MomentTable, inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import operator_matrix, poly_coordinates
-from ou_spectra.polynomials import SparsePolynomial, monomial_basis
+from ou_spectra.polynomials import GradedBasis, SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
     TOL_EIG,
     SpectrumPoint,
@@ -281,6 +281,26 @@ class TestDriftClusters:
         argv = ["spectrum", "--Q", "[[1, 0], [0, 1]]", "--B", B, "--degree", "1"]
         assert cli.run(argv, io.StringIO(), io.StringIO()) == cli.EXIT_AMBIGUOUS
 
+    @pytest.mark.parametrize(
+        ("second", "code"),
+        [("-1000000001/1000000000", 0), (-1.000000001, cli.EXIT_AMBIGUOUS)],
+        ids=["rational", "float"],
+    )
+    def test_close_rational_pair_is_confirmed_exactly(self, second, code):
+        """diag(-1, -1 - 1e-9) is ambiguous to the float rank calls. As a
+        rational model each float eigenvalue is confirmed exactly on its own,
+        so its spectrum is exact; as a float model it exits with the
+        ambiguity code."""
+        B = json.dumps([[-1, 0], [0, second]])
+        out = io.StringIO()
+        argv = ["spectrum", "--Q", "[[1, 0], [0, 1]]", "--B", B, "--degree", "1"]
+        assert cli.run(argv, out, io.StringIO()) == code
+        if code == 0:
+            report = json.loads(out.getvalue())
+            assert report["backend"] == "exact"
+            values = [p["value"]["re"] for p in report["spectrum"]]
+            assert values == [0.0, -1.0, -1.000000001]
+
     def test_split_rational_cluster_is_merged(self):
         # pieces of one defective eigenvalue pass dim ker (B^T - r)^m = m
         # each, so they are merged before that test, and count once with
@@ -330,6 +350,29 @@ class TestSpectrumConsistency:
 
 
 class TestGeneralizedEigenspaces:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            validate_model(np.eye(3), [[-1.0, 2.0, 0.3], [-1.5, -1.0, 0.0], [0.2, 0.1, -2.5]]),
+            validate_model([[2, 1], [1, 3]], [["-1/3", 1], [0, "-2/7"]]),
+        ],
+        ids=["float", "exact"],
+    )
+    def test_one_basis_per_decomposition(self, model, monkeypatch):
+        """The Wick map, the operator matrix and the groups all live on the
+        decomposition's own basis: one GradedBasis is built."""
+        built = []
+        original = GradedBasis.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GradedBasis, "__init__", counting)
+        dec = generalized_eigenspaces(model, 4)
+        assert (dec.spectrum.rationals is not None) == model.is_exact
+        assert len(built) == 1
+
     def test_rotation_model_all_plain_eigenfunctions(self, model4):
         dec = generalized_eigenspaces(model4, 4)
         assert all(g.nilpotency_index == 1 for g in dec.groups)

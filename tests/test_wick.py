@@ -27,13 +27,12 @@ from ou_spectra import exact
 from ou_spectra.gaussian import MomentTable, inner_product
 from ou_spectra.model import OUModel, solve_lyapunov, validate_model
 from ou_spectra.operator import (
-    apply_diffusion,
+    _apply,
     apply_L,
     operator_matrix,
     poly_coordinates,
     semigroup_apply,
     symmetric_power,
-    wick_matrix,
 )
 from ou_spectra.polynomials import SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
@@ -43,7 +42,7 @@ from ou_spectra.spectral import (
     spectrum,
 )
 from ou_spectra.worked_examples import section4_model
-from reference import hermite_tensor, identity, mat_add, mat_mul, multiply, power
+from reference import hermite_tensor, identity, mat_add, mat_mul, multiply, power, wick_matrix
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -191,7 +190,7 @@ def _wick_series(wick_model: OUModel, p: SparsePolynomial, sign: int) -> SparseP
     when the model and p are."""
     term = total = p
     for k in range(1, p.degree // 2 + 1):
-        term = apply_diffusion(wick_model, term) * Fraction(sign, k)
+        term = _apply(wick_model, term, "diffusion") * Fraction(sign, k)
         total = total + term
     return total
 
