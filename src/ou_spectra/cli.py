@@ -12,13 +12,13 @@ as JSON text made straight from the spectrum's arrays, each group's
 coefficient columns and the pair Gram, with the bytes json.dumps would write.
 
 Exit codes: 0 success, 1 usage error, 2 validation error or another typed
-failure, 3 numerical rank ambiguity.
+failure, 3 numerical rank ambiguity. Only a float rank call exits 3: a
+rational model whose drift eigenvalues are all rational makes none.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import re
@@ -663,16 +663,6 @@ def render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
-def render_csv(report: dict) -> str:
-    gram = report.get("gram")
-    if gram is not None:
-        buf = io.StringIO()
-        for row in gram["entries"]:
-            buf.write(",".join(_csv_cell(x) for x in row) + "\n")
-        return buf.getvalue()
-    raise UsageError("csv output is only available for the gram subcommand")
-
-
 def _csv_cell(x) -> str:
     if isinstance(x, dict):
         return f"{x['re']}+{x['im']}j"
@@ -712,8 +702,9 @@ def emit(report: dict, fmt: str, stream) -> None:
         stream.write("\n")
     elif fmt == "human":
         stream.write(render_human(report) + "\n")
-    elif fmt == "csv":
-        stream.write(render_csv(report))
+    elif fmt == "csv":  # the Gram matrix of a gram report, one row per line
+        for row in report["gram"]["entries"]:
+            stream.write(",".join(_csv_cell(x) for x in row) + "\n")
     else:
         raise UsageError(f"unknown format {fmt!r}")
 
@@ -729,6 +720,9 @@ def run(argv, stream=None, err_stream=None) -> int:
         args = build_parser().parse_args(argv)
         if args.subcommand is None:
             raise UsageError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
+        csv_allowed = args.subcommand == "gram" or (args.subcommand == "simulate" and args.out)
+        if args.format == "csv" and not csv_allowed:
+            raise UsageError("csv output is only available for gram, and for simulate with --out")
         config = RunConfig(
             subcommand=args.subcommand,
             degree=args.degree,
@@ -748,12 +742,9 @@ def run(argv, stream=None, err_stream=None) -> int:
         elif args.subcommand == "simulate":
             report, ensemble = _cmd_simulate(args, config)
             if config.fmt == "csv":
-                if args.out:
-                    ensemble_to_csv(ensemble, args.out + ".csv")
-                    report["simulation"]["written"]["csv"] = args.out + ".csv"
-                    emit(report, "json", stream)
-                else:
-                    raise UsageError("csv simulate output needs --out")
+                ensemble_to_csv(ensemble, args.out + ".csv")
+                report["simulation"]["written"]["csv"] = args.out + ".csv"
+                emit(report, "json", stream)
                 return EXIT_OK
         else:
             report = _cmd_paper_example(args, config)

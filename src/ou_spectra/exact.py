@@ -5,14 +5,17 @@ routine says so. Sizes stay tiny here (the spectral commands take N <= 12;
 the Lyapunov system has one unknown per entry S_ij, i <= j, so N(N+1)/2 of
 them), so one elimination serves every exact solve, minor and kernel: the
 fraction-free Bareiss elimination in Python ints, a rational matrix first
-scaled to integers by its common denominator. Every public routine returns
-fresh lists and leaves its arguments as they were.
+scaled to integers by its common denominator; eigenvalues are the integer
+roots of the characteristic polynomial (charpoly, integer_roots), with no
+elimination. Every public routine returns fresh lists and leaves its
+arguments as they were.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -154,6 +157,70 @@ def int_matrix_power(a: list[list[int]], k: int) -> list[list[int]]:
         if k:
             base = mul(base, base)
     return result
+
+
+def charpoly(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(x I - a), highest degree first, for an integer
+    matrix a, by Faddeev-LeVerrier: c_k = -tr(a M_k) / k, M_1 = I and
+    M_(k+1) = a M_k + c_k I. Each c_k is an integer, so the division is exact."""
+    A, eye = np.array(a, dtype=object), np.identity(len(a), dtype=object)
+    coefficients, AM = [1], 0 * eye
+    for k in range(1, len(a) + 1):
+        AM = A @ (AM + coefficients[-1] * eye)
+        coefficients.append(-(AM.trace() // k))
+    return coefficients
+
+
+def integer_roots(chi: list[int]) -> dict[int, int] | None:
+    """{root: multiplicity} of the monic integer polynomial chi (highest
+    degree first), or None when some root is not an integer. Each root is
+    simple in the squarefree part p = chi / gcd(chi, chi'), of degree n. The
+    most nearly real float root of p(2^e y), e the least that puts every
+    coefficient of p(2^e y) / 2^(e n) below 1 in size, times 2^e, rounded,
+    starts at most n (e + 2) integer Newton steps; exact evaluation confirms
+    the root r, p is divided by x - r, and chi as often as it goes."""
+    g, h = chi, [Fraction(c * (len(chi) - 1 - i), len(chi) - 1) for i, c in enumerate(chi[:-1])]
+    while h:  # monic remainders, whose coefficients stay far smaller
+        g, h = h, _poly_divmod(g, h)[1]
+        h = [c / h[0] for c in h]
+    p, roots = _poly_divmod(chi, g)[0], {}
+    while len(p) > 1:
+        ints = [int(c) for c in p]  # a monic factor of chi over Q is integer (Gauss)
+        n, dp = len(p) - 1, [c * (len(p) - 1 - i) for i, c in enumerate(ints[:-1])]
+        e = max((abs(c).bit_length() + k - 1) // k for k, c in enumerate(ints[1:], 1))
+        z = min(np.roots([c / 2 ** (e * k) for k, c in enumerate(ints)]), key=lambda z: abs(z.imag))
+        r = round(Fraction(z.real) * 2**e)
+        for _ in range(n * (e + 2)):
+            v, d = _poly_value(ints, r), _poly_value(dp, r)
+            if v == 0 or d == 0 or not (step := round(Fraction(v, d))):
+                break
+            r -= step
+        if v != 0:
+            return None
+        p = _poly_divmod(p, [1, -r])[0]
+        m, (q, rest) = 0, _poly_divmod(chi, [1, -r])
+        while not rest:
+            m, (q, rest) = m + 1, _poly_divmod(q, [1, -r])
+        roots[r] = m
+    return roots
+
+
+def _poly_value(p: list, x: int):
+    """p(x) by Horner's rule, p's coefficients highest degree first."""
+    return reduce(lambda v, c: v * x + c, p, 0)
+
+
+def _poly_divmod(p: list, q: list) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of the polynomials p and q over Q, as lists of
+    Fractions, highest degree first. The remainder has no leading zeros, so
+    it is [] when q divides p."""
+    rest, quotient = [Fraction(c) for c in p], []
+    while len(rest) >= len(q):
+        quotient.append(rest[0] / q[0])
+        rest = [a - quotient[-1] * b for a, b in zip(rest[1:], q[1:])] + rest[len(q) :]
+    while rest and rest[0] == 0:
+        rest.pop(0)
+    return quotient, rest
 
 
 def common_denominator_scale(a: Matrix) -> tuple[list[list[int]], int]:

@@ -4,7 +4,9 @@ A model is a symmetric positive-definite diffusion matrix Q together with a
 Hurwitz drift matrix B (all eigenvalue real parts negative). The stationary
 covariance solves the Lyapunov equation B*S + S*B^T + Q = 0; we solve it as
 one symmetric linear system on both backends, which is exact in the rational
-backend. Every consumer of the drift eigenvalues calls drift_eigenvalues.
+backend. Every consumer of the float drift eigenvalues calls
+drift_eigenvalues; the exact route reads a rational model's from its
+characteristic polynomial instead (spectral._rational_clusters).
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Drift spectra, generalized eigenspaces, and orthogonality reports.
 
-Everything rests on one list: the drift's eigenvalue clusters, each decided
-once by rank together with the linear forms of its left generalized
-eigenspace (_drift_clusters, on model.drift_eigenvalues). For a rational
-model whose drift eigenvalues are all rational, each cluster is confirmed
-exactly, with integer forms from one exact kernel, and the model takes the
-exact route, whether or not B is triangular.
+Everything rests on one list: the drift's eigenvalue clusters, each with
+the linear forms of its left generalized eigenspace. A rational model whose
+drift eigenvalues are all rational takes the exact route, whether or not B
+is triangular: its eigenvalues are the integer roots of the characteristic
+polynomial of s B, s the common denominator, and each has integer forms
+from one exact kernel, with no rank call (_rational_clusters). Any other
+model's clusters are decided by rank on the float eigenvalues
+(_drift_clusters, on model.drift_eigenvalues).
 
 The generator's spectrum on polynomials of degree <= n is the set of sums
 sum_j n_j lambda_j over these clusters with sum n_j <= n (Metafune, Pallara
@@ -82,7 +84,7 @@ class DriftCluster:
     left generalized eigenspace ker (B^T - value)^index, on which the drift
     part D acts as B^T acts on u."""
 
-    value: complex | Fraction  # the cluster mean; a Fraction on the exact route
+    value: complex | Fraction  # the cluster mean; the exact eigenvalue on the exact route
     multiplicity: int
     index: int  # least k with dim ker (B^T - value)^k = multiplicity
     forms: np.ndarray  # (N, multiplicity) columns u; Python ints on the exact route
@@ -292,29 +294,24 @@ def _mean(values: list[complex]) -> complex:
     return complex(math.ldexp(mean.real, e), math.ldexp(mean.imag, e))
 
 
-def _rational_clusters(B_exact, clusters) -> list[DriftCluster] | None:
-    """The clusters, given as (mean, size), as exact eigenvalues of a
-    rational B with exact forms, or None when some drift eigenvalue is not
-    rational.
+def _rational_clusters(B_exact) -> list[DriftCluster] | None:
+    """The drift eigenvalues of a rational B as exact clusters with integer
+    forms, or None when some drift eigenvalue is not rational.
 
-    The rational eigenvalues of s B, s the common denominator of B, are
-    integers, so each mean is rounded to a multiple of 1/s; equal ones merge.
-    Each value r of multiplicity m is confirmed by dim ker (B^T - r)^m = m,
-    and the multiplicities sum to N. The forms are that kernel's integer
-    basis."""
-    _, s = exact.common_denominator_scale(B_exact)
-    sizes: dict[Fraction, int] = {}
-    for mu, m in clusters:
-        r = Fraction(round(Fraction(mu.real) * s), s)
-        sizes[r] = sizes.get(r, 0) + m
+    The eigenvalues of s B, s the common denominator of B, are algebraic
+    integers, so its rational ones are the integer roots of its
+    characteristic polynomial (exact.charpoly, exact.integer_roots); no rank
+    is called. Each root r of multiplicity m gives the value r / s, with the
+    integer basis of ker (B^T - r / s)^m, of dimension m, as its forms."""
+    a, s = exact.common_denominator_scale(B_exact)
+    roots = exact.integer_roots(exact.charpoly(a))
+    if roots is None:
+        return None
     Bt = exact.transpose(B_exact)
     out = []
-    for r, m in sizes.items():
-        index, kernel = _exact_block_kernel(Bt, r, m)
-        if len(kernel) != m:
-            return None
-        forms = np.array(kernel, dtype=object).T
-        out.append(DriftCluster(r, m, index, forms))
+    for r, m in roots.items():
+        index, kernel = _exact_block_kernel(Bt, Fraction(r, s), m)
+        out.append(DriftCluster(Fraction(r, s), m, index, np.array(kernel, dtype=object).T))
     return out
 
 
@@ -334,21 +331,10 @@ def spectrum(model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG) -> Spect
         raise ValueError("degree cap must be >= 0")
     if model.dim > 12:
         raise UnsupportedDimension(f"spectra are supported for N <= 12, got N = {model.dim}")
-    rational = None
-    try:
-        found = _drift_clusters(model.B)
-    except RankDecisionAmbiguous:
-        # a close pair that no float rank call parts may still be rational:
-        # confirm each float eigenvalue exactly on its own
-        singles = [(z, 1) for z in drift_eigenvalues(model.B)]
-        found = rational = model.is_exact and _rational_clusters(model.B_exact, singles)
-        if not rational:
-            raise
-    if model.is_exact and rational is None:
-        rational = _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
+    rational = model.is_exact and _rational_clusters(model.B_exact)
     # slowest decay first, so witness exponent vectors read off against
     # (-a+d, -a-d)-style orderings
-    drift = sorted(rational or found, key=lambda c: (-c.value.real, c.value.imag))
+    drift = sorted(rational or _drift_clusters(model.B), key=lambda c: (-c.value.real, c.value.imag))
     E = exponent_array(len(drift), degree_cap)
     if rational:  # Python ints over one denominator, which do not overflow
         den = math.lcm(*(c.value.denominator for c in drift))

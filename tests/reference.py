@@ -6,8 +6,10 @@ Gaussian Hilbert Spaces, 1997, ch. 3), built here from the three-term
 recurrence instead of the Wick recursion. The exact matrix sum and product
 check identities such as the Lyapunov residual and L W = W D in Fractions.
 The reduced row echelon kernel in Fractions is the oracle of the
-fraction-free exact.nullspace, and the nested loops of apply_part the
-oracle of the generator's exponent steps. The library multiplies
+fraction-free exact.nullspace, and the cofactor expansion of
+cofactor_charpoly the oracle of exact.charpoly's Faddeev-LeVerrier
+recursion. The nested loops of apply_part are the oracle of the
+generator's exponent steps. The library multiplies
 polynomials only by scalars; the product and power of two polynomials
 below serve the oracles that expand products of linear forms. The library
 builds the Wick map only on the basis of a decomposition; wick_matrix below
@@ -17,6 +19,7 @@ oracle of the JSON text the report writes for a polynomial.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import factorial, isqrt, sqrt
 
 from ou_spectra.errors import DimensionMismatch
@@ -74,6 +77,34 @@ def rref_nullspace(a: Matrix) -> list[list[Fraction]]:
             v[c] = -rows[r][free]
         basis.append(v)
     return basis
+
+
+def cofactor_charpoly(a) -> list:
+    """det(x I - a), coefficients highest degree first, by cofactor
+    expansion along the first row on polynomial entries (coefficient lists,
+    lowest degree first); n! terms, so for N <= 4."""
+
+    def add(p, q):
+        return [sum(c) for c in zip_longest(p, q, fillvalue=0)]
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        total = [0]
+        for j, entry in enumerate(m[0]):
+            minor = det([row[:j] + row[j + 1 :] for row in m[1:]])
+            total = add(total, [(-1) ** j * c for c in mul(entry, minor)])
+        return total
+
+    n = len(a)
+    return det([[[-a[i][j], int(i == j)] for j in range(n)] for i in range(n)])[::-1]
 
 
 def apply_part(model: OUModel, p: SparsePolynomial, diffusion: bool) -> SparsePolynomial:

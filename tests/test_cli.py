@@ -200,9 +200,18 @@ class TestGram:
         assert code == 0 and "j" not in out
         assert np.loadtxt(io.StringIO(out), delimiter=",").tolist() == entries
 
-    def test_csv_rejected_elsewhere(self):
+    def test_csv_rejected_elsewhere(self, monkeypatch):
+        """csv is refused right after parsing, before any work: analyze
+        builds no eigenspaces."""
         code, _, err = run_cli(["spectrum", *SECTION4_FLAGS, "--format", "csv"])
         assert code == 1
+
+        def refused(*args):
+            raise AssertionError("generalized_eigenspaces was called")
+
+        monkeypatch.setattr(cli, "generalized_eigenspaces", refused)
+        code, _, err = run_cli(["analyze", *SECTION4_FLAGS, "--format", "csv"])
+        assert code == 1 and "csv" in err
 
 
 class TestNormalize:
@@ -266,9 +275,15 @@ class TestSimulate:
         rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
         assert rows.shape == (50, 2)
 
-    def test_csv_simulate_needs_out(self):
+    def test_csv_simulate_needs_out(self, monkeypatch):
+        """Without --out, csv is refused before any path is drawn."""
+
+        def refused(*args):
+            raise AssertionError("stationary_ensemble was called")
+
+        monkeypatch.setattr(cli, "stationary_ensemble", refused)
         code, _, err = run_cli(["simulate", *SECTION4_FLAGS, "--paths", "50", "--format", "csv"])
-        assert code == 1
+        assert code == 1 and "--out" in err
 
 
 class TestPaperExample:

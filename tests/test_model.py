@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson_covariance, small_test_models
-from reference import identity, mat_add, mat_mul, rref_nullspace
+from reference import cofactor_charpoly, identity, mat_add, mat_mul, rref_nullspace
 from ou_spectra import cli, exact
 from ou_spectra.errors import (
     InvalidParams,
@@ -281,6 +281,45 @@ class TestExactElimination:
             if 0 in expected:
                 expected = expected[: expected.index(0) + 1]
             assert exact.leading_minors(a) == expected
+
+
+def mul_linear(shifts):
+    """prod (x + c) over the shifts c, coefficients highest degree first."""
+    p = [1]
+    for c in shifts:
+        p = [x + c * y for x, y in zip(p + [0], [0] + p)]
+    return p
+
+
+class TestCharacteristicPolynomial:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_charpoly_is_the_cofactor_determinant(self, data):
+        """Faddeev-LeVerrier gives det(x I - a) as cofactor expansion does,
+        in Python ints, on integer matrices with N <= 4."""
+        n = data.draw(st.integers(1, 4))
+        a = [[data.draw(st.integers(-50, 50)) for _ in range(n)] for _ in range(n)]
+        chi = exact.charpoly(a)
+        assert chi == cofactor_charpoly(a)
+        assert all(type(c) is int for c in chi)
+
+    @pytest.mark.parametrize(
+        ("roots", "chi"),
+        [
+            ({-1: 3, -5: 1}, mul_linear([1, 1, 1, 5])),
+            (None, [1, 2, 2]),
+            ({2**64: 1, 2**64 + 1: 1}, mul_linear([-(2**64), -(2**64) - 1])),
+            ({-12345678901234567891: 1}, [1, 12345678901234567891]),
+            ({0: 2, 3: 1}, mul_linear([0, 0, -3])),
+        ],
+        ids=["(x+1)^3(x+5)", "x^2+2x+2", "(x-2^64)(x-2^64-1)", "past-2^53", "x^2(x-3)"],
+    )
+    def test_integer_roots(self, roots, chi):
+        assert exact.integer_roots(chi) == roots
+
+    def test_integer_roots_of_a_charpoly_with_one_irrational_pair(self):
+        """(x + 2) (x^2 - 2): one integer root is not enough."""
+        assert exact.integer_roots(exact.charpoly([[-2, 0, 0], [1, 0, 2], [0, 1, 0]])) is None
 
 
 class TestCovarianceAt:

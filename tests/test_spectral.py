@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_test_models
-from reference import identity
+from reference import identity, mat_mul
 from ou_spectra import cli, exact
 from ou_spectra.errors import (
     ComplexSpectrum,
@@ -121,13 +122,8 @@ class TestSpectrum:
 def _spectrum_oracle(model, degree_cap, tol_eig=TOL_EIG):
     """spectrum() as one Python loop over the compositions, one tuple each:
     the (clusters, points) that the array route must give bit for bit."""
-    found = _drift_clusters(model.B)
-    rational = (
-        _rational_clusters(model.B_exact, [(c.value, c.multiplicity) for c in found])
-        if model.is_exact
-        else None
-    )
-    drift = sorted(rational or found, key=lambda c: (-c.value.real, c.value.imag))
+    rational = model.is_exact and _rational_clusters(model.B_exact)
+    drift = sorted(rational or _drift_clusters(model.B), key=lambda c: (-c.value.real, c.value.imag))
     tol = 0 if rational else tol_eig
     exponents = monomial_basis(len(drift), degree_cap).indices
     raw = [(sum(nj * c.value for nj, c in zip(n, drift)), n) for n in exponents]
@@ -288,9 +284,9 @@ class TestDriftClusters:
     )
     def test_close_rational_pair_is_confirmed_exactly(self, second, code):
         """diag(-1, -1 - 1e-9) is ambiguous to the float rank calls. As a
-        rational model each float eigenvalue is confirmed exactly on its own,
-        so its spectrum is exact; as a float model it exits with the
-        ambiguity code."""
+        rational model its eigenvalues are the roots of the characteristic
+        polynomial, so its spectrum is exact; as a float model it exits with
+        the ambiguity code."""
         B = json.dumps([[-1, 0], [0, second]])
         out = io.StringIO()
         argv = ["spectrum", "--Q", "[[1, 0], [0, 1]]", "--B", B, "--degree", "1"]
@@ -301,15 +297,101 @@ class TestDriftClusters:
             values = [p["value"]["re"] for p in report["spectrum"]]
             assert values == [0.0, -1.0, -1.000000001]
 
-    def test_split_rational_cluster_is_merged(self):
-        # pieces of one defective eigenvalue pass dim ker (B^T - r)^m = m
-        # each, so they are merged before that test, and count once with
-        # m = 3 and index 3
+    def test_jordan_block_is_one_cluster(self):
+        """A 3-D Jordan block at -1 is one exact cluster of multiplicity 3
+        and index 3, whose float eigenvalues scatter by about eps^(1/3)."""
         B = [[-1, 0, 0], [1, -1, 0], [0, 1, -1]]
-        pieces = [(-1 + 1e-9j, 2), (-1 - 1e-9j, 1)]
-        clusters = _rational_clusters(exact.matrix(B), pieces)
-        assert [(c.value, c.multiplicity, c.index) for c in clusters] == [(Fraction(-1), 3, 3)]
-        assert _rational_clusters(exact.matrix(B), [(-1.5, 3)]) is None
+        sp = spectrum(validate_model(identity(3), B), 1)
+        assert [(c.value, c.multiplicity, c.index) for c in sp.clusters] == [(Fraction(-1), 3, 3)]
+
+
+DRIFT_VALUES = [Fraction(-1), Fraction(-2), Fraction(-3), Fraction(-1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def similar_triangular_drifts(draw, max_dim: int):
+    """(B, diagonal): B = P T P^-1 over the rationals, N from 1 to max_dim.
+    T is lower triangular with its diagonal drawn from a few values, so that
+    some repeat, and entries in [-2, 2] below it, so that some repeated
+    values are defective. P = L U, with L and U unit triangular with entries
+    in [-1, 1], is an integer matrix with an integer inverse."""
+    n = draw(st.integers(1, max_dim))
+    diagonal = draw(st.lists(st.sampled_from(DRIFT_VALUES), min_size=n, max_size=n))
+
+    def lower(diag, entries):
+        return [[diag[i] if i == j else draw(entries) if j < i else 0 for j in range(n)] for i in range(n)]
+
+    T = lower(diagonal, st.integers(-2, 2))
+    P = mat_mul(lower([1] * n, st.integers(-1, 1)), exact.transpose(lower([1] * n, st.integers(-1, 1))))
+    P_inv = exact.transpose([exact.solve(P, [int(i == j) for i in range(n)]) for j in range(n)])
+    return mat_mul(mat_mul(P, T), P_inv), diagonal
+
+
+class TestRationalRoute:
+    """A rational model reaches its drift eigenvalues from the characteristic
+    polynomial of s B, s the common denominator, with no float rank call."""
+
+    SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+    @SETTINGS
+    @given(similar_triangular_drifts(12))
+    def test_similar_triangular_drifts_are_exact(self, drift):
+        B, diagonal = drift
+        sp = spectrum(validate_model(identity(len(B)), B), 1)
+        expected = sorted(Counter(diagonal).items(), reverse=True)
+        assert [(c.value, c.multiplicity) for c in sp.clusters] == expected
+        assert all(type(x) is int for c in sp.clusters for x in c.forms.flat)
+
+    @SETTINGS
+    @given(similar_triangular_drifts(6), st.integers(0, 3))
+    def test_exact_and_float_routes_agree(self, drift, cap):
+        """The exact and the float spectrum of one rational model list the
+        same points within TOL_EIG, where the float rank calls are decisive.
+        N stops at 6: from N = 7 on, the float eigenvalues of defective
+        blocks of index 3 or more under these similarities can miss TOL_EIG."""
+        B, _ = drift
+        Q = identity(len(B))
+        exact_points = spectrum(validate_model(Q, B), cap).point_values
+        try:
+            float_points = spectrum(validate_model(Q, B, backend="float"), cap).point_values
+        except RankDecisionAmbiguous:
+            return
+        assert len(float_points) == len(exact_points)
+        assert np.abs(float_points - exact_points).max() <= TOL_EIG
+
+    def test_eigenvalue_past_the_double_range_is_exact(self):
+        """-12345678901234567891 is no double; it is an exact drift
+        eigenvalue, and analyze writes the exact eigenfunctions."""
+        big = -12345678901234567891
+        assert spectrum(validate_model([[1]], [[str(big)]]), 1).rationals == (0, big)
+        out = io.StringIO()
+        argv = ["analyze", "--Q", "[[1]]", "--B", f'[["{big}"]]', "--degree", "2"]
+        assert cli.run(argv, out, io.StringIO()) == 0
+        report = json.loads(out.getvalue())
+        assert report["backend"] == "exact"
+        terms = [t for g in report["groups"] for p in g["basis"] for t in p["terms"]]
+        assert all(isinstance(t["re"], str) for t in terms)
+        assert report["groups"][-1]["basis"][0]["terms"][0]["re"] == str(Fraction(1, 2 * big))
+
+    def test_close_rational_pair_takes_no_rank_call(self, monkeypatch):
+        """-1 and -1000000001/1000000000 are exact with no call of the float
+        clustering; the rotation model, whose eigenvalues are not rational,
+        still makes one."""
+        from ou_spectra import spectral
+
+        calls = []
+
+        def counted(B):
+            calls.append(B)
+            return _drift_clusters(B)
+
+        monkeypatch.setattr(spectral, "_drift_clusters", counted)
+        second = Fraction(-1000000001, 1000000000)
+        sp = spectrum(validate_model(identity(2), [[-1, 0], [0, second]]), 1)
+        assert sp.rationals == (0, -1, second)
+        assert calls == []
+        spectrum(section4_model(), 1)
+        assert len(calls) == 1
 
 
 class TestWorkBoundedByDrift:
