@@ -220,8 +220,8 @@ class RunConfig:
         if self.degree < 0:
             raise UsageError("--degree must be >= 0")
         for name in ("tol_eig", "tol_orth", "tol_nilp"):
-            if not getattr(self, name) > 0:
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"--{name.replace('_', '-')} must be finite and positive")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -544,8 +544,17 @@ def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
 def _cmd_paper_example(args, config: RunConfig) -> dict:
     if args.example == "section4":
         return _example_section4(config)
-    params = Section5Params(Fraction(args.a), Fraction(args.d), Fraction(args.c))
+    params = Section5Params(*(_rational_flag(args, name) for name in "adc"))
     return _example_section5(config, params)
+
+
+def _rational_flag(args, name: str) -> Fraction:
+    """The value of --name as a rational; a usage error names the flag."""
+    text = getattr(args, name)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"--{name} must be a rational such as 3/2, got {text!r}") from e
 
 
 def _example_section4(config: RunConfig) -> dict:

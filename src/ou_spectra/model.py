@@ -308,7 +308,15 @@ def solve_lyapunov(model: OUModel) -> CovarianceMatrix:
     except (SingularSystem, np.linalg.LinAlgError) as e:
         raise SingularSystem("Lyapunov system singular; validation should have caught this") from e
     rows = [[vec[unknown[i, j]] for j in range(n)] for i in range(n)]
-    return CovarianceMatrix(np.array(rows, dtype=float), rows if model.is_exact else None)
+    try:
+        sigma = np.array(rows, dtype=float)
+    except OverflowError as e:  # an exact entry past the float range
+        q, i, j = max((abs(x), i, j) for i, row in enumerate(rows) for j, x in enumerate(row))
+        raise ValidationError(
+            f"the stationary covariance entry S[{i}][{j}], about "
+            f"10^{math.log10(q.numerator) - math.log10(q.denominator):.0f}, is beyond the float range"
+        ) from e
+    return CovarianceMatrix(sigma, rows if model.is_exact else None)
 
 
 def covariance_at(model: OUModel, t: float) -> CovarianceMatrix:

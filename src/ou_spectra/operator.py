@@ -12,15 +12,15 @@ one sparse polynomial's own exponents.
 
 The Wick map W = exp(-K), where K = 1/2 tr(S D^2) is the diffusion part with
 Q replaced by the stationary covariance S, intertwines the generator with its
-drift part: L W = W D. Its matrix is filled column by column by the Wick
-recursion :x^(a + e_i): = x_i :x^a: - sum_j S_ij a_j :x^(a - e_j):.
-Monomial matrices are exact for exact models. For a normalized model the Hermite
-tensors are the Wick powers W x^alpha up to scale, so the matrix of L on them
-is a diagonal similarity of the drift matrix, with no Gaussian integral. The
-semigroup on degree <= n is e^(tL) = Sub(e^(tB)) W_(-S_t): the Wick recursion
-run on -S_t, S_t the covariance accumulated up to time t (the heat series),
-then the substitution x -> e^(tB) x, whose blocks are the products of the
-rows of e^(tB) as forms (symmetric_power, as for the drift's forms).
+drift part: L W = W D. One recursion, wick_powers, gives the Wick powers
+:y^gamma:_P of linear forms y = T^T x under their pairing P: with T = I and
+P = S they are the columns of W; with the drift's eigenforms and P = T^T S T
+the images W y^gamma that span the eigenspaces; with T = e^(tB)^T and
+P = -S_t, S_t the covariance accumulated up to time t, the semigroup
+e^(tL) = Sub(e^(tB)) W_(-S_t). Monomial matrices are exact for exact models.
+For a normalized model the Hermite tensors are the Wick powers W x^alpha up
+to scale, so the matrix of L on them is a diagonal similarity of the drift
+matrix, with no Gaussian integral.
 
 The rotation machinery (split of A = 2L into a Hermite-diagonal part plus a
 skew rotation) uses the doubled operator A = 2L throughout, matching the
@@ -203,69 +203,46 @@ def _monomial_matrix(model: OUModel, basis: GradedBasis, operator: str, exact: b
     return OperatorMatrix(basis, out.tolist() if exact else out, exact)
 
 
-def symmetric_power(T: np.ndarray, basis: GradedBasis) -> list[np.ndarray]:
-    """For the linear forms y_k = sum_i T_ik x_i, one array per degree d <= cap
-    of a full graded-lex basis: column g holds the coordinates of y^gamma,
-    gamma the g-th monomial of degree d, in the degree-d monomials. y^gamma
-    is y^(gamma - e_i) times y_i, i the first factor of gamma: one shifted add
-    per variable. T's dtype sets the arithmetic: floats, complex, or Python
-    numbers in an object array."""
-    first, parent, up = basis.steps
-    Y = np.ones((1, 1), dtype=T.dtype)
-    out = [Y]
-    for lower, sl in zip(basis.blocks, basis.blocks[1:]):
-        size = sl.stop - sl.start
-        prev, Y = Y[:, parent[sl] - lower.start], np.zeros((size, size), dtype=T.dtype)
-        for j in range(basis.dim):
-            Y[up[j, lower] - sl.start] += prev * T[j, first[sl]]
-        out.append(Y)
+def wick_powers(T: np.ndarray, P: np.ndarray, basis: GradedBasis) -> np.ndarray:
+    """Column g holds the monomial coordinates of the Wick power :y^gamma:_P,
+    gamma the g-th exponent of a full graded-lex basis, of the N forms
+    y_k = sum_i T_ik x_i under their pairing P (T and P are N x N). The
+    recursion :y^(gamma + e_k): = y_k :y^gamma: - sum_l P_kl gamma_l
+    :y^(gamma - e_l):, k the first variable, runs once per degree (Janson,
+    Gaussian Hilbert Spaces, 1997, ch. 3); P = 0 gives the plain products.
+    The dtype of T and P sets the arithmetic: floats, complex, or Python ints
+    in object arrays."""
+    E, (first, parent, up), blocks = basis.exponents, basis.steps, basis.blocks
+    dtype = np.result_type(T, P)
+    unit = np.eye(basis.dim, dtype=int)
+    out = np.zeros((len(basis), len(basis)), dtype=dtype)
+    out[0, 0] = 1
+    for d in range(1, basis.cap + 1):
+        sl, low, lower = blocks[d], blocks[d - 1].stop, blocks[d - 1].start
+        k, a = first[sl], E[parent[sl]]
+        prev = out[:low, parent[sl]]
+        for j in range(basis.dim):  # y_k :y^gamma:, over the rows of degree < d
+            out[up[j, :low], sl] += prev * T[j, k]
+        for l in np.flatnonzero(a.any(axis=0)):
+            cols = np.flatnonzero(a[:, l])
+            weight = P[k[cols], l] * a[cols, l].astype(dtype)
+            down = basis.row_of(a[cols] - unit[l])
+            out[:lower, sl.start + cols] -= out[:lower, down] * weight
     return out
 
 
-def integer_wick_matrix(model: OUModel, basis: GradedBasis) -> tuple[np.ndarray, int]:
-    """(scale * W as an array of Python ints, scale) for an exact model, on a
-    full graded-lex basis of cap n.
-
-    With S = S_int / s, the recursion run on S_int yields
-    W[beta, alpha] s^((|alpha| - |beta|) / 2), an integer since each pairing
-    in a Wick power contributes one factor of S; scale = s^(n // 2)."""
-    S_int, s = common_denominator_scale(model.covariance.sigma_exact)
-    W = _wick_recursion(np.array(S_int, dtype=object), basis)
-    for d, rows in enumerate(basis.blocks):  # W is zero below the block diagonal
+def integer_wick_powers(T: np.ndarray, S_exact, basis: GradedBasis) -> tuple[np.ndarray, int]:
+    """(scale * wick_powers(T, T^T S T) as Python ints, scale) for integer
+    forms T (an object array) and a rational S, on a basis of cap n. The
+    recursion runs on T^T (s S) T, s the common denominator of S, which
+    scales a degree-e column's degree-d rows by s^((e - d) / 2), one factor
+    per pairing; each block is brought to scale = s^(n // 2)."""
+    S_int, s = common_denominator_scale(S_exact)
+    out = wick_powers(T, T.T @ np.array(S_int, dtype=object) @ T, basis)
+    for d, rows in enumerate(basis.blocks):  # zero below the block diagonal
         for e, cols in enumerate(basis.blocks[d:], d):
-            W[rows, cols] *= s ** (basis.cap // 2 - (e - d) // 2)
-    return W, s ** (basis.cap // 2)
-
-
-def _wick_recursion(S: np.ndarray, basis: GradedBasis) -> np.ndarray:
-    """The Wick powers :x^alpha: of S as the columns of a matrix on a full
-    graded-lex basis. For S the stationary covariance this is the matrix of
-    the Wick map W = exp(-K), K = 1/2 tr(S D^2) the diffusion part with Q
-    replaced by S. W intertwines the generator with its drift part
-    D = <Bx, grad>: L W = W D. The Lyapunov equation makes the commutator
-    [K, D] equal to minus the diffusion part of L, and that commutes with K,
-    so W D W^(-1) = D + 1/2 tr(Q D^2) = L. W maps each generalized
-    eigenspace of a homogeneous drift block onto one of L.
-
-    Column alpha is built by the recursion
-    :x^(a + e_i): = x_i :x^a: - sum_j S_ij a_j :x^(a - e_j): (Janson,
-    Gaussian Hilbert Spaces, 1997, ch. 3), with i the first variable of
-    alpha: one shifted copy of the parent column plus at most N axpys, over
-    the rows of degree below alpha's. S's dtype sets the arithmetic: floats,
-    or Python numbers in an object array."""
-    E, (first, parent, up), blocks = basis.exponents, basis.steps, basis.blocks
-    down = basis.row_of(E[parent] - np.eye(basis.dim, dtype=int)[:, None]).tolist()
-    W = np.zeros((len(basis), len(basis)), dtype=S.dtype)
-    W[0, 0] = 1
-    for d in range(1, basis.cap + 1):
-        low, lower = blocks[d - 1].stop, blocks[d - 1].start  # rows of degree < d, < d - 1
-        for c in range(blocks[d].start, blocks[d].stop):
-            i, a = first[c], E[parent[c]]
-            W[up[i][:low], c] = W[:low, parent[c]]
-            for j in np.flatnonzero(a):
-                if S[i, j]:
-                    W[:lower, c] -= (S[i, j] * int(a[j])) * W[:lower, down[j][c]]
-    return W
+            out[rows, cols] *= s ** (basis.cap // 2 - (e - d) // 2)
+    return out, s ** (basis.cap // 2)
 
 
 def _check_normalized(model: OUModel):
@@ -381,12 +358,14 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
     """Closed-form action of the time-t semigroup on a polynomial.
 
     e^(tL) p (x) = E p(e^(tB) x + Z_t) with Z_t ~ N(0, S_t): on degree
-    <= deg(p), e^(tL) = Sub(e^(tB)) W_(-S_t) on p's coefficient vector, the
-    heat series exp(1/2 tr(S_t D^2)) as the Wick recursion on -S_t, then one
-    symmetric_power block of the rows of e^(tB) per degree. The terms scale
-    with S_t, not with the stationary covariance, so slow drifts over short
-    times lose nothing to cancellation: the error is roundoff, not
-    discretization. Degree never increases.
+    <= deg(p), e^(tL) = Sub(e^(tB)) W_(-S_t), the heat series
+    exp(1/2 tr(S_t D^2)) and then the substitution x -> e^(tB) x. That
+    substitution is a ring map, so it carries the Wick recursion on -S_t
+    over to the rows of e^(tB) as forms: the matrix is
+    wick_powers(e^(tB)^T, -S_t), applied to p's coefficient vector. The
+    terms scale with S_t, not with the stationary covariance, so slow
+    drifts over short times lose nothing to cancellation: the error is
+    roundoff, not discretization. Degree never increases.
     """
     if p.dim != model.dim:
         raise DimensionMismatch(f"polynomial dim {p.dim} vs model dim {model.dim}")
@@ -396,9 +375,8 @@ def semigroup_apply(model: OUModel, t: float, p: SparsePolynomial) -> SparsePoly
         return p
     basis = monomial_basis(model.dim, p.degree)
     c = np.array(poly_coordinates(p.to_float(), basis))
-    heat = _wick_recursion(-covariance_at(model, t).sigma, basis) @ c
-    moved = symmetric_power(matrix_exponential(model.B, t).T, basis)
-    out = np.concatenate([Y @ heat[sl] for sl, Y in zip(basis.blocks, moved)])
+    moved = matrix_exponential(model.B, t).T
+    out = wick_powers(moved, -covariance_at(model, t).sigma, basis) @ c
     return SparsePolynomial(model.dim, zip(basis.indices, out.tolist()))
 
 

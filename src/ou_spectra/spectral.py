@@ -14,21 +14,22 @@ sum_j n_j lambda_j over these clusters with sum n_j <= n (Metafune, Pallara
 and Priola, J. Funct. Anal. 196, 2002). Generalized eigenspaces follow from
 the Wick intertwining L W = W D. Here D = <Bx, grad> is the drift part,
 which keeps the degree, and W = exp(-1/2 tr(S D^2)) is the Wick map of the
-stationary covariance S (operator._wick_recursion). D acts on a linear form
-y = u . x as B^T acts on u, and it is a derivation. So a product of forms,
-n_j of them from ker (B^T - lambda_j)^(k_j) for each cluster j, lies in the
-generalized eigenspace of D at sum_j n_j lambda_j, with nilpotency index
-1 + sum_j n_j (k_j - 1). The products of a basis of such forms are a basis of
-every degree, so each generalized eigenspace of L is W applied to the
-products whose sum is its point: no kernel is solved on any degree block.
-The products come from operator.symmetric_power, as the semigroup's do.
+stationary covariance S; the Lyapunov equation makes W D W^(-1) = L. D acts
+on a linear form y = u . x as B^T acts on u, and it is a derivation. So a
+product of forms, n_j of them from ker (B^T - lambda_j)^(k_j) for each
+cluster j, lies in the generalized eigenspace of D at sum_j n_j lambda_j,
+with nilpotency index 1 + sum_j n_j (k_j - 1). The products of a basis of
+such forms are a basis of every degree, so each generalized eigenspace of L
+is spanned by the images W y^gamma whose sum is its point: no kernel is
+solved on any degree block. W y^gamma is the Wick power :y^gamma: under the
+forms' own pairing T^T S T, T the stacked forms, so one recursion
+(operator.wick_powers) builds every image, with no W and no product y^gamma.
 
-W, and the operator matrix for the residuals, are built on the
-decomposition's one basis in the arithmetic of the route: on the exact route
-W is integers over one denominator (operator.integer_wick_matrix) and no
-operator matrix is built, otherwise both are floats, also for a rational
-model with complex drift eigenvalues. Each group keeps its coefficient
-columns; listed_terms reads the listed polynomials off them, and
+The images are exact integers over one denominator on the exact route
+(operator.integer_wick_powers), where no operator matrix is built; otherwise
+they and the operator matrix for the residuals are floats, also for a
+rational model with complex drift eigenvalues. Each group keeps its
+coefficient columns; listed_terms reads the listed polynomials off them, and
 EigenGroup.polynomials builds them as SparsePolynomials only when read.
 """
 
@@ -53,13 +54,7 @@ from .errors import (
 )
 from .gaussian import basis_moment_gram
 from .model import OUModel, drift_eigenvalues
-from .operator import (
-    OperatorMatrix,
-    _monomial_matrix,
-    _wick_recursion,
-    integer_wick_matrix,
-    symmetric_power,
-)
+from .operator import OperatorMatrix, _monomial_matrix, integer_wick_powers, wick_powers
 from .polynomials import GradedBasis, SparsePolynomial, exponent_array, monomial_basis
 
 TOL_EIG = 1e-8
@@ -510,13 +505,14 @@ def generalized_eigenspaces(
     model: OUModel, degree_cap: int, tol_eig: float = TOL_EIG
 ) -> SpectralDecomposition:
     """Generalized eigenspaces of L on polynomials of degree <= cap, one
-    group per point of spectrum(model, cap, tol_eig), as W applied to
-    products of the drift's left generalized eigenforms.
+    group per point of spectrum(model, cap, tol_eig), as the Wick powers of
+    the drift's left generalized eigenforms.
 
     Stack the clusters' forms as y_1..y_N. For a witness n of a point, the
     products y^gamma with n_j factors from cluster j span the generalized
     eigenspace of the drift block D_|n| at the point's sum, so the group is
-    W of those products over its witnesses: its size is
+    their images W y^gamma = :y^gamma:, over its witnesses, from
+    operator.wick_powers with the pairing T^T S T of the forms: its size is
     SpectrumSet.block_multiplicities by construction, and its nilpotency
     index is the largest 1 + sum_j n_j (k_j - 1). On the exact route
     everything is exact, with zero residual; otherwise the residual
@@ -525,20 +521,30 @@ def generalized_eigenspaces(
     sp = spectrum(model, degree_cap, tol_eig)
     exact_route = sp.rationals is not None
     basis = monomial_basis(model.dim, degree_cap)
+    T = np.hstack([c.forms for c in sp.clusters])  # the forms y_1..y_N, cluster by cluster
     if exact_route:
-        W, scale = integer_wick_matrix(model, basis)
+        images, scale = integer_wick_powers(T, model.covariance.sigma_exact, basis)
     else:
-        W = _wick_recursion(model.covariance.sigma, basis)
+        images = wick_powers(T, T.T @ model.covariance.sigma @ T, basis)
         M = _monomial_matrix(model, basis, "L", False).entries.astype(complex)
-    images, columns = _wick_products(sp.clusters, basis, W)
+    owner = [j for j, c in enumerate(sp.clusters) for _ in range(c.multiplicity)]  # cluster of each form
+    columns = {}  # the columns gamma with each cluster pattern n: n_j factors from cluster j
+    for g, n in enumerate((basis.exponents @ np.eye(len(sp.clusters), dtype=int)[owner]).tolist()):
+        columns.setdefault(tuple(n), []).append(g)
     groups = []
     for p in sp.points:
-        V = np.hstack([images[sum(n)][:, columns[n]] for n in p.witnesses])
+        V = np.hstack([images[:, columns[n]] for n in p.witnesses])
         index = max(
             1 + sum(nj * (c.index - 1) for nj, c in zip(n, sp.clusters)) for n in p.witnesses
         )
-        unit = V.astype(complex)
-        unit /= np.linalg.norm(unit, axis=0, keepdims=True)
+        try:  # the unit vectors are floats, so each column's norm must be one
+            with np.errstate(over="raise"):
+                unit = V.astype(complex)
+                unit /= np.linalg.norm(unit, axis=0, keepdims=True)
+        except (OverflowError, FloatingPointError) as e:
+            at = p.value if p.exact is None else p.exact
+            message = f"a coefficient column of the eigen-group at {at} has a norm beyond the float range"
+            raise ConvergenceFailure(message) from e
         if exact_route:
             coefficients, denominator, residual = V, scale, 0.0
         else:
@@ -560,24 +566,6 @@ def generalized_eigenspaces(
         spectrum=sp,
         tol_eig=tol_eig,
     )
-
-
-def _wick_products(clusters, basis: GradedBasis, W: np.ndarray):
-    """W y^gamma for every gamma of degree <= cap, y the clusters' stacked
-    forms, as one (basis size, block size) array per degree with columns in
-    the order of that degree's monomials; and for each cluster pattern n
-    (n_j factors from cluster j) the columns with that pattern. The
-    coordinates of the products y^gamma come from operator.symmetric_power.
-    """
-    T = np.hstack([c.forms for c in clusters])
-    owner = [j for j, c in enumerate(clusters) for _ in range(c.multiplicity)]  # cluster of each form
-    patterns = basis.exponents @ np.eye(len(clusters), dtype=int)[owner]
-    images, columns = [], {}
-    for sl, Y in zip(basis.blocks, symmetric_power(T, basis)):
-        images.append(W[:, sl] @ Y)
-        for g, n in enumerate(patterns[sl].tolist()):
-            columns.setdefault(tuple(n), []).append(g)
-    return images, columns
 
 
 # -- orthogonality -----------------------------------------------------------

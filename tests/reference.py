@@ -12,8 +12,9 @@ recursion. The nested loops of apply_part are the oracle of the
 generator's exponent steps. The library multiplies
 polynomials only by scalars; the product and power of two polynomials
 below serve the oracles that expand products of linear forms. The library
-builds the Wick map only on the basis of a decomposition; wick_matrix below
-builds it on its own basis, as an OperatorMatrix. polynomial_json is the
+builds no Wick map W, only the Wick powers of the forms it needs;
+wick_matrix below runs the same recursion on the coordinates, as an
+OperatorMatrix. polynomial_json is the
 oracle of the JSON text the report writes for a polynomial.
 """
 
@@ -22,10 +23,12 @@ from functools import lru_cache, reduce
 from itertools import zip_longest
 from math import factorial, isqrt, sqrt
 
+import numpy as np
+
 from ou_spectra.errors import DimensionMismatch
 from ou_spectra.exact import Matrix, transpose
 from ou_spectra.model import OUModel
-from ou_spectra.operator import OperatorMatrix, _wick_recursion, integer_wick_matrix
+from ou_spectra.operator import OperatorMatrix, integer_wick_powers, wick_powers
 from ou_spectra.polynomials import EXACT_TYPES, SparsePolynomial, index_degree, monomial_basis
 
 
@@ -234,15 +237,17 @@ def power(p: SparsePolynomial, n: int) -> SparsePolynomial:
 def wick_matrix(model: OUModel, n: int, exact: bool | None = None) -> OperatorMatrix:
     """Matrix of the Wick map W = exp(-K) on the graded-lex monomials of
     degree <= n, K = 1/2 tr(S D^2) the diffusion part with Q replaced by the
-    stationary covariance S (operator._wick_recursion). The entries are
-    Fractions when exact (by default: when the model is), from the integer
-    recursion of integer_wick_matrix, and floats otherwise."""
+    stationary covariance S: the Wick powers of the coordinates x = I^T x
+    under S (operator.wick_powers). The entries are Fractions when exact (by
+    default: when the model is), from integer_wick_powers, and floats
+    otherwise."""
     exact = model.is_exact if exact is None else exact
     basis = monomial_basis(model.dim, n)
     if not exact:
-        W = _wick_recursion(model.covariance.sigma, basis)
+        W = wick_powers(np.eye(model.dim), model.covariance.sigma, basis)
         return OperatorMatrix(basis, W, False)
-    W, scale = integer_wick_matrix(model, basis)
+    eye = np.eye(model.dim, dtype=int).astype(object)
+    W, scale = integer_wick_powers(eye, model.covariance.sigma_exact, basis)
     entries = [[Fraction(w, scale) for w in row] for row in W.tolist()]
     return OperatorMatrix(basis, entries, True)
 

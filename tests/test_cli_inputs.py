@@ -76,6 +76,21 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestValuesThatParseButBreakTheRun:
+    @pytest.mark.parametrize("flag", ["--a=x", "--a=1/0", "--c=1/0"])
+    def test_section5_parameter_that_is_not_a_rational(self, flag):
+        code, out, err = run_cli(["paper-example", "section5", flag])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(f"usage error: {flag[:3]} must be a rational") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "1e400"])
+    def test_infinite_tolerance(self, value):
+        """An infinite tolerance would be written as Infinity, which is not JSON."""
+        code, out, err = run_cli(["spectrum", *MODEL_1D, "--tol-orth", value])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "usage error: --tol-orth must be finite and positive\n"
+
+
 class TestLongSteps:
     """A step, or a whole burn-in, at the edge of the float range: a time
     that overflows is rejected, and a finite one is one exact transition,
@@ -160,6 +175,33 @@ class TestFloatRange:
         code, out, err = run_cli(["spectrum", "--Q", "[[1]]", "--B", B, "--degree", "2"])
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err == "error: a spectrum point is not finite, which JSON cannot hold\n"
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_coefficients_past_the_float_range(self):
+        """The exact groups are integers, but their unit vectors are floats."""
+        B = '[[-1, 0], ["1e100", -2]]'
+        code, out, err = run_cli(["analyze", "--Q", "[[1,0],[0,1]]", "--B", B, "--degree", "4"])
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == (
+            "error: a coefficient column of the eigen-group at -4 has a norm beyond the float range\n"
+        )
+
+    def test_exact_covariance_past_the_float_range(self):
+        B = '[[-1, 0], ["1e200", -2]]'
+        code, out, err = run_cli(["analyze", "--Q", "[[1,0],[0,1]]", "--B", B, "--degree", "3"])
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == (
+            "validation error: the stationary covariance entry S[1][1], about 10^399, "
+            "is beyond the float range\n"
+        )
+
+    def test_section5_whitening_past_the_float_range(self):
+        code, out, err = run_cli(["paper-example", "section5", "--a=1e200", "--d=1", "--c=1"])
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == (
+            "validation error: c^2 + 4 a^2 is beyond the float range at a = 1e+200, c = 1\n"
+        )
 
 
 class TestNegativeFraction:

@@ -31,8 +31,9 @@ from ou_spectra.operator import (
     apply_L,
     operator_matrix,
     poly_coordinates,
+    integer_wick_powers,
     semigroup_apply,
-    symmetric_power,
+    wick_powers,
 )
 from ou_spectra.polynomials import SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
@@ -539,33 +540,80 @@ def form_matrices(draw):
     return np.array(entries).reshape(n, n), False
 
 
+def _form_products(T, basis):
+    """The coordinates of y^gamma, y_k = sum_i T_ik x_i, for every gamma of
+    the basis, by SparsePolynomial arithmetic."""
+    n = T.shape[0]
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    y = [SparsePolynomial(n, {unit[i]: T[i, k] for i in range(n)}) for k in range(n)]
+    one = SparsePolynomial.constant(n, 1)
+    return [reduce(multiply, map(power, y, gamma), one) for gamma in basis.indices]
+
+
+class TestWickPowers:
+    """wick_powers(T, T^T S T) is W applied to the products y^gamma: the one
+    recursion on the forms against W and the products built apart."""
+
+    @SETTINGS
+    @given(rational_models(), st.integers(0, 4), st.data())
+    def test_integer_forms_in_fractions(self, model, cap, data):
+        n = model.dim
+        entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+        T = np.array(entries, dtype=object).reshape(n, n)
+        basis = monomial_basis(n, cap)
+        images, scale = integer_wick_powers(T, model.covariance.sigma_exact, basis)
+        W = wick_matrix(model, cap).entries
+        for g, product_ in enumerate(_form_products(T, basis)):
+            c = poly_coordinates(product_, basis)
+            expected = [sum(w * x for w, x in zip(row, c)) for row in W]
+            assert [Fraction(v, scale) for v in images[:, g].tolist()] == expected
+
+    @SETTINGS
+    @given(float_models(), st.integers(0, 4), st.data())
+    def test_complex_forms(self, model, cap, data):
+        """Against exp(-K) y^gamma summed as the diffusion series, to 1e-12
+        of the same series taken with |S|, |T| and every sign +, which bounds
+        every sum of terms, or to the smallest normal float."""
+        n = model.dim
+        part = st.floats(min_value=-2, max_value=2, allow_nan=False)
+        T = np.array([complex(data.draw(part), data.draw(part)) for _ in range(n * n)]).reshape(n, n)
+        S = model.covariance.sigma
+        basis = monomial_basis(n, cap)
+        images = wick_powers(T, T.T @ S @ T, basis)
+        series, bound_series = replace(model, Q=S), replace(model, Q=np.abs(S))
+        products = zip(_form_products(T, basis), _form_products(np.abs(T), basis))
+        for g, (product_, bound) in enumerate(products):
+            expected = poly_coordinates(_wick_series(series, product_, -1), basis)
+            scale = np.array(poly_coordinates(_wick_series(bound_series, bound, 1), basis))
+            error = np.abs(images[:, g] - np.array(expected, dtype=complex))
+            assert (error <= 1e-12 * scale + np.finfo(float).tiny).all()
+
+
 class TestSymmetricPower:
     @SETTINGS
     @given(form_matrices(), st.integers(0, 5))
     @example((np.array([[0, 0, 0], [0, 1.16553959e-81j, 2j], [0, 0, 0]]), False), 5)
     def test_blocks_are_the_products(self, T_exact, cap):
-        """Block d, column gamma holds the degree-d coordinates of
-        prod_k y_k^gamma_k, y_k = sum_i T_ik x_i, as SparsePolynomial
-        arithmetic gives them: exactly for integer forms, and for complex
-        ones to 1e-12 of the same product taken with |T|, which bounds every
-        sum of terms, or to the smallest normal float where a product of tiny
-        entries underflows (the bound then rounds to 0, a term to 5e-324)."""
+        """With the pairing P = 0 the Wick powers are the plain products:
+        diagonal block d, column gamma of wick_powers(T, 0) holds the
+        degree-d coordinates of prod_k y_k^gamma_k, y_k = sum_i T_ik x_i, as
+        SparsePolynomial arithmetic gives them, and every other block is
+        zero. Exactly for integer forms, and for complex ones to 1e-12 of the
+        same product taken with |T|, which bounds every sum of terms, or to
+        the smallest normal float where a product of tiny entries underflows
+        (the bound then rounds to 0, a term to 5e-324)."""
         T, is_exact = T_exact
         n = T.shape[0]
         basis = monomial_basis(n, cap)
-        blocks = symmetric_power(T, basis)
-
-        def products(forms):
-            unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            y = [SparsePolynomial(n, {unit[i]: forms[i, k] for i in range(n)}) for k in range(n)]
-            one = SparsePolynomial.constant(n, 1)
-            return [
-                poly_coordinates(reduce(multiply, map(power, y, gamma), one), basis)
-                for gamma in basis.indices
-            ]
-
-        expected = products(T)
-        bound = None if is_exact else products(np.abs(T))
+        powers = wick_powers(T, np.zeros((n, n), dtype=T.dtype), basis)
+        blocks = [powers[sl, sl] for sl in basis.blocks]
+        diagonal = np.zeros(powers.shape, dtype=bool)
+        for sl in basis.blocks:
+            diagonal[sl, sl] = True
+        assert not powers[~diagonal].any()
+        expected = [poly_coordinates(q, basis) for q in _form_products(T, basis)]
+        if not is_exact:
+            bound = [poly_coordinates(q, basis) for q in _form_products(np.abs(T), basis)]
         assert len(blocks) == cap + 1
         for sl, Y in zip(basis.blocks, blocks):
             for g, column in enumerate(range(sl.start, sl.stop)):
