@@ -425,28 +425,53 @@ def _orthogonality_json(report) -> dict:
     """The verdict, with each pair encoded as JSON text straight from the
     pair Gram: the text json.dumps writes for the pair's object, floats by
     float.__repr__ as the json encoder writes them. Each group's eigenvalue
-    text is made once, and each entry of the Gram's upper triangle once."""
+    text is made once. A pair of groups that share no degree has a block of
+    +0.0 (report.disjoint) and is written from one text per block shape
+    (_zero_pair_text); each entry of the other pairs is formatted once."""
     H, worst, tol = report.gram, report.worst, report.tol_orth
     if not (np.isfinite(H).all() and np.isfinite(worst).all()):
         raise ConvergenceFailure("the pair Gram has a non-finite entry, which JSON cannot hold")
     eigenvalues = [json.dumps(scalar_json(complex(z))) for z in report.eigenvalues]
     bounds = [*report.starts.tolist(), len(H)]
+    sizes = np.diff(bounds)
+    disjoint = np.zeros(worst.shape, bool) if report.disjoint is None else report.disjoint
+    live = np.repeat(~disjoint, sizes, axis=1)  # the columns each group shares a degree with
+    verdict = "true" if 0.0 < tol else "false"
     pairs = EncodedLines()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        # group i's rows against the columns of every later group
+        # group i's rows against the live columns of every later group
+        cols = b + np.flatnonzero(live[i, b:])
         cells = [
             [f'{{"re": {x!r}, "im": {y!r}}}' for x, y in zip(re_row, im_row)]
-            for re_row, im_row in zip(H.real[a:b, b:].tolist(), H.imag[a:b, b:].tolist())
+            for re_row, im_row in zip(H.real[a:b, cols].tolist(), H.imag[a:b, cols].tolist())
         ]
         head = f'{{"eigenvalue_i": {eigenvalues[i]}, "eigenvalue_j": '
-        for j, w in enumerate(worst[i, i + 1 :].tolist(), i + 1):
-            c, d = bounds[j] - b, bounds[j + 1] - b
-            block = "], [".join([", ".join(row[c:d]) for row in cells])
+        c = 0
+        for j, w, zero, size in zip(
+            range(i + 1, len(eigenvalues)),
+            worst[i, i + 1 :].tolist(),
+            disjoint[i, i + 1 :].tolist(),
+            sizes[i + 1 :].tolist(),
+        ):
+            if zero:
+                pairs.append(f"{head}{eigenvalues[j]}, {_zero_pair_text(b - a, size, verdict)}")
+                continue
+            block = "], [".join([", ".join(row[c : c + size]) for row in cells])
+            c += size
             pairs.append(
                 f'{head}{eigenvalues[j]}, "max_normalized": {w!r}, '
                 f'"orthogonal": {"true" if w < tol else "false"}, "gram_block": [[{block}]]}}'
             )
     return {"tol_orth": tol, "all_orthogonal": report.all_orthogonal, "pairs": pairs}
+
+
+@cache
+def _zero_pair_text(rows: int, cols: int, verdict: str) -> str:
+    """A pair line after its eigenvalues, for a block of rows x cols entries
+    +0.0, whose largest normalized entry is 0.0: the text json.dumps writes."""
+    row = ", ".join(['{"re": 0.0, "im": 0.0}'] * cols)
+    block = "], [".join([row] * rows)
+    return f'"max_normalized": 0.0, "orthogonal": {verdict}, "gram_block": [[{block}]]}}'
 
 
 def _q_infinity_json(model: OUModel):

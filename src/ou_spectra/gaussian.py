@@ -10,10 +10,13 @@ When the covariance entries are rational every moment is an exact Fraction;
 this is what makes the reported inner products exact rather than approximate.
 
 Every pairing under N(0, Sigma) is a moment, <x^a, x^b> = E[x^(a + b)], so
-the one pairing route is the moment matrix M of the exponents paired
-(basis_moment_gram): the Gram matrix of a family with coefficient columns C
-over its joint support is C^T M conj(C). inner_product pairs two polynomials
-term by term; it is the reference the tests compare that route against.
+the pairing route of a family of polynomials is the moment matrix M of the
+exponents paired (basis_moment_gram): the Gram matrix of a family with
+coefficient columns C over its joint support is C^T M conj(C). It serves the
+gram command and gram_matrix only; the eigen-groups are Wick powers of
+linear forms, which spectral.orthogonality_report pairs from the forms' own
+N x N pairing instead. inner_product pairs two polynomials term by term; it
+is the reference the tests compare the moment route against.
 """
 
 from __future__ import annotations

@@ -31,6 +31,11 @@ they and the operator matrix for the residuals are floats, also for a
 rational model with complex drift eigenvalues. Each group keeps its
 coefficient columns; listed_terms reads the listed polynomials off them, and
 EigenGroup.polynomials builds them as SparsePolynomials only when read.
+
+The groups are paired under N(0, S) from the same forms: by Wick's theorem
+:y^gamma: and :y^delta: pair to zero unless |gamma| = |delta|, and otherwise
+to a coefficient of a product of the forms' N x N pairing P = T^T S conj(T)
+(orthogonality_report), so no moment matrix is built.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from math import acos, comb
 
 import numpy as np
 
-from . import exact
+from . import exact, gaussian
 from .errors import (
     ComplexSpectrum,
     ConvergenceFailure,
@@ -52,7 +57,6 @@ from .errors import (
     RepeatedEigenvalue,
     UnsupportedDimension,
 )
-from .gaussian import basis_moment_gram
 from .model import OUModel, drift_eigenvalues
 from .operator import OperatorMatrix, _monomial_matrix, integer_wick_powers, wick_powers
 from .polynomials import GradedBasis, SparsePolynomial, exponent_array, monomial_basis
@@ -63,6 +67,10 @@ TOL_NILP = 1e-9
 RANK_RTOL = 1e-10
 RANK_MIN_GAP = 1e4  # smallest singular-value ratio accepted as a rank gap
 NOT_FINITE = "a spectrum point is not finite, which JSON cannot hold"
+
+# not called here: the benchmark harness (perfbench/spans.py) traces the
+# moment matrix under this module's name
+basis_moment_gram = gaussian.basis_moment_gram
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,11 @@ class SpectralDecomposition:
     basis: GradedBasis
     groups: tuple[EigenGroup, ...]  # one per point of spectrum, in its order
     spectrum: SpectrumSet
+    # the groups' columns side by side: the basis row of each column's
+    # exponent gamma (the column is the Wick power :y^gamma:), a permutation
+    # of the basis rows, and the Euclidean norm of :y^gamma:'s coordinates
+    wick_rows: np.ndarray
+    wick_norms: np.ndarray
     tol_eig: float = TOL_EIG
 
     def group_at(self, value: complex) -> EigenGroup:
@@ -208,13 +221,17 @@ class PairVerdict:
 class OrthogonalityReport:
     """The pair Gram of the groups and its per-pair maxima, as arrays: pair
     (i, j), i < j, is the block of gram at group i's rows and group j's
-    columns, and worst[i, j] its largest normalized entry."""
+    columns, and worst[i, j] its largest normalized entry. Columns of
+    different degree pair to exactly +0.0 (orthogonality_report)."""
 
-    gram: np.ndarray  # H = V^T G conj(V), the groups' columns side by side
+    gram: np.ndarray  # H, the pairings of the groups' unit columns side by side
     starts: np.ndarray  # first column of each group in gram
     worst: np.ndarray  # (groups, groups) block maxima of |H_ab| / sqrt(H_aa H_bb)
     tol_orth: float
     eigenvalues: tuple[complex, ...] = ()
+    # (groups, groups) True where two groups share no degree, so that their
+    # block is exactly +0.0; None when that is not known
+    disjoint: np.ndarray | None = None
 
     @property
     def all_orthogonal(self) -> bool:
@@ -380,13 +397,16 @@ def operator_eigenvalues(om: OperatorMatrix) -> list[complex]:
 
 
 def _norm(a: np.ndarray, axis=None):
-    """np.linalg.norm(a, axis=axis) with no overflow in the squares: when a's
-    largest entry is 2^(e - 1) or more, e >= 1, the norm is taken on a times
-    2^-e and scaled back. Scaling by a power of two is exact, so wherever the
+    """np.linalg.norm(a, axis=axis) with no overflow in the squares: each
+    vector the norm is taken over (all of a, or each column for axis=0) whose
+    largest entry is 2^(e - 1) or more, e >= 1, is scaled by 2^-e, and its
+    norm scaled back. Scaling by a power of two is exact, so wherever the
     plain norm is finite this is the same value, up to squares far below its
-    roundoff."""
-    e = max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], 0)
-    return np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e), axis=axis), e)
+    roundoff; a column far below the largest keeps its own norm."""
+    top = np.abs(a).max(axis=axis, initial=0.0, keepdims=True)
+    e = np.maximum(np.frexp(top)[1], 0)
+    norm = np.linalg.norm(a * np.ldexp(1.0, -e), axis=axis, keepdims=True)
+    return np.ldexp(norm, e).squeeze(axis)
 
 
 def _roundoff_floor(top: float) -> float:
@@ -516,47 +536,50 @@ def generalized_eigenspaces(
     SpectrumSet.block_multiplicities by construction, and its nilpotency
     index is the largest 1 + sum_j n_j (k_j - 1). On the exact route
     everything is exact, with zero residual; otherwise the residual
-    ||(M - mu)^k u|| is taken on the float operator matrix M.
+    ||(M - mu)^k u|| is taken on the float operator matrix M. The
+    decomposition keeps each column's exponent gamma (as its basis row) and
+    the norm of :y^gamma:, from which orthogonality_report pairs them.
     """
     sp = spectrum(model, degree_cap, tol_eig)
     exact_route = sp.rationals is not None
     basis = monomial_basis(model.dim, degree_cap)
     T = np.hstack([c.forms for c in sp.clusters])  # the forms y_1..y_N, cluster by cluster
-    if exact_route:
+    if exact_route:  # scale times the Wick powers, in integers
         images, scale = integer_wick_powers(T, model.covariance.sigma_exact, basis)
     else:
-        images = wick_powers(T, T.T @ model.covariance.sigma @ T, basis)
+        images, scale = wick_powers(T, T.T @ model.covariance.sigma @ T, basis), 1
         M = _monomial_matrix(model, basis, "L", False).entries.astype(complex)
     owner = [j for j, c in enumerate(sp.clusters) for _ in range(c.multiplicity)]  # cluster of each form
-    columns = {}  # the columns gamma with each cluster pattern n: n_j factors from cluster j
+    patterns = {}  # the columns gamma with each cluster pattern n: n_j factors from cluster j
     for g, n in enumerate((basis.exponents @ np.eye(len(sp.clusters), dtype=int)[owner]).tolist()):
-        columns.setdefault(tuple(n), []).append(g)
-    groups = []
+        patterns.setdefault(tuple(n), []).append(g)
+    groups, wick_rows, wick_norms = [], [], []
     for p in sp.points:
-        V = np.hstack([images[:, columns[n]] for n in p.witnesses])
+        rows = [g for n in p.witnesses for g in patterns[n]]
+        V = images[:, rows]
         index = max(
             1 + sum(nj * (c.index - 1) for nj, c in zip(n, sp.clusters)) for n in p.witnesses
         )
         try:  # the unit vectors are floats, so each column's norm must be one
             with np.errstate(over="raise"):
                 unit = V.astype(complex)
-                unit /= np.linalg.norm(unit, axis=0, keepdims=True)
+                norms = np.linalg.norm(unit, axis=0)
+                unit /= norms
+                wick_norms.append(norms / float(scale))
         except (OverflowError, FloatingPointError) as e:
             at = p.value if p.exact is None else p.exact
             message = f"a coefficient column of the eigen-group at {at} has a norm beyond the float range"
             raise ConvergenceFailure(message) from e
+        wick_rows += rows
         if exact_route:
-            coefficients, denominator, residual = V, scale, 0.0
+            coefficients, residual = V, 0.0
         else:
-            coefficients, denominator = unit, 1
-            R = unit
+            coefficients = R = unit
             for _ in range(index):
                 R = M @ R - p.value * R
             residual = float(np.linalg.norm(R, axis=0).max())
         groups.append(
-            EigenGroup(
-                p.value, V.shape[1], index, unit, coefficients, denominator, basis, residual
-            )
+            EigenGroup(p.value, V.shape[1], index, unit, coefficients, scale, basis, residual)
         )
     return SpectralDecomposition(
         model=model,
@@ -564,6 +587,8 @@ def generalized_eigenspaces(
         basis=basis,
         groups=tuple(groups),
         spectrum=sp,
+        wick_rows=np.array(wick_rows),
+        wick_norms=np.concatenate(wick_norms),
         tol_eig=tol_eig,
     )
 
@@ -578,26 +603,43 @@ def orthogonality_report(
     model's stationary measure; a pair is orthogonal when every normalized
     inner product stays below tol.
 
-    Works in basis coordinates: with G the float moment matrix of the
-    monomial basis under the model's covariance (gaussian.basis_moment_gram),
-    <u, v> = u^T G conj(v) for coordinate vectors u, v. The group vectors are
-    stacked into V and H = V^T G conj(V) is formed once; the norms are read
-    off its diagonal and every pair's block is a slice of it.
+    Each group column is a Wick power :y^gamma: of the drift forms, scaled to
+    unit Euclidean norm (EigenGroup.vectors). By Wick's theorem (Janson,
+    Gaussian Hilbert Spaces, 1997, ch. 1 and 3) two Wick powers pair to zero
+    under N(0, S) unless |gamma| = |delta|, and then to
+    gamma! [z^gamma] (P^T z)^delta, with P = T^T S conj(T) the N x N pairing
+    of the forms, T the forms side by side. Those coefficients are the Wick
+    powers of the forms P^T z under a zero pairing, the plain products
+    (operator.wick_powers(P, 0, basis)), so the pair Gram H of the unit
+    columns is block diagonal by degree and needs no moment matrix: H[a, b]
+    is gamma_a! Z[gamma_a, gamma_b] / (n_a n_b), n the norms of the Wick
+    powers (SpectralDecomposition.wick_norms), where the degrees match, and
+    +0.0 elsewhere.
 
     The report keeps H as `gram`, each group's first column in it as
-    `starts`, and the block maxima of the normalized table as `worst`;
-    `all_orthogonal` is read off worst's upper triangle. Its `pairs`, one
-    PairVerdict per pair, are built from these arrays on first read.
-
-    Each block pairs the groups' coordinate vectors scaled to unit Euclidean
-    norm (EigenGroup.vectors). On the float route those are the listed
-    polynomials; on the exact route the listed polynomials are the unscaled
-    exact ones, so a block entry is their pairing divided by both coordinate
-    norms.
+    `starts`, the block maxima of the normalized table as `worst`, and the
+    pairs of groups that share no degree, whose blocks are exactly zero, as
+    `disjoint`; `all_orthogonal` is read off worst's upper triangle. Its
+    `pairs`, one PairVerdict per pair, are built from these arrays on first
+    read. On the float route the unit columns are the listed polynomials; on
+    the exact route the listed polynomials are the unscaled exact ones, so a
+    block entry is their pairing divided by both coordinate norms.
     """
-    G = basis_moment_gram(dec.basis.exponents, dec.model.covariance.sigma)
-    V = np.hstack([np.asarray(g.vectors, dtype=complex) for g in dec.groups])
-    H = V.T @ G @ V.conj()
+    basis, E = dec.basis, dec.basis.exponents
+    try:  # the exact route's forms are Python ints
+        T = np.hstack([c.forms for c in dec.spectrum.clusters]).astype(complex)
+    except OverflowError as e:
+        raise ConvergenceFailure("a drift form has an entry beyond the float range") from e
+    P = T.T @ dec.model.covariance.sigma @ T.conj()
+    Z = wick_powers(P, np.zeros_like(P), basis)
+    rows, n = dec.wick_rows, dec.wick_norms
+    factorials = np.cumprod(np.r_[1.0, np.arange(1, basis.cap + 1)])
+    weight = factorials[E[rows]].prod(axis=1) / n
+    degree = E[rows].sum(axis=1)
+    H = np.zeros((len(rows), len(rows)), dtype=complex)
+    for d in range(basis.cap + 1):
+        a = np.flatnonzero(degree == d)
+        H[np.ix_(a, a)] = Z[np.ix_(rows[a], rows[a])] * weight[a, None] / n[a]
     norms = np.sqrt(np.abs(np.diag(H).real))
     denom = np.outer(norms, norms)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -606,12 +648,15 @@ def orthogonality_report(
     starts = np.cumsum(sizes) - sizes
     # block maxima of the normalized table, one entry per pair of groups
     worst = np.maximum.reduceat(np.maximum.reduceat(normalized, starts, axis=0), starts, axis=1)
+    held = np.zeros((len(sizes), basis.cap + 1), dtype=bool)  # the degrees of each group
+    held[np.repeat(np.arange(len(sizes)), sizes), degree] = True
     return OrthogonalityReport(
         gram=H,
         starts=starts,
         worst=worst,
         tol_orth=tol_orth,
         eigenvalues=tuple(g.eigenvalue for g in dec.groups),
+        disjoint=~(held @ held.T),
     )
 
 

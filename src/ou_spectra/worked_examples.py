@@ -113,8 +113,6 @@ def section5_whitening(params: Section5Params) -> CoordinateChange:
     density pi^(-1) exp(-z1^2 - z2^2): z1 = sqrt(a-d) x1,
     z2 = sqrt((a+d)/(c^2+4a^2)) (2a x2 - c x1)."""
     a, d, c = (float(params.a), float(params.d), float(params.c))
-    if not math.isfinite(c * c + 4 * a * a):
-        raise InvalidParams(f"c^2 + 4 a^2 is beyond the float range at a = {a:g}, c = {c:g}")
-    s = math.sqrt((a + d) / (c * c + 4 * a * a))
+    s = math.sqrt(a + d) / math.hypot(c, 2 * a)  # c^2 + 4 a^2 itself may overflow
     H = np.array([[math.sqrt(a - d), 0.0], [-c * s, 2 * a * s]])
     return CoordinateChange(H=H, H_inv=np.linalg.inv(H), kind="general-linear")

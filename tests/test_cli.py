@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import small_test_models
-from ou_spectra import cli, spectral
+from ou_spectra import cli, gaussian, spectral
 from ou_spectra.errors import ConvergenceFailure, RankDecisionAmbiguous, SchemaError
 from ou_spectra.model import validate_model
 from ou_spectra.polynomials import (
@@ -555,6 +555,34 @@ def group_dicts(dec, tol_nilp: float) -> list[dict]:
 
 
 GOLDEN_EXACT_GROUPS = Path(__file__).parent / "data" / "analyze_exact_groups.txt"
+
+
+class TestNoMomentTable:
+    """The pair Gram comes from the forms' N x N pairing: analyze builds no
+    moment table, on the float route or the exact one."""
+
+    B4 = [[-1.5, 0.4, -0.3, 0.2], [0.1, -2.0, 0.5, -0.4], [-0.2, 0.3, -2.6, 0.6], [0.5, -0.1, 0.2, -3.1]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--Q", json.dumps(np.eye(4).tolist()), "--B", json.dumps(B4), "--degree", "3"],
+            EMITTED["analyze-exact"],
+        ],
+        ids=["float-4d", "analyze-exact"],
+    )
+    def test_analyze_builds_no_moment_table(self, argv, monkeypatch):
+        built = []
+        original = gaussian.MomentTable.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(gaussian.MomentTable, "__init__", counting)
+        report = run_json(argv)
+        assert len(report["orthogonality"]["pairs"]) > 1 and built == []
+        assert run_json(["gram", *argv[1:5], "--degree", "1"]) and built  # the gram command does
 
 
 class TestGroupLines:

@@ -38,6 +38,10 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def reject_constant(name):
+    raise ValueError(f"bare {name} is not valid JSON")
+
+
 def assert_validation_error(argv):
     code, out, err = run_cli(argv)
     assert code == cli.EXIT_VALIDATION
@@ -196,12 +200,17 @@ class TestFloatRange:
             "is beyond the float range\n"
         )
 
+    @pytest.mark.filterwarnings("error")
     def test_section5_whitening_past_the_float_range(self):
-        code, out, err = run_cli(["paper-example", "section5", "--a=1e200", "--d=1", "--c=1"])
-        assert (code, out) == (cli.EXIT_VALIDATION, "")
-        assert err == (
-            "validation error: c^2 + 4 a^2 is beyond the float range at a = 1e+200, c = 1\n"
-        )
+        """c^2 + 4 a^2 overflows at a = 1e200, but the whitening takes its
+        square root as math.hypot(c, 2 a), which does not: the report is
+        served, as strict JSON."""
+        for flags in (["--a=1e200", "--d=1e199", "--c=1"], ["--a=1e200", "--d=1", "--c=1"]):
+            code, out, err = run_cli(["paper-example", "section5", *flags])
+            assert (code, err) == (0, "")
+            whitening = json.loads(out, parse_constant=reject_constant)["example"]["whitening"]
+            after = np.array(whitening["covariance_after"])
+            assert np.abs(after - np.eye(2) / 2).max() < 1e-12
 
 
 class TestNegativeFraction:

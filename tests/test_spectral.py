@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_test_models
@@ -20,18 +20,18 @@ from ou_spectra.errors import (
     RankDecisionAmbiguous,
     RepeatedEigenvalue,
 )
-from ou_spectra.gaussian import MomentTable, inner_product
+from ou_spectra.gaussian import MomentTable, basis_moment_gram, inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
-from ou_spectra.operator import operator_matrix, poly_coordinates
+from ou_spectra.operator import operator_matrix, poly_coordinates, wick_powers
 from ou_spectra.polynomials import GradedBasis, SparsePolynomial, monomial_basis
 from ou_spectra.spectral import (
     TOL_EIG,
     SpectrumPoint,
     _drift_clusters,
+    _norm,
     _nullspace_bounded,
     _rational_clusters,
     b_eigenvector_angle,
-    basis_moment_gram,
     drift_eigenvalues,
     generalized_eigenspaces,
     listed_terms,
@@ -548,6 +548,26 @@ class TestListedTerms:
             dataclasses.replace(g, coefficients=bad).polynomials
 
 
+class TestNorm:
+    @pytest.mark.filterwarnings("error")
+    def test_each_column_keeps_its_norm(self):
+        """_norm(a, axis=0) scales each column by its own power of two, so a
+        column 2^600 or more below the largest keeps its norm, with no
+        underflow in its squares."""
+        a = np.array([[2.0**600, 3.0], [2.0**600, 4.0]])
+        np.testing.assert_array_equal(_norm(a, axis=0), [math.ldexp(math.sqrt(2), 600), 5.0])
+        assert _norm(a) == math.hypot(*a.flat)
+        # the products of the exact forms of B = [[-1, 0], [1e100, -2]] at
+        # degree 2: y_2^2 = (x_2 - 1e100 x_1)^2 has coefficients near 1e200,
+        # y_1^2 = x_1^2 has one coefficient 1
+        model = validate_model(identity(2), [[-1, 0], ["1e100", -2]])
+        T = np.hstack([c.forms for c in spectrum(model, 2).clusters]).astype(float)
+        Y = wick_powers(T, np.zeros((2, 2)), monomial_basis(2, 2))
+        expected = [math.hypot(*col) for col in np.abs(Y).T.tolist()]
+        assert max(expected) > 2.0**600 * min(expected)
+        np.testing.assert_allclose(_norm(Y, axis=0), expected, rtol=1e-15)
+
+
 class TestNullspaceWindow:
     def test_ambiguous_when_no_gap_in_window(self):
         mat = np.diag([3.0, 2.0, 1.0])
@@ -597,13 +617,11 @@ class TestOrthogonalityReport:
     @pytest.mark.parametrize("model_index", range(len(small_test_models())))
     def test_verdicts_match_per_pair_slices(self, model_index):
         # reference: each pair's maximum taken from its own slice of the
-        # normalized cross-Gram table, pair by pair
+        # normalized cross-Gram table of the moment matrix, pair by pair;
+        # the report pairs the forms instead, so the two agree to roundoff
         dec = generalized_eigenspaces(small_test_models()[model_index], 4)
         rep = orthogonality_report(dec)
-        G = basis_moment_gram(dec.basis.indices, solve_lyapunov(dec.model).sigma)
-        V = np.hstack([g.vectors for g in dec.groups])
-        H = V.T @ G @ V.conj()
-        norms = np.sqrt(np.abs(np.diag(H).real))
+        H, norms, _ = moment_pair_gram(dec)
         normalized = np.abs(H) / np.outer(norms, norms)
         ends = np.cumsum([g.multiplicity for g in dec.groups])
         cols = [slice(end - g.multiplicity, end) for g, end in zip(dec.groups, ends)]
@@ -612,11 +630,111 @@ class TestOrthogonalityReport:
             for i in range(len(cols))
             for j in range(i + 1, len(cols))
         ]
-        assert [(p.i, p.j, p.max_normalized) for p in rep.pairs] == [e[:3] for e in expected]
-        for p, e in zip(rep.pairs, expected):
-            np.testing.assert_array_equal(p.block, e[3])
+        assert [(p.i, p.j) for p in rep.pairs] == [e[:2] for e in expected]
+        for p, (i, j, worst, block) in zip(rep.pairs, expected):
+            assert abs(p.max_normalized - worst) <= 1e-12
+            assert (np.abs(p.block - block) <= 1e-12 * np.outer(norms[cols[i]], norms[cols[j]])).all()
+            if abs(worst - rep.tol_orth) > 1e-12:
+                assert p.orthogonal == (worst < rep.tol_orth)
         assert all(p.orthogonal == (p.max_normalized < rep.tol_orth) for p in rep.pairs)
         assert rep.all_orthogonal == all(p.orthogonal for p in rep.pairs)
+
+
+def moment_pair_gram(dec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reference pair Gram V^T G conj(V) of the groups' unit columns V,
+    with G the moment matrix of the basis; the norms on its diagonal; and
+    the bound 64 eps |V|^T |G| |V| on its own roundoff, which the
+    cancellation in the product can make far larger than those norms."""
+    G = basis_moment_gram(dec.basis.exponents, dec.model.covariance.sigma)
+    V = np.hstack([g.vectors for g in dec.groups])
+    H = V.T @ G @ V.conj()
+    roundoff = 64 * np.finfo(float).eps * (np.abs(V).T @ np.abs(G) @ np.abs(V))
+    return H, np.sqrt(np.abs(np.diag(H).real)), roundoff
+
+
+@st.composite
+def dense_float_models(draw):
+    """A dense float model, N 1-4, with Q = I + A A^T / N and B = E - (1 + sum
+    |E_ij|) I, which is Hurwitz."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    A, E = rng.uniform(-1, 1, (2, n, n))
+    return validate_model(np.eye(n) + A @ A.T / n, E - (1 + np.abs(E).sum()) * np.eye(n))
+
+
+class TestPairGramMatchesMoments:
+    """The pair Gram from the forms' pairing P agrees with the moment-matrix
+    product V^T G conj(V): every entry within 1e-12 of sqrt(H_aa H_bb) plus
+    the reference's own roundoff bound, every entry between columns of
+    different degree exactly +0.0, and the same verdict wherever the
+    reference's worst is farther from tol_orth than 1e-12 plus that bound.
+
+    The bound matters on defective drifts under a similarity, where
+    |V|^T |G| |V| reaches 1e11 sqrt(H_aa H_bb): there the reference, not the
+    report, is off (against exact rational arithmetic, the report's entries
+    stay within 1e-14 of sqrt(H_aa H_bb))."""
+
+    SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+    @staticmethod
+    def check(model, cap):
+        try:
+            dec = generalized_eigenspaces(model, cap)
+        except RankDecisionAmbiguous:
+            assume(False)
+        rep = orthogonality_report(dec)
+        H, norms, roundoff = moment_pair_gram(dec)
+        scale = np.outer(norms, norms)
+        assert (np.abs(rep.gram - H) <= 1e-12 * scale + roundoff).all()
+        # a column's degree is that of its highest nonzero coefficient row
+        row_degree = dec.basis.exponents.sum(axis=1)
+        V = np.hstack([g.vectors for g in dec.groups])
+        degree = np.array([row_degree[np.flatnonzero(v)].max() for v in V.T])
+        cross = rep.gram[degree[:, None] != degree[None, :]]
+        assert (cross == 0).all() and not np.signbit(cross.real).any() and not np.signbit(cross.imag).any()
+        def block_maxima(table):
+            return np.maximum.reduceat(np.maximum.reduceat(table, rep.starts, axis=0), rep.starts, axis=1)
+
+        worst = block_maxima(np.abs(H) / scale)
+        upper = np.triu(np.ones(worst.shape, dtype=bool), 1)
+        clear = upper & (np.abs(worst - rep.tol_orth) > 1e-12 + block_maxima(roundoff / scale))
+        assert ((rep.worst < rep.tol_orth) == (worst < rep.tol_orth))[clear].all()
+
+    @SETTINGS
+    @given(dense_float_models(), st.integers(0, 5))
+    def test_dense_float_drifts(self, model, cap):
+        self.check(model, cap)
+
+    @SETTINGS
+    @given(float_drifts(), st.integers(0, 5))
+    def test_complex_pairs(self, model, cap):
+        self.check(model, cap)
+
+    @SETTINGS
+    @given(similar_triangular_drifts(4), st.sampled_from(["exact", "float"]), st.integers(0, 5))
+    def test_defective_drifts(self, drift, backend, cap):
+        """Rational similarities of triangular drifts with repeated
+        eigenvalues, on both routes: many are defective."""
+        self.check(validate_model(identity(len(drift[0])), drift[0], backend=backend), cap)
+
+    @SETTINGS
+    @given(exact_drifts(), st.integers(0, 5))
+    def test_exact_triangular_drifts(self, model, cap):
+        self.check(model, cap)
+
+    @pytest.mark.parametrize("cap", range(6))
+    def test_exact_jordan_drifts(self, cap):
+        for B in (
+            [[-1, 0, 0], [1, -1, 0], [0, 1, -1]],
+            [[-2, 0, 0], ["1/2", -2, 0], [-1, 2, -2]],
+            [["-3/2", 0], [3, "-3/2"]],
+        ):
+            self.check(validate_model(identity(len(B)), B), cap)
+
+    def test_large_exact_forms(self):
+        """The exact forms of B = [[-1, 0], [1e100, -2]] reach 1e100, and
+        their pairing 1e200."""
+        self.check(validate_model(identity(2), [[-1, 0], ["1e100", -2]]), 1)
 
 
 class TestBasisMomentGram:
