@@ -428,13 +428,12 @@ def _orthogonality_json(report) -> dict:
     text is made once. A pair of groups that share no degree has a block of
     +0.0 (report.disjoint) and is written from one text per block shape
     (_zero_pair_text); each entry of the other pairs is formatted once."""
-    H, worst, tol = report.gram, report.worst, report.tol_orth
+    H, worst, disjoint, tol = report.gram, report.worst, report.disjoint, report.tol_orth
     if not (np.isfinite(H).all() and np.isfinite(worst).all()):
         raise ConvergenceFailure("the pair Gram has a non-finite entry, which JSON cannot hold")
     eigenvalues = [json.dumps(scalar_json(complex(z))) for z in report.eigenvalues]
     bounds = [*report.starts.tolist(), len(H)]
     sizes = np.diff(bounds)
-    disjoint = np.zeros(worst.shape, bool) if report.disjoint is None else report.disjoint
     live = np.repeat(~disjoint, sizes, axis=1)  # the columns each group shares a degree with
     verdict = "true" if 0.0 < tol else "false"
     pairs = EncodedLines()

@@ -227,11 +227,11 @@ class OrthogonalityReport:
     gram: np.ndarray  # H, the pairings of the groups' unit columns side by side
     starts: np.ndarray  # first column of each group in gram
     worst: np.ndarray  # (groups, groups) block maxima of |H_ab| / sqrt(H_aa H_bb)
+    # (groups, groups) True where two groups share no degree, so that their
+    # block is exactly +0.0
+    disjoint: np.ndarray
     tol_orth: float
     eigenvalues: tuple[complex, ...] = ()
-    # (groups, groups) True where two groups share no degree, so that their
-    # block is exactly +0.0; None when that is not known
-    disjoint: np.ndarray | None = None
 
     @property
     def all_orthogonal(self) -> bool:
@@ -654,9 +654,9 @@ def orthogonality_report(
         gram=H,
         starts=starts,
         worst=worst,
+        disjoint=~(held @ held.T),
         tol_orth=tol_orth,
         eigenvalues=tuple(g.eigenvalue for g in dec.groups),
-        disjoint=~(held @ held.T),
     )
 
 

@@ -113,6 +113,9 @@ def section5_whitening(params: Section5Params) -> CoordinateChange:
     density pi^(-1) exp(-z1^2 - z2^2): z1 = sqrt(a-d) x1,
     z2 = sqrt((a+d)/(c^2+4a^2)) (2a x2 - c x1)."""
     a, d, c = (float(params.a), float(params.d), float(params.c))
-    s = math.sqrt(a + d) / math.hypot(c, 2 * a)  # c^2 + 4 a^2 itself may overflow
-    H = np.array([[math.sqrt(a - d), 0.0], [-c * s, 2 * a * s]])
+    # (-c, 2a) / hypot(c, 2a), on c and a scaled to at most one: neither
+    # c^2 + 4 a^2 nor 2a itself need be a float
+    k = max(abs(c), a)
+    row = np.array([-c / k, 2 * (a / k)])
+    H = np.array([[math.sqrt(a - d), 0.0], math.sqrt(a + d) / math.hypot(*row) * row])
     return CoordinateChange(H=H, H_inv=np.linalg.inv(H), kind="general-linear")

@@ -511,6 +511,7 @@ class TestPairLines:
             gram=np.array([[1, np.nan], [np.nan, 1]], dtype=complex),
             starts=np.array([0, 1]),
             worst=np.array([[1.0, 0.5], [0.5, 1.0]]),
+            disjoint=np.zeros((2, 2), bool),
             tol_orth=1e-9,
             eigenvalues=(0j, -1 + 0j),
         )

@@ -202,10 +202,14 @@ class TestFloatRange:
 
     @pytest.mark.filterwarnings("error")
     def test_section5_whitening_past_the_float_range(self):
-        """c^2 + 4 a^2 overflows at a = 1e200, but the whitening takes its
-        square root as math.hypot(c, 2 a), which does not: the report is
-        served, as strict JSON."""
-        for flags in (["--a=1e200", "--d=1e199", "--c=1"], ["--a=1e200", "--d=1", "--c=1"]):
+        """c^2 + 4 a^2 overflows at a = 1e200, and 2 a itself at a = 1.5e308,
+        but the whitening scales c and a to at most one before it takes
+        their hypot: the report is served, as strict JSON."""
+        for flags in (
+            ["--a=1e200", "--d=1e199", "--c=1"],
+            ["--a=1e200", "--d=1", "--c=1"],
+            ["--a=1.5e308", "--d=1", "--c=1"],
+        ):
             code, out, err = run_cli(["paper-example", "section5", *flags])
             assert (code, err) == (0, "")
             whitening = json.loads(out, parse_constant=reject_constant)["example"]["whitening"]

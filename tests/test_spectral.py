@@ -662,17 +662,36 @@ def dense_float_models(draw):
     return validate_model(np.eye(n) + A @ A.T / n, E - (1 + np.abs(E).sum()) * np.eye(n))
 
 
+def exact_pair_gram(dec) -> np.ndarray:
+    """The reference pair Gram of an exact-route decomposition in rational
+    arithmetic: C^T G C, with C the groups' integer coefficient columns and
+    G the exact moment matrix of the basis (brought to one denominator),
+    each entry divided by both columns' Euclidean norms and rounded once to
+    a float."""
+    G = basis_moment_gram(dec.basis.exponents, dec.model.covariance.sigma_exact)
+    den = math.lcm(*(x.denominator for x in G.flat))
+    G = np.array([[x.numerator * (den // x.denominator) for x in row] for row in G.tolist()], dtype=object)
+    C = np.hstack([g.coefficients for g in dec.groups])
+    H = C.T @ G @ C  # den times the pairings, in integers
+    sq = (C * C).sum(axis=0).tolist()
+    out = np.empty(H.shape)
+    for (a, b), h in np.ndenumerate(H):
+        out[a, b] = math.copysign(math.sqrt(Fraction(h * h, den * den * sq[a] * sq[b])), h)
+    return out
+
+
 class TestPairGramMatchesMoments:
     """The pair Gram from the forms' pairing P agrees with the moment-matrix
-    product V^T G conj(V): every entry within 1e-12 of sqrt(H_aa H_bb) plus
-    the reference's own roundoff bound, every entry between columns of
-    different degree exactly +0.0, and the same verdict wherever the
-    reference's worst is farther from tol_orth than 1e-12 plus that bound.
+    pairing of the groups' columns: every entry within 1e-12 of
+    sqrt(H_aa H_bb), every entry between columns of different degree
+    exactly +0.0, and the same verdict wherever the reference's worst is
+    farther from tol_orth than 1e-12.
 
-    The bound matters on defective drifts under a similarity, where
-    |V|^T |G| |V| reaches 1e11 sqrt(H_aa H_bb): there the reference, not the
-    report, is off (against exact rational arithmetic, the report's entries
-    stay within 1e-14 of sqrt(H_aa H_bb))."""
+    On the exact route the reference is exact (exact_pair_gram). On the
+    float route it is the float product V^T G conj(V), whose own roundoff
+    bound 64 eps |V|^T |G| |V| is added to both margins: under a defective
+    drift's similarity that bound reaches 1e-1 sqrt(H_aa H_bb), and there
+    the reference, not the report, is off."""
 
     SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -683,7 +702,11 @@ class TestPairGramMatchesMoments:
         except RankDecisionAmbiguous:
             assume(False)
         rep = orthogonality_report(dec)
-        H, norms, roundoff = moment_pair_gram(dec)
+        if dec.spectrum.rationals is not None:
+            H, roundoff = exact_pair_gram(dec), 0.0
+        else:
+            H, _, roundoff = moment_pair_gram(dec)
+        norms = np.sqrt(np.abs(np.diag(H).real))
         scale = np.outer(norms, norms)
         assert (np.abs(rep.gram - H) <= 1e-12 * scale + roundoff).all()
         # a column's degree is that of its highest nonzero coefficient row
@@ -692,6 +715,7 @@ class TestPairGramMatchesMoments:
         degree = np.array([row_degree[np.flatnonzero(v)].max() for v in V.T])
         cross = rep.gram[degree[:, None] != degree[None, :]]
         assert (cross == 0).all() and not np.signbit(cross.real).any() and not np.signbit(cross.imag).any()
+
         def block_maxima(table):
             return np.maximum.reduceat(np.maximum.reduceat(table, rep.starts, axis=0), rep.starts, axis=1)
 
