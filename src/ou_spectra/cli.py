@@ -7,9 +7,9 @@ exactness is the point; complex values serialize as {"re": .., "im": ..}.
 A JSON report puts each object key on its own line, and each item of a list
 of objects or arrays (a pair, a group, a spectrum point, a matrix row) on its
 own line as compact JSON; everything else is compact. The spectrum points,
-eigen-groups and orthogonality pairs are written pre-encoded (EncodedLines):
-as JSON text made straight from the spectrum's arrays, each group's
-coefficient columns and the pair Gram, with the bytes json.dumps would write.
+eigen-groups, orthogonality pairs and section 5 eigenfunctions are sections
+(EncodedLines) whose JSON text, the bytes json.dumps would write, is made
+from the arrays while it is written, in chunks of about CHUNK characters.
 
 Exit codes: 0 success, 1 usage error, 2 validation error or another typed
 failure, 3 numerical rank ambiguity. Only a float rank call exits 3: a
@@ -49,11 +49,11 @@ from .operator import (
 )
 from .polynomials import (
     SparsePolynomial,
-    coefficient_text,
     index_degree,
     monomial_basis,
     monomial_text,
-    render_terms,
+    signed_terms,
+    term_text,
 )
 from .simulate import (
     Ensemble,
@@ -67,7 +67,7 @@ from .spectral import (
     TOL_NILP,
     TOL_ORTH,
     generalized_eigenspaces,
-    listed_terms,
+    listed_mask,
     orthogonality_report,
     spectrum,
 )
@@ -83,6 +83,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_AMBIGUOUS = 3
+CHUNK = 1 << 18  # characters of a list that _write_json joins into one write
 
 SUBCOMMANDS = ("analyze", "spectrum", "gram", "normalize", "simulate", "paper-example")
 
@@ -90,17 +91,10 @@ _SCALAR_SCHEMA = {
     "oneOf": [
         {"type": "number"},
         {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-        {
-            "type": "object",
-            "required": ["re", "im"],
-            "properties": {"re": {}, "im": {}},
-        },
+        {"type": "object", "required": ["re", "im"], "properties": {"re": {}, "im": {}}},
     ]
 }
-_MATRIX_SCHEMA = {
-    "type": "array",
-    "items": {"type": "array", "items": _SCALAR_SCHEMA},
-}
+_MATRIX_SCHEMA = {"type": "array", "items": {"type": "array", "items": _SCALAR_SCHEMA}}
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -114,20 +108,15 @@ REPORT_SCHEMA = {
             "type": "object",
             "required": ["tol_eig", "tol_orth", "tol_nilp"],
             "properties": {
-                "tol_eig": {"type": "number", "exclusiveMinimum": 0},
-                "tol_orth": {"type": "number", "exclusiveMinimum": 0},
-                "tol_nilp": {"type": "number", "exclusiveMinimum": 0},
+                t: {"type": "number", "exclusiveMinimum": 0} for t in ("tol_eig", "tol_orth", "tol_nilp")
             },
         },
         "conventions": {"type": "object"},
         "model": {
             "type": "object",
             "required": ["dim", "Q", "B"],
-            "properties": {
-                "dim": {"type": "integer", "minimum": 1},
-                "Q": _MATRIX_SCHEMA,
-                "B": _MATRIX_SCHEMA,
-            },
+            "properties": {"dim": {"type": "integer", "minimum": 1}, "Q": _MATRIX_SCHEMA,
+                           "B": _MATRIX_SCHEMA},
         },
         "q_infinity": _MATRIX_SCHEMA,
         "drift_eigenvalues": {"type": "array"},
@@ -332,9 +321,18 @@ def _base_report(config: RunConfig, model: OUModel | None) -> dict:
     return report
 
 
-class EncodedLines(list):
-    """Items already encoded as JSON text: _write_json writes each on its own
-    line as it stands, render_human decodes them."""
+class EncodedLines:
+    """A list whose items are JSON text made while the report is written:
+    texts(joint) yields pieces of the list's text, each one item or several
+    joined by joint. _write_json writes them joined by ",\\n" and its indent;
+    iterating gives the items, one per line, and render_human decodes them."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def __iter__(self):
+        text = "\n".join(self.texts("\n"))
+        return iter(text.split("\n") if text else ())
 
 
 def _drift_json(sp) -> list:
@@ -350,127 +348,152 @@ def _spectrum_json(sp) -> EncodedLines:
     rows = list(map(str, sp.witness_rows.tolist()))  # str of an int list is its JSON text
     degrees = list(map(str, sp.witness_rows.sum(axis=1).tolist()))
     z, b = sp.point_values, sp.bounds.tolist()
-    return EncodedLines(
+    return EncodedLines(lambda joint: [joint.join(
         f'{{"value": {{"re": {x!r}, "im": {y!r}}}, "witnesses": [{", ".join(rows[lo:hi])}], '
         f'"degrees": [{", ".join(degrees[lo:hi])}]}}'
         for x, y, lo, hi in zip(z.real.tolist(), z.imag.tolist(), b, b[1:])
-    )
+    )])
 
 
-def _term_heads(alphas) -> tuple[list[str], list[str]]:
-    """For each exponent vector, its term's JSON text up to the "re" value
-    and its monomial text."""
+def _polynomial_texts(dim: int, alphas: list, columns: np.ndarray, denominators):
+    """The writer of every polynomial of a report: columns lists them on the
+    exponent rows alphas, ascending by (degree, exponent), each over its
+    denominator (floats over 1). texts(lo, hi) is the text json.dumps writes
+    for the objects of columns lo..hi-1, joined by ", ": the terms of
+    listed_mask in row order, floats by float.__repr__ and rationals as "p/q"
+    strings, and "text" rendering them reversed, as render_terms does. Each
+    polynomial's terms and text are one % over per-row templates, picked
+    here with their values, so a non-finite value is refused before any text."""
+    listed, real = (np.ascontiguousarray(m.T) for m in listed_mask(columns))  # [k, r]
+    counts = listed.sum(axis=1)
+    if columns.dtype == object:
+        kind, parts = np.full(listed.shape, 2), np.zeros((*listed.shape, 2), dtype=object)
+        dens = np.repeat(denominators, counts).tolist()
+        parts[listed, 0] = [str(Fraction(x, d)) for x, d in zip(columns.T[listed].tolist(), dens)]
+        near, written = listed, parts[listed, 0].tolist()
+    else:
+        Z = columns.T.copy()
+        kind, parts = np.where(real, 0, 1), np.stack([Z.real, Z.imag], axis=-1)
+        # the few coefficients '%g' may write as 1 or -1, which term_text writes as a sign
+        near = listed & real & (np.abs(np.abs(Z.real) - 1) < 1e-5)
+        written = ["%g" % x for x in Z.real[near].tolist()]
+    sign = np.zeros(listed.shape, int)
+    sign[near] = [(t == "1") - (t == "-1") for t in written]
+    # the values of the terms in row order, and of the text terms reversed
+    imag, shown = listed & ~real, listed & (sign == 0)
+    term_values = parts[np.stack([listed, imag], -1)].tolist()
+    text_values = parts[:, ::-1][np.stack([shown, imag], -1)[:, ::-1]].tolist()
+    term_ends = [0, *np.cumsum(counts + imag.sum(axis=1)).tolist()]
+    text_ends = [0, *np.cumsum(shown.sum(axis=1) + imag.sum(axis=1)).tolist()]
+    row = np.arange(len(alphas))
+    term_keys = (3 * row + kind)[listed].tolist()
+    text_keys = (5 * row + np.where(sign == 0, kind, np.where(sign > 0, 3, 4)))[listed].tolist()
+    bounds = [0, *np.cumsum(counts).tolist()]
+    # the % templates in use: a row's term by kind (real, complex, rational), and
+    # its text term by kind and for the coefficients written 1 and -1
     heads = [f'{{"alpha": [{", ".join(map(str, a))}], "re": ' for a in alphas]
-    return heads, [monomial_text(a) for a in alphas]
+    term_kinds = ('%r, "im": 0.0}', '%r, "im": %r}', '"%s", "im": "0"}')
+    term_table = {k: heads[k // 3] + term_kinds[k % 3] for k in set(term_keys)}
+    monomials, text_kinds = list(map(monomial_text, alphas)), ("%g", "(%g%+gj)", "%s", "1", "-1")
+    text_table = {k: term_text(monomials[k // 5], text_kinds[k % 5]) for k in set(text_keys)}
 
+    def polynomial(k: int) -> str:
+        a, b = bounds[k], bounds[k + 1]
+        terms = ", ".join(map(term_table.__getitem__, term_keys[a:b]))
+        text = " + ".join(map(text_table.__getitem__, reversed(text_keys[a:b])))
+        terms %= tuple(term_values[term_ends[k] : term_ends[k + 1]])
+        text %= tuple(text_values[text_ends[k] : text_ends[k + 1]])
+        # monomial and coefficient texts hold no character JSON escapes
+        return f'{{"dim": {dim}, "terms": [{terms}], "text": "{signed_terms(text) or "0"}"}}'
 
-def _polynomial_text(dim: int, heads: list[str], monomials: list[str], values: list) -> str:
-    """The text json.dumps writes for a polynomial's object, with the terms
-    in ascending (degree, exponent) order: heads and monomials are their
-    _term_heads, values their coefficients, and "text" renders them in the
-    reverse order. A float is written by float.__repr__, as the json encoder
-    writes it; a rational keeps exactness as a "p/q" string in "re", with
-    "im" "0"."""
-    texts = [coefficient_text(c) for c in values]
-    terms = ", ".join(
-        [
-            head
-            + (
-                f'{c!r}, "im": 0.0}}'
-                if type(c) is float
-                else f'{c.real!r}, "im": {c.imag!r}}}'
-                if type(c) is complex
-                else f'"{t}", "im": "0"}}'
-            )
-            for head, c, t in zip(heads, values, texts)
-        ]
-    )
-    text = render_terms(zip(reversed(monomials), reversed(texts)))
-    # monomial and coefficient texts hold no character JSON escapes
-    return f'{{"dim": {dim}, "terms": [{terms}], "text": "{text}"}}'
+    return lambda lo, hi: ", ".join(map(polynomial, range(lo, hi)))
 
 
 def _group_lines(dec, tol_nilp: float) -> EncodedLines:
-    """The groups, each encoded as JSON text straight from its coefficient
-    columns: the text json.dumps writes for the group's object, floats by
-    float.__repr__ as the json encoder writes them. Each listed polynomial
-    is written by _polynomial_text, whose ascending (degree, exponent) order
-    is, on the graded-lex basis, each degree block reversed. The order and
-    each basis row's term heads are made once."""
-    indices = dec.basis.indices
+    """The groups, each the text json.dumps writes for its object, made while
+    written. All groups' columns go to one _polynomial_texts, rows ascending
+    by (degree, exponent): on the graded-lex basis, each degree block
+    reversed. A non-finite value is refused before any text is made."""
+    indices, groups = dec.basis.indices, dec.groups
     order = [k for sl in dec.basis.blocks for k in reversed(range(sl.start, sl.stop))]
-    heads, monomials = _term_heads([indices[k] for k in order])
-    lines = EncodedLines()
-    for g in dec.groups:
-        z, residual = complex(g.eigenvalue), float(g.max_power_residual)
-        if not math.isfinite(residual):  # listed_terms rejects non-finite coefficients
-            raise ConvergenceFailure("an eigen-group has a non-finite value, which JSON cannot hold")
-        polys = [
-            _polynomial_text(
-                dec.basis.dim, [heads[r] for r in rows], [monomials[r] for r in rows], values
-            )
-            for rows, values in listed_terms(g.coefficients[order], g.denominator)
-        ]
-        lines.append(
-            f'{{"eigenvalue": {{"re": {z.real!r}, "im": {z.imag!r}}}, '
-            f'"multiplicity": {g.multiplicity}, "nilpotency_index": {g.nilpotency_index}, '
-            f'"max_power_residual": {residual!r}, '
-            f'"residual_within_tol": {"true" if residual <= tol_nilp else "false"}, '
-            f'"basis": [{", ".join(polys)}]}}'
-        )
-    return lines
+    residuals = [float(g.max_power_residual) for g in groups]
+    if not all(map(math.isfinite, residuals)):
+        raise ConvergenceFailure("an eigen-group has a non-finite value, which JSON cannot hold")
+    sizes = [g.coefficients.shape[1] for g in groups]
+    columns = np.hstack([g.coefficients for g in groups])[order]
+    denominators = np.repeat([g.denominator for g in groups], sizes)
+    polynomials = _polynomial_texts(dec.basis.dim, [indices[k] for k in order], columns, denominators)
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    return EncodedLines(lambda joint: (
+        f'{{"eigenvalue": {{"re": {z.real!r}, "im": {z.imag!r}}}, '
+        f'"multiplicity": {g.multiplicity}, "nilpotency_index": {g.nilpotency_index}, '
+        f'"max_power_residual": {residual!r}, '
+        f'"residual_within_tol": {"true" if residual <= tol_nilp else "false"}, '
+        f'"basis": [{polynomials(lo, hi)}]}}'
+        for g, z, residual, lo, hi in zip(groups, map(complex, (g.eigenvalue for g in groups)),
+                                          residuals, bounds, bounds[1:])
+    ))
 
 
 def _orthogonality_json(report) -> dict:
-    """The verdict, with each pair encoded as JSON text straight from the
-    pair Gram: the text json.dumps writes for the pair's object, floats by
-    float.__repr__ as the json encoder writes them. Each group's eigenvalue
-    text is made once. A pair of groups that share no degree has a block of
-    +0.0 (report.disjoint) and is written from one text per block shape
-    (_zero_pair_text); each entry of the other pairs is formatted once."""
+    """The verdict, with the pairs made from the pair Gram while written,
+    each the text json.dumps writes for its object. Group i's pairs are one
+    % template: per pair its head, an eigenvalue text and a tail by block
+    shape and kind (_pair_tail). One tuple cut from H fills it: per pair the
+    largest normalized entry, then the block row by row, re and im, or re
+    alone where each im is +0.0; a pair that shares no degree
+    (report.disjoint) is +0.0 and takes none. Non-finite entries are refused
+    here, before any text is made."""
     H, worst, disjoint, tol = report.gram, report.worst, report.disjoint, report.tol_orth
     if not (np.isfinite(H).all() and np.isfinite(worst).all()):
         raise ConvergenceFailure("the pair Gram has a non-finite entry, which JSON cannot hold")
-    eigenvalues = [json.dumps(scalar_json(complex(z))) for z in report.eigenvalues]
-    bounds = [*report.starts.tolist(), len(H)]
-    sizes = np.diff(bounds)
-    live = np.repeat(~disjoint, sizes, axis=1)  # the columns each group shares a degree with
-    verdict = "true" if 0.0 < tol else "false"
-    pairs = EncodedLines()
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        # group i's rows against the live columns of every later group
-        cols = b + np.flatnonzero(live[i, b:])
-        cells = [
-            [f'{{"re": {x!r}, "im": {y!r}}}' for x, y in zip(re_row, im_row)]
-            for re_row, im_row in zip(H.real[a:b, cols].tolist(), H.imag[a:b, cols].tolist())
-        ]
-        head = f'{{"eigenvalue_i": {eigenvalues[i]}, "eigenvalue_j": '
-        c = 0
-        for j, w, zero, size in zip(
-            range(i + 1, len(eigenvalues)),
-            worst[i, i + 1 :].tolist(),
-            disjoint[i, i + 1 :].tolist(),
-            sizes[i + 1 :].tolist(),
-        ):
-            if zero:
-                pairs.append(f"{head}{eigenvalues[j]}, {_zero_pair_text(b - a, size, verdict)}")
-                continue
-            block = "], [".join([", ".join(row[c : c + size]) for row in cells])
-            c += size
-            pairs.append(
-                f'{head}{eigenvalues[j]}, "max_normalized": {w!r}, '
-                f'"orthogonal": {"true" if w < tol else "false"}, "gram_block": [[{block}]]}}'
-            )
-    return {"tol_orth": tol, "all_orthogonal": report.all_orthogonal, "pairs": pairs}
+    eigenvalues = [f'{{"re": {z.real!r}, "im": {z.imag!r}}}' for z in map(complex, report.eigenvalues)]
+    starts = report.starts
+    sizes = np.diff([*starts.tolist(), len(H)])
+    group = np.repeat(np.arange(len(sizes)), sizes)[:, None]  # the group of each row
+    offset = np.arange(len(H)) - starts[group[:, 0]]
+    complex_cells = (H.imag != 0) | np.signbit(H.imag)
+    real = ~np.logical_or.reduceat(np.logical_or.reduceat(complex_cells, starts, 0), starts, 1)
+    live = np.triu(~disjoint, 1)
+    width = 2 - real  # values per block entry
+    length = np.where(live, 1 + width * np.outer(sizes, sizes), 0)  # values per pair
+    first = (np.cumsum(length) - length.ravel()).reshape(length.shape)
+    values = np.empty(length.sum())
+    values[first[live]] = worst[live]
+    cells, w = live[group, group.T], width[group, group.T]
+    at = first[group, group.T] + 1 + w * (offset[:, None] * sizes[group.T] + offset)
+    values[at[cells]] = H.real[cells]
+    values[at[cells & (w == 2)] + 1] = H.imag[cells & (w == 2)]
+    values, ends = values.tolist(), [0, *np.cumsum(length.sum(axis=1)).tolist()]
+    keys = 4 * disjoint + 2 * (worst < tol) + real + 8 * np.arange(len(sizes))  # 8 j + kind
+    upper = np.triu(np.ones(keys.shape, bool), 1)
+    # by the rows of group i, the pair texts after its head that its pairs use
+    tables = {
+        rows: {k: eigenvalues[k // 8] + _pair_tail(rows, sizes[k // 8], k % 8)
+               for k in np.flatnonzero(np.bincount(keys[upper & (sizes == rows)[:, None]])).tolist()}
+        for rows in set(sizes[:-1].tolist())
+    }
+    keys, sizes = keys.tolist(), sizes.tolist()
+
+    def texts(joint: str):
+        for i, rows in enumerate(sizes[:-1]):
+            head = f'{{"eigenvalue_i": {eigenvalues[i]}, "eigenvalue_j": '
+            template = head + (joint + head).join(map(tables[rows].__getitem__, keys[i][i + 1 :]))
+            yield template % tuple(values[ends[i] : ends[i + 1]])
+
+    return {"tol_orth": tol, "all_orthogonal": report.all_orthogonal, "pairs": EncodedLines(texts)}
 
 
 @cache
-def _zero_pair_text(rows: int, cols: int, verdict: str) -> str:
-    """A pair line after its eigenvalues, for a block of rows x cols entries
-    +0.0, whose largest normalized entry is 0.0: the text json.dumps writes."""
-    row = ", ".join(['{"re": 0.0, "im": 0.0}'] * cols)
-    block = "], [".join([row] * rows)
-    return f'"max_normalized": 0.0, "orthogonal": {verdict}, "gram_block": [[{block}]]}}'
+def _pair_tail(rows: int, cols: int, kind: int) -> str:
+    """A pair's text after its eigenvalues as a % template, for a rows x cols
+    block whose kind bits say zero (all +0.0, written out), orthogonal and
+    real (each im +0.0)."""
+    zero, orthogonal, real = kind & 4, kind & 2, kind & 1
+    cell = '{"re": 0.0, "im": 0.0}' if zero else '{"re": %r, "im": 0.0}' if real else '{"re": %r, "im": %r}'
+    block = "], [".join([", ".join([cell] * cols)] * rows)
+    return (f', "max_normalized": {"0.0" if zero else "%r"}, "orthogonal": '
+            f'{"true" if orthogonal else "false"}, "gram_block": [[{block}]]}}')
 
 
 def _q_infinity_json(model: OUModel):
@@ -509,11 +532,8 @@ def _cmd_gram(args, config: RunConfig) -> dict:
     moments = basis_moment_gram(basis.exponents, cov.sigma_exact if cov.is_exact else cov.sigma)
     g = finish_gram(moments, args.normalized)
     report["q_infinity"] = _q_infinity_json(model)
-    report["gram"] = {
-        "basis": basis.exponents.tolist(),
-        "normalized": bool(args.normalized),
-        "entries": matrix_json(g),
-    }
+    report["gram"] = {"basis": basis.exponents.tolist(), "normalized": bool(args.normalized),
+                      "entries": matrix_json(g)}
     return report
 
 
@@ -535,12 +555,8 @@ def _cmd_normalize(args, config: RunConfig) -> dict:
 def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
     model = _load_model(args)
     if args.paths < 2:
-        raise InvalidParams(
-            f"--paths must be at least 2 for an empirical covariance, got {args.paths}"
-        )
-    sim = SimConfig(
-        model=model, step=args.step, paths=args.paths, seed=args.seed, burn_in=args.burn_in
-    )
+        raise InvalidParams(f"--paths must be at least 2 for an empirical covariance, got {args.paths}")
+    sim = SimConfig(model=model, step=args.step, paths=args.paths, seed=args.seed, burn_in=args.burn_in)
     ensemble = stationary_ensemble(sim)
     q_inf = model.covariance.sigma
     emp = np.cov(ensemble.samples, rowvar=False, bias=False).reshape(model.dim, model.dim)
@@ -554,9 +570,7 @@ def _cmd_simulate(args, config: RunConfig) -> tuple[dict, Ensemble]:
         "empirical_mean": [float(x) for x in ensemble.samples.mean(axis=0)],
         "empirical_covariance": matrix_json(emp),
         "q_infinity": matrix_json(q_inf),
-        "max_relative_covariance_error": float(
-            np.abs(emp - q_inf).max() / np.abs(q_inf).max()
-        ),
+        "max_relative_covariance_error": float(np.abs(emp - q_inf).max() / np.abs(q_inf).max()),
     }
     if args.out:
         sidecar = save_ensemble(ensemble, args.out)
@@ -591,9 +605,7 @@ def _example_section4(config: RunConfig) -> dict:
     per_degree = []
     for n in range(config.degree + 1):
         ln = hermite_rotation_matrix(split, n).as_array()
-        a_matrix = operator_matrix(
-            model, n, "hermite-normal-form", operator="A", homogeneous=True
-        ).as_array()
+        a_matrix = operator_matrix(model, n, "hermite-normal-form", operator="A", homogeneous=True).as_array()
         expected = -2.0 * n * np.eye(n + 1) + ln
         per_degree.append(
             {
@@ -607,10 +619,7 @@ def _example_section4(config: RunConfig) -> dict:
     orth = orthogonality_report(dec, tol_orth=config.tol_orth)
     report["example"] = {
         "name": "section4",
-        "rotation_split": {
-            "D_lambda": matrix_json(split.D_lambda),
-            "C": matrix_json(split.C),
-        },
+        "rotation_split": {"D_lambda": matrix_json(split.D_lambda), "C": matrix_json(split.C)},
         "hermite_spaces": per_degree,
         "nilpotency_indices": [g.nilpotency_index for g in dec.groups],
         "orthogonality": _orthogonality_json(orth),
@@ -626,15 +635,15 @@ def _example_section5(config: RunConfig, params: Section5Params) -> dict:
     report["drift_eigenvalues"] = _drift_json(spectrum(model, 0))
     eigenfunctions = section5_eigenfunctions(params)
     names = ["v1", "v2", "v3", "v4"][: len(eigenfunctions)]
-    funcs = EncodedLines()
-    for name, (v, mu) in zip(names, eigenfunctions):
-        alphas = sorted(v.terms, key=lambda a: (index_degree(a), a))
-        poly = _polynomial_text(v.dim, *_term_heads(alphas), [v.terms[a] for a in alphas])
-        residual_zero = (apply_L(model, v) - v * mu).is_zero
-        funcs.append(
-            f'{{"name": "{name}", "polynomial": {poly}, "eigenvalue": {json.dumps(scalar_json(mu))}, '
-            f'"generator_residual_zero": {json.dumps(residual_zero)}}}'
-        )
+    alphas = sorted({a for v, _ in eigenfunctions for a in v.terms}, key=lambda a: (index_degree(a), a))
+    columns = np.array([[v.terms.get(a, 0) for v, _ in eigenfunctions] for a in alphas], dtype=object)
+    polynomials = _polynomial_texts(2, alphas, columns, [1] * len(names))
+    funcs = [
+        f'{{"name": "{name}", "polynomial": {polynomials(k, k + 1)}, '
+        f'"eigenvalue": {json.dumps(scalar_json(mu))}, '
+        f'"generator_residual_zero": {json.dumps((apply_L(model, v) - v * mu).is_zero)}}}'
+        for k, (name, (v, mu)) in enumerate(zip(names, eigenfunctions))
+    ]
     # g[0] pairs the constant 1 with each eigenfunction, g[i + 1] pairs v_(i+1)
     one = SparsePolynomial.constant(2, Fraction(1))
     g = gram_matrix([one] + [v for v, _ in eigenfunctions], model.covariance.sigma_exact)
@@ -650,13 +659,10 @@ def _example_section5(config: RunConfig, params: Section5Params) -> dict:
         "name": "section5",
         "params": {"a": scalar_json(params.a), "d": scalar_json(params.d), "c": scalar_json(params.c)},
         "resonant": params.resonant,
-        "eigenfunctions": funcs,
+        "eigenfunctions": EncodedLines(lambda joint: funcs),
         "pairings": pairings,
         "v1_v3_closed_form": scalar_json(1 / (2 * a * a)),
-        "whitening": {
-            "H": matrix_json(whitening.H),
-            "covariance_after": matrix_json(pushforward),
-        },
+        "whitening": {"H": matrix_json(whitening.H), "covariance_after": matrix_json(pushforward)},
     }
     return report
 
@@ -704,11 +710,10 @@ def _csv_cell(x) -> str:
 
 def _write_json(value, stream, indent: str = "") -> None:
     """Write value as JSON piece by piece: an object one key per line, a list
-    of objects or arrays one item per line. The items of EncodedLines (the
-    spectrum points, the groups and the pairs) are written as they stand;
-    every other item and value is one json.dumps call, which takes the C
-    encoder. Each piece goes to the stream at once, so the whole report
-    never sits in memory as one string."""
+    of objects or arrays one item per line, joined by ",\\n" and the indent
+    in writes of about CHUNK characters. EncodedLines make their items'
+    text while written; every other item and value is one json.dumps call,
+    which takes the C encoder. The report never sits whole in memory."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         sep = "{\n"
@@ -717,14 +722,20 @@ def _write_json(value, stream, indent: str = "") -> None:
             _write_json(item, stream, inner)
             sep = ",\n"
         stream.write(f"\n{indent}}}")
-    elif isinstance(value, list) and value and (
-        isinstance(value, EncodedLines) or all(isinstance(x, (dict, list)) for x in value)
+    elif isinstance(value, EncodedLines) or (
+        isinstance(value, list) and value and all(isinstance(x, (dict, list)) for x in value)
     ):
-        sep = "[\n"
-        for item in value if isinstance(value, EncodedLines) else map(json.dumps, value):
-            stream.write(f"{sep}{inner}{item}")
-            sep = ",\n"
-        stream.write(f"\n{indent}]")
+        joint = ",\n" + inner
+        texts = value.texts(joint) if isinstance(value, EncodedLines) else map(json.dumps, value)
+        sep, pieces, size = "[\n" + inner, [], 0
+        for text in texts:
+            pieces += (sep, text)
+            sep, size = joint, size + len(text)
+            if size >= CHUNK:
+                stream.write("".join(pieces))
+                pieces, size = [], 0
+        pieces.append("[]" if sep != joint else f"\n{indent}]")
+        stream.write("".join(pieces))
     else:
         stream.write(json.dumps(value))
 
@@ -757,22 +768,9 @@ def run(argv, stream=None, err_stream=None) -> int:
         if args.format == "csv" and not csv_allowed:
             raise UsageError("csv output is only available for gram, and for simulate with --out")
         config = RunConfig(
-            subcommand=args.subcommand,
-            degree=args.degree,
-            tol_eig=args.tol_eig,
-            tol_orth=args.tol_orth,
-            tol_nilp=args.tol_nilp,
-            fmt=args.format,
+            args.subcommand, args.degree, args.tol_eig, args.tol_orth, args.tol_nilp, args.format
         )
-        if args.subcommand == "analyze":
-            report = _cmd_analyze(args, config)
-        elif args.subcommand == "spectrum":
-            report = _cmd_spectrum(args, config)
-        elif args.subcommand == "gram":
-            report = _cmd_gram(args, config)
-        elif args.subcommand == "normalize":
-            report = _cmd_normalize(args, config)
-        elif args.subcommand == "simulate":
+        if args.subcommand == "simulate":
             report, ensemble = _cmd_simulate(args, config)
             if config.fmt == "csv":
                 ensemble_to_csv(ensemble, args.out + ".csv")
@@ -780,7 +778,9 @@ def run(argv, stream=None, err_stream=None) -> int:
                 emit(report, "json", stream)
                 return EXIT_OK
         else:
-            report = _cmd_paper_example(args, config)
+            command = {"analyze": _cmd_analyze, "spectrum": _cmd_spectrum, "gram": _cmd_gram,
+                       "normalize": _cmd_normalize, "paper-example": _cmd_paper_example}
+            report = command[args.subcommand](args, config)
         emit(report, config.fmt, stream)
     except UsageError as e:
         err_stream.write(f"usage error: {e}\n")

@@ -196,16 +196,27 @@ def monomial_text(alpha: MultiIndex) -> str:
     return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e)
 
 
+def term_text(mono: str, cs: str) -> str:
+    """One term of render_terms from its monomial and coefficient texts:
+    'cs*mono', with a coefficient '1' or '-1' written as its sign alone,
+    and the coefficient alone on the constant monomial."""
+    if not mono:
+        return cs
+    return mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
+
+
+def signed_terms(text: str) -> str:
+    """Terms joined by ' + ' with each term '-t' after the first written as
+    '- t'. Neither a monomial nor a coefficient text holds a space, so
+    ' + -' marks exactly those terms."""
+    return text.replace(" + -", " - ")
+
+
 def render_terms(terms) -> str:
     """Text of a polynomial from (monomial_text, coefficient_text) pairs in
     display order, e.g. '4*x1^2 - 2': the first term as it is, each later
-    one as '+ t', or '- t' for a term '-t'. Neither text holds a space, so
-    once the terms are joined by ' + ', ' + -' marks exactly the terms '-t'."""
-    bodies = [
-        (mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}") if mono else cs
-        for mono, cs in terms
-    ]
-    return " + ".join(bodies).replace(" + -", " - ") or "0"
+    one as '+ t', or '- t' for a term '-t'."""
+    return signed_terms(" + ".join([term_text(mono, cs) for mono, cs in terms])) or "0"
 
 
 def coefficient_text(c) -> str:

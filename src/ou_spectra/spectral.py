@@ -29,8 +29,9 @@ The images are exact integers over one denominator on the exact route
 (operator.integer_wick_powers), where no operator matrix is built; otherwise
 they and the operator matrix for the residuals are floats, also for a
 rational model with complex drift eigenvalues. Each group keeps its
-coefficient columns; listed_terms reads the listed polynomials off them, and
-EigenGroup.polynomials builds them as SparsePolynomials only when read.
+coefficient columns; listed_mask picks the listed terms off them (for
+listed_terms and the report alike), and EigenGroup.polynomials builds them
+as SparsePolynomials only when read.
 
 The groups are paired under N(0, S) from the same forms: by Wick's theorem
 :y^gamma: and :y^delta: pair to zero unless |gamma| = |delta|, and otherwise
@@ -159,30 +160,35 @@ class EigenGroup:
         )
 
 
-def listed_terms(coefficients: np.ndarray, denominator: int) -> list[tuple[list, list]]:
-    """The terms of the polynomial each column lists, as (rows, values) in
-    row order. Exact columns (integers over denominator) list every nonzero
-    entry as a Fraction. Float columns drop coefficients at roundoff level,
-    1e-13 of the column's largest, and list a coefficient as real when its
-    imaginary part is below that. A non-finite float entry is an error."""
+def listed_mask(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries of coefficient columns are listed terms, and which are
+    listed as real. Exact columns (integers) list every nonzero entry. Float
+    columns drop coefficients at roundoff level, 1e-13 of the column's
+    largest, and list a coefficient as real when its imaginary part is below
+    that. A non-finite float entry is an error."""
     if coefficients.dtype == object:
-        out = []
-        for col in coefficients.T:
-            rows = np.flatnonzero(col)
-            out.append((rows.tolist(), [Fraction(x, denominator) for x in col[rows].tolist()]))
-        return out
+        listed = coefficients != 0
+        return listed, np.ones_like(listed)
     if not np.isfinite(coefficients).all():
         raise ConvergenceFailure("an eigen-group has a non-finite coefficient")
     mag = np.abs(coefficients)
     cut = 1e-13 * mag.max(axis=0)
-    real = np.abs(coefficients.imag) <= cut
+    return mag > cut, np.abs(coefficients.imag) <= cut
+
+
+def listed_terms(coefficients: np.ndarray, denominator: int) -> list[tuple[list, list]]:
+    """The terms of the polynomial each column lists, as (rows, values) in
+    row order, the entries of listed_mask: an exact column's over
+    denominator as Fractions, a float column's real ones as floats."""
+    listed, real = listed_mask(coefficients)
     out = []
     for j in range(coefficients.shape[1]):
-        rows = np.flatnonzero(mag[:, j] > cut[j])
-        values = [
-            z.real if r else z
-            for z, r in zip(coefficients[rows, j].tolist(), real[rows, j].tolist())
-        ]
+        rows = np.flatnonzero(listed[:, j])
+        col = coefficients[rows, j].tolist()
+        if coefficients.dtype == object:
+            values = [Fraction(x, denominator) for x in col]
+        else:
+            values = [z.real if r else z for z, r in zip(col, real[rows, j].tolist())]
         out.append((rows.tolist(), values))
     return out
 

@@ -15,9 +15,11 @@ below serve the oracles that expand products of linear forms. The library
 builds no Wick map W, only the Wick powers of the forms it needs;
 wick_matrix below runs the same recursion on the coordinates, as an
 OperatorMatrix. polynomial_json is the
-oracle of the JSON text the report writes for a polynomial.
+oracle of the JSON text the report writes for a polynomial, and plain_json
+of the report's byte layout.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import zip_longest
@@ -273,3 +275,17 @@ def polynomial_json(p: SparsePolynomial) -> dict:
         re, im = coefficient_json(c)
         terms.append({"alpha": list(alpha), "re": re, "im": im})
     return {"dim": p.dim, "terms": terms, "text": p.render()}
+
+
+def plain_json(value, indent: str = "") -> str:
+    """The JSON text of a report laid out as ou_spectra.cli documents it, one
+    json.dumps per item: each object key on its own line, each item of a
+    list of objects or arrays on its own line as compact JSON, everything
+    else compact; two spaces of indent per level."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {plain_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, list) and value and all(isinstance(x, (dict, list)) for x in value):
+        return "[\n" + ",\n".join(inner + json.dumps(x) for x in value) + f"\n{indent}]"
+    return json.dumps(value)

@@ -34,7 +34,7 @@ from ou_spectra.worked_examples import (
     section5_eigenfunctions,
     section5_model,
 )
-from reference import coefficient_json, polynomial_json
+from reference import coefficient_json, plain_json, polynomial_json
 
 
 def run_cli(argv):
@@ -63,6 +63,23 @@ def run_json(argv):
 
 
 SECTION4_FLAGS = ["--Q", "[[1,0],[0,1]]", "--B", "[[-1,1],[-1,-1]]"]
+
+
+def dense_4d_argv(degree: int) -> list[str]:
+    """analyze on a dense 4-D float drift, Hurwitz by diagonal dominance."""
+    A, E = np.random.default_rng(7).standard_normal((2, 4, 4))
+    Q, B = np.eye(4) + A @ A.T / 4, E - (1 + np.abs(E).sum()) * np.eye(4)
+    return ["analyze", "--Q", json.dumps(Q.tolist()), "--B", json.dumps(B.tolist()), "--degree", str(degree)]
+
+
+class CountingStream(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 class TestModelFile:
@@ -375,6 +392,7 @@ EMITTED = {
     "analyze-exact": ["analyze", "--Q", "[[2,0,0],[0,1,0],[0,0,3]]",
                       "--B", "[[-2,0,0],[\"1/2\",-3,0],[-2,-1,-5]]", "--degree", "3"],
     "analyze-complex": ["analyze", *SECTION4_FLAGS, "--backend", "float", "--degree", "3"],
+    "analyze-one-group": ["analyze", "--Q", "[[1]]", "--B", "[[-1]]", "--degree", "0"],  # no pairs
     "spectrum": ["spectrum", *SECTION4_FLAGS, "--degree", "4"],
     "gram": ["gram", "--Q", "[[2,1],[1,3]]", "--B", "[[-2,1],[0,-1]]", "--degree", "3"],
     "normalize": ["normalize", "--Q", "[[4,1],[1,1]]", "--B", "[[-1,0.5],[0,-1]]"],
@@ -386,8 +404,8 @@ EMITTED = {
 
 class TestEmission:
     @staticmethod
-    def emitted(argv, monkeypatch):
-        """(the report dict handed to emit, the text written)."""
+    def emitted(argv, monkeypatch, stream=None):
+        """(the report dict handed to emit, the text written to stream)."""
         seen = []
         original = cli.emit
 
@@ -396,10 +414,11 @@ class TestEmission:
             original(report, fmt, stream)
 
         monkeypatch.setattr(cli, "emit", recording_emit)
-        code, out, err = run_cli(argv)
-        assert code == 0, err
+        stream, err = io.StringIO() if stream is None else stream, io.StringIO()
+        code = cli.run(argv, stream=stream, err_stream=err)
+        assert code == 0, err.getvalue()
         assert len(seen) == 1
-        return seen[0], out
+        return seen[0], stream.getvalue()
 
     @pytest.mark.parametrize("name", sorted(EMITTED))
     def test_output_is_the_report(self, name, monkeypatch):
@@ -408,6 +427,25 @@ class TestEmission:
         # the groups and the pairs are handed to emit as JSON text, one line each
         assert parsed == json.loads(json.dumps(decoded(report)))
         jsonschema.validate(parsed, cli.REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("name", sorted(EMITTED))
+    def test_json_is_the_plain_layout(self, name, monkeypatch):
+        """The JSON written is byte for byte the documented layout of the
+        decoded report, one json.dumps per item (reference.plain_json); the
+        human format is checked the same way by the test below."""
+        report, out = self.emitted(EMITTED[name], monkeypatch)
+        assert out == plain_json(decoded(report)) + "\n"
+
+    def test_lists_are_written_in_chunks(self, monkeypatch):
+        """A report of 70 groups and 2,415 pairs, past cli.CHUNK characters,
+        goes out in a few dozen writes, not one per line, with the same bytes
+        as the plain layout."""
+        stream = CountingStream()
+        report, out = self.emitted(dense_4d_argv(4), monkeypatch, stream)
+        groups = len(decoded(report)["groups"])
+        assert groups == 70 and len(out) > 2 * cli.CHUNK
+        assert stream.writes <= groups + 50
+        assert out == plain_json(decoded(report)) + "\n"
 
     @pytest.mark.parametrize("name", sorted(EMITTED))
     def test_human_is_the_decoded_report(self, name, monkeypatch):
@@ -504,6 +542,27 @@ class TestPairLines:
         monkeypatch.setattr(spectral, "PairVerdict", counting)
         report = run_json(EMITTED["analyze-exact"])
         assert len(report["orthogonality"]["pairs"]) > 1 and built == []
+
+    def test_hand_built_blocks(self):
+        """Blocks of 1 x 2 and 2 x 1 entries, one with an imaginary part -0.0
+        (not a real block), one with a real part -0.0, and a pair that shares
+        no degree, against the object of each PairVerdict."""
+        H = np.zeros((4, 4), dtype=complex)
+        H[0, 1:3] = [complex(0.5, -0.0), complex(0.25, 0.0)]
+        H[1:3, 3] = [complex(-0.0, 0.25), complex(0.125, 0.0)]
+        disjoint = np.zeros((3, 3), bool)
+        disjoint[0, 2] = disjoint[2, 0] = True
+        rep = OrthogonalityReport(
+            gram=H,
+            starts=np.array([0, 1, 3]),
+            worst=np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 1e-12], [0.0, 1e-12, 1.0]]),
+            disjoint=disjoint,
+            tol_orth=1e-9,
+            eigenvalues=(-1 + 0j, complex(-2, 0.5), complex(-3, -0.0)),
+        )
+        lines = list(cli._orthogonality_json(rep)["pairs"])
+        assert lines == [json.dumps(d) for d in pair_dicts(rep)]
+        assert '"im": -0.0' in lines[0] and '"re": -0.0' in lines[2]
 
     def test_non_finite_gram_is_an_error(self, monkeypatch):
         """JSON has no NaN: a pair Gram with one is a typed failure, exit 2."""
@@ -633,9 +692,9 @@ class TestGroupLines:
         end = lines.index("  ],\n", start)
         assert "".join(lines[start : end + 1]).encode() == GOLDEN_EXACT_GROUPS.read_bytes()
 
-    @pytest.mark.parametrize("field", ["max_power_residual", "coefficients"])
-    def test_non_finite_group_is_an_error(self, field, monkeypatch):
-        """JSON has no NaN: a group with one is a typed failure, exit 2."""
+    @staticmethod
+    def nan_in_last_group(field: str):
+        """cli.generalized_eigenspaces with a NaN in field of the last group."""
         original = cli.generalized_eigenspaces
 
         def broken(*args, **kwargs):
@@ -649,9 +708,27 @@ class TestGroupLines:
             groups = (*dec.groups[:-1], dataclasses.replace(g, **{field: bad}))
             return dataclasses.replace(dec, groups=groups)
 
-        monkeypatch.setattr(cli, "generalized_eigenspaces", broken)
+        return broken
+
+    @pytest.mark.parametrize("field", ["max_power_residual", "coefficients"])
+    def test_non_finite_group_is_an_error(self, field, monkeypatch):
+        """JSON has no NaN: a group with one is a typed failure, exit 2."""
+        monkeypatch.setattr(cli, "generalized_eigenspaces", self.nan_in_last_group(field))
         code, out, err = run_cli(["analyze", *SECTION4_FLAGS, "--backend", "float", "--degree", "2"])
         assert code == 2 and out == "" and "non-finite" in err
+
+    @pytest.mark.parametrize("field", ["max_power_residual", "coefficients"])
+    def test_non_finite_group_is_refused_before_any_byte(self, field, monkeypatch):
+        """The groups are made while written, but a NaN in the last of 70
+        groups, past the first chunk, is refused when the section is built:
+        analyze exits 2 without a single write."""
+        broken = self.nan_in_last_group(field)
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            cli._group_lines(broken(section4_model(), 3), 1e-9)
+        monkeypatch.setattr(cli, "generalized_eigenspaces", broken)
+        stream, err = CountingStream(), io.StringIO()
+        code = cli.run(dense_4d_argv(4), stream=stream, err_stream=err)
+        assert code == 2 and stream.writes == 0 and "non-finite" in err.getvalue()
 
 
 class TestBurnInSearch:
@@ -781,11 +858,7 @@ class TestGroupsWriter:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(SparsePolynomial, "__init__", counting)
-        A, E = np.random.default_rng(7).standard_normal((2, 4, 4))
-        Q, B = np.eye(4) + A @ A.T / 4, E - (1 + np.abs(E).sum()) * np.eye(4)
-        report = run_json(
-            ["analyze", "--Q", json.dumps(Q.tolist()), "--B", json.dumps(B.tolist()), "--degree", "4"]
-        )
+        report = run_json(dense_4d_argv(4))
         assert report["backend"] == "float" and len(report["groups"]) == 70
         assert built == []
 

@@ -240,16 +240,39 @@ class TestPaperExampleBackend:
 
 
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy(self):
-        code = "import sys, ou_spectra.cli; print('scipy' in sys.modules)"
-        # the child imports the package these tests import, however it was found
+    @staticmethod
+    def child_stdout(code: str) -> str:
+        """What code prints in a fresh interpreter that imports the package
+        these tests import, however it was found."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout
+
+    def test_cli_import_does_not_load_scipy(self):
+        code = "import sys, ou_spectra.cli; print('scipy' in sys.modules)"
+        assert self.child_stdout(code).strip() == "False"
+
+    # what `import ou_spectra.cli` loads beyond `import numpy`: set-up time is
+    # import time, so a module added here is a choice, not a drift
+    LOADED = {
+        "__future__", "_blake2", "_decimal", "_hashlib", "_json", "argparse", "copy",
+        "dataclasses", "decimal", "fractions", "gettext", "hashlib", "json", "json.decoder",
+        "json.encoder", "json.scanner", "ou_spectra", "ou_spectra.cli", "ou_spectra.errors",
+        "ou_spectra.exact", "ou_spectra.gaussian", "ou_spectra.model", "ou_spectra.operator",
+        "ou_spectra.polynomials", "ou_spectra.simulate", "ou_spectra.spectral",
+        "ou_spectra.worked_examples",
+    }
+
+    def test_cli_import_loads_the_pinned_modules(self):
+        code = (
+            "import sys, numpy; before = set(sys.modules); import ou_spectra.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        assert set(self.child_stdout(code).split()) == self.LOADED
 
 
 class TestSvdConvergence:
