@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     NotHurwitz,
-    NotNormalized,
     NotPositiveDefinite,
     NotSymmetric,
     OUSpectraError,

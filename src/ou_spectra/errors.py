@@ -47,10 +47,6 @@ class BasisUnavailable(OUSpectraError):
     """The requested basis cannot be built for this model/operator."""
 
 
-class NotNormalized(OUSpectraError):
-    """Operation requires a normalized model (Q = I, stationary covariance diagonal)."""
-
-
 class UnsupportedDimension(OUSpectraError):
     """Construction only exists in a specific dimension."""
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import exact
 from .errors import (
+    CholeskyFailure,
     ConvergenceFailure,
     InvalidParams,
     NotHurwitz,
@@ -59,6 +60,18 @@ class OUModel:
         cov = solve_lyapunov(self)
         cov.sigma.setflags(write=False)  # one array, shared by every reader
         return cov
+
+    @cached_property
+    def whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, B') with S = R R^T the float Cholesky factor of the stationary
+        covariance and B' = R^(-1) B R the drift in the coordinates
+        w = R^(-1) x, whose stationary law is N(0, I): the frame of every
+        Hermite-basis matrix."""
+        try:
+            R = np.linalg.cholesky(self.covariance.sigma)
+        except np.linalg.LinAlgError as e:
+            raise CholeskyFailure(f"stationary covariance is not positive definite: {e}") from e
+        return R, np.linalg.solve(R, self.B @ R)
 
 
 @dataclass(frozen=True)

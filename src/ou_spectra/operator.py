@@ -18,36 +18,31 @@ P = S they are the columns of W; with the drift's eigenforms and P = T^T S T
 the images W y^gamma that span the eigenspaces; with T = e^(tB)^T and
 P = -S_t, S_t the covariance accumulated up to time t, the semigroup
 e^(tL) = Sub(e^(tB)) W_(-S_t). Monomial matrices are exact for exact models.
-For a normalized model the Hermite tensors are the Wick powers W x^alpha up
-to scale, so the matrix of L on them is a diagonal similarity of the drift
-matrix, with no Gaussian integral.
 
-The rotation machinery (split of A = 2L into a Hermite-diagonal part plus a
-skew rotation) uses the doubled operator A = 2L throughout, matching the
-convention under which the tridiagonal rotation matrices below are stated;
-reports carry that flag so the factor of two never leaks into the generator
-itself.
+The Hermite frame is the model's whitening (OUModel.whitening): with
+S = R R^T, the coordinates w = R^(-1) x are standard Gaussian and carry the
+drift B' = R^(-1) B R and the diffusion Q' = R^(-1) Q R^(-T). There the
+Hermite tensors He_alpha(w) are the Wick powers of w^alpha, so the matrix of
+L on the orthonormal ones is the drift matrix of B', conjugated by
+diag(sqrt(alpha!)) (_hermite_drift), with no Gaussian integral. The Lyapunov
+equation reads B' + B'^T = -Q', so the doubled operator A = 2L, the drift
+field of 2B' = -Q' + C, splits on each Hermite space into a symmetric part,
+the field of -Q', and a skew rotation, the field of C = B' - B'^T. Reports
+carry the doubling as a flag, so the factor of two never leaks into the
+generator itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BasisUnavailable,
-    DimensionMismatch,
-    NotNormalized,
-    UnsupportedDimension,
-)
+from .errors import BasisUnavailable, DimensionMismatch
 from .exact import common_denominator_scale
 from .model import OUModel, covariance_at, matrix_exponential
 from .polynomials import GradedBasis, SparsePolynomial, monomial_basis
-
-NORMALIZED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,10 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class RotationSplit:
-    """Data of the split A = A_1 + rotation for a normalized model:
-    D_lambda holds the stationary variances, C = 2B + D_lambda^(-1) is skew."""
+    """Data of the split 2B' = -Q' + C of the doubled whitened drift:
+    D_lambda holds the stationary covariance S = R R^T of the frame
+    (diag(lambda), the stationary variances, on a normalized model) and
+    C = B' - B'^T is skew."""
 
     D_lambda: np.ndarray
     C: np.ndarray
@@ -163,12 +160,12 @@ def operator_matrix(
     """Assemble the operator's matrix on a degree-capped graded-lex basis.
 
     Monomial bases carry every operator tag; their entries are exact for
-    exact models. The Hermite basis needs a normalized model (Q = I,
-    stationary covariance S diagonal) and carries only "L" and "A". Its
-    elements are the orthonormal Hermite tensors
-    W x^alpha / sqrt(alpha! lambda^alpha), with lambda = diag S, so by
-    L W = W D its matrix is R D R^(-1): D is the graded-lex drift matrix and
-    R = diag(sqrt(alpha! lambda^alpha)). The entries are floats.
+    exact models. The Hermite basis serves every model and carries only "L"
+    and "A". Its elements are the orthonormal Hermite tensors
+    He_alpha(w) / sqrt(alpha!) of the whitened coordinates w = R^(-1) x,
+    S = R R^T (OUModel.whitening), so by L W = W D its matrix is the drift
+    matrix of B' = R^(-1) B R conjugated by diag(sqrt(alpha!)). The entries
+    are floats.
     """
     basis = monomial_basis(model.dim, n, homogeneous=homogeneous)
     if basis_kind == "monomial":
@@ -185,22 +182,43 @@ def _monomial_matrix(model: OUModel, basis: GradedBasis, operator: str, exact: b
     apply_L sums them. Entries are Fractions when exact, floats otherwise."""
     if operator not in ("L", "A", "drift", "diffusion"):
         raise ValueError(f"unknown operator tag {operator!r}")
-    E = basis.exponents
-    out = np.zeros((len(basis), len(basis)), dtype=object if exact else float)
-    for coef, factor, step in _generator_parts(model, E, operator, exact):
-        cols = np.flatnonzero(factor)
-        if not cols.size:
-            continue
-        rows = basis.row_of(E[cols] + step)
-        if (rows < 0).any():
-            raise BasisUnavailable(
-                f"operator {operator!r} leaves the homogeneous degree-{basis.cap} space; "
-                "use the full basis"
-            )
-        out[rows, cols] += coef * factor[cols].astype(out.dtype)
+    parts = _generator_parts(model, basis.exponents, operator, exact)
+    out = _scatter(parts, basis, object if exact else float)
     if operator == "A":
         out *= 2
     return OperatorMatrix(basis, out.tolist() if exact else out, exact)
+
+
+def _scatter(parts: list, basis: GradedBasis, dtype) -> np.ndarray:
+    """The matrix of (coef, factor, step) parts on the basis: column a gets
+    coef * factor[a] in the row of a + step. One lookup finds every part's
+    rows, and each entry sums its parts in their order."""
+    out = np.zeros((len(basis), len(basis)), dtype=dtype)
+    if not parts:
+        return out
+    E = basis.exponents
+    cols = [np.flatnonzero(factor) for _, factor, _ in parts]
+    rows = basis.row_of(np.concatenate([E[c] + step for c, (*_, step) in zip(cols, parts)]))
+    if (rows < 0).any():
+        raise BasisUnavailable(
+            f"the operator leaves the homogeneous degree-{basis.cap} space; use the full basis"
+        )
+    values = [coef * factor[c].astype(dtype) for c, (coef, factor, _) in zip(cols, parts)]
+    np.add.at(out, (rows, np.concatenate(cols)), np.concatenate(values))
+    return out
+
+
+def _hermite_drift(X: np.ndarray, basis: GradedBasis) -> np.ndarray:
+    """Matrix of the drift field <X w, grad> of an N x N matrix X on the
+    orthonormal Hermite tensors He_alpha(w) / sqrt(alpha!), alpha over the
+    basis: the monomial drift scatter of X conjugated by diag(sqrt(alpha!)).
+    Its part w^a -> X_ij a_i w^(a - e_i + e_j) becomes
+    X_ij sqrt(a_i (a_j + 1 - delta_ij)), so the matrix is linear in X, and
+    skew, exactly, for a skew X."""
+    E, unit = basis.exponents, np.eye(basis.dim, dtype=int)
+    F = np.sqrt(E[:, :, None] * (E[:, None, :] + 1 - unit))  # F[a, i, j]
+    parts = [(X[i, j], F[:, i, j], unit[j] - unit[i]) for i, j in zip(*np.nonzero(X))]
+    return _scatter(parts, basis, float)
 
 
 def wick_powers(T: np.ndarray, P: np.ndarray, basis: GradedBasis) -> np.ndarray:
@@ -245,44 +263,13 @@ def integer_wick_powers(T: np.ndarray, S_exact, basis: GradedBasis) -> tuple[np.
     return out, s ** (basis.cap // 2)
 
 
-def _check_normalized(model: OUModel):
-    """Q = I and the stationary covariance diagonal: exactly for an exact
-    model, else up to NORMALIZED_TOL."""
-    if model.is_exact:
-        S, n = model.covariance.sigma_exact, model.dim
-        return all(
-            model.Q_exact[i][j] == (i == j) and (i == j or S[i][j] == 0)
-            for i in range(n)
-            for j in range(n)
-        )
-    q = model.Q
-    s = model.covariance.sigma
-    ok_q = np.abs(q - np.eye(model.dim)).max() <= NORMALIZED_TOL
-    off = s - np.diag(np.diag(s))
-    ok_diag = np.abs(off).max() <= NORMALIZED_TOL * max(1.0, np.abs(np.diag(s)).max())
-    return ok_q and ok_diag
-
-
 def _hermite_matrix(model: OUModel, basis: GradedBasis, operator: str):
     if operator not in ("L", "A"):
         raise ValueError(f"the Hermite basis carries only 'L' and 'A', not {operator!r}")
-    if not _check_normalized(model):
-        raise BasisUnavailable(
-            "Hermite normal-form basis needs Q = I and a diagonal stationary covariance; "
-            "run normalize_model first"
-        )
-    drift = _monomial_matrix(model, basis, "drift", False)
-    lam = np.diag(model.covariance.sigma)
-    r = np.array(
-        [
-            math.sqrt(math.prod(math.factorial(a) * l**a for a, l in zip(alpha, lam)))
-            for alpha in basis.indices
-        ]
-    )
-    entries = r[:, None] * drift.entries / r[None, :]
+    _, drift = model.whitening
     if operator == "A":
-        entries = 2.0 * entries
-    return OperatorMatrix(basis, entries, False)
+        drift = 2.0 * drift
+    return OperatorMatrix(basis, _hermite_drift(drift, basis), False)
 
 
 def homogeneous_drift_matrix(model: OUModel, n: int) -> OperatorMatrix:
@@ -305,50 +292,27 @@ def homogeneous_drift_matrix(model: OUModel, n: int) -> OperatorMatrix:
 
 
 def rotation_split(model: OUModel) -> RotationSplit:
-    """Split data for A = 2L on a normalized model: D_lambda = diag of the
-    stationary covariance, C = 2B + D_lambda^(-1).
+    """Split data for A = 2L: D_lambda = S, the stationary covariance, and
+    C = B' - B'^T, the skew part of the whitened drift B' = R^(-1) B R.
 
-    The Lyapunov equation forces C * D_lambda to be skew; C itself is skew
-    exactly when the drift only mixes coordinates of equal stationary
-    variance (as in the rotation example with D_lambda = I/2). Models outside
-    that class are rejected because the split would not be a rotation.
+    The Lyapunov equation gives B' + B'^T = -Q', so on every Hermite space A
+    is the symmetric field of -Q' plus the skew rotation of C
+    (hermite_rotation_matrix). Where Q' is a multiple of the identity, as in
+    the rotation example (S = I/2, C = 2B + 2I), the two parts commute and
+    every block of A is normal.
     """
-    if not _check_normalized(model):
-        raise NotNormalized(
-            "rotation split needs Q = I and diagonal stationary covariance"
-        )
-    lam = np.diag(model.covariance.sigma).copy()
-    D = np.diag(lam)
-    C = 2.0 * model.B + np.diag(1.0 / lam)
-    skew_defect = np.abs(C + C.T).max()
-    if skew_defect > 1e-12 * max(1.0, np.abs(C).max()):
-        raise NotNormalized(
-            f"C = 2B + D^-1 is not skew (defect {skew_defect:.2e}); the drift mixes "
-            "coordinates with distinct stationary variances"
-        )
-    return RotationSplit(D_lambda=D, C=C)
+    _, drift = model.whitening
+    return RotationSplit(D_lambda=model.covariance.sigma, C=drift - drift.T)
 
 
 def hermite_rotation_matrix(split: RotationSplit, n: int) -> OperatorMatrix:
-    """Matrix of the rotation part on the degree-n Hermite space in two
-    dimensions, basis ordered (n,0), (n-1,1), ..., (0,n).
-
-    Nonzero entries sit on the two off-diagonals: with c the upper-right
-    entry of C, entry (kappa+1, kappa) is c*sqrt((kappa+1)(n-kappa)) and the
-    transpose entry is its negative, so the matrix is skew-symmetric.
+    """Matrix of the rotation part, the drift field of C, on the orthonormal
+    Hermite tensors of homogeneous degree n, in graded-lex order. It is skew,
+    exactly; in two dimensions entry (kappa+1, kappa) is
+    C_01 sqrt((kappa+1)(n-kappa)) on the basis (n,0), (n-1,1), ..., (0,n).
     """
-    if split.D_lambda.shape[0] != 2:
-        raise UnsupportedDimension("the Hermite rotation matrix is a 2-D construction")
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    c = float(split.C[0, 1])
-    m = np.zeros((n + 1, n + 1))
-    for kappa in range(n):
-        v = c * math.sqrt((kappa + 1) * (n - kappa))
-        m[kappa + 1, kappa] = v
-        m[kappa, kappa + 1] = -v
-    basis = monomial_basis(2, n, "graded-lex", homogeneous=True)
-    return OperatorMatrix(basis, m, False)
+    basis = monomial_basis(len(split.C), n, homogeneous=True)
+    return OperatorMatrix(basis, _hermite_drift(split.C, basis), False)
 
 
 # -- semigroup action on polynomials ----------------------------------------

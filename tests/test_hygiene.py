@@ -7,7 +7,9 @@ somewhere beyond its own definition: in its module, in another module of
 the package, in the acceptance tests or in the benchmark harness; a
 definition only the unit tests read is test code and belongs in tests/.
 Likewise every defaulted parameter of a function, method or dataclass is
-set by some call there: a setting that no caller sets is a constant.
+set by some call there: a setting that no caller sets is a constant. Every
+error class of errors.py is raised in the package, or is the base of one
+that is: a class that outlives its last raise is a refusal nothing makes.
 """
 
 import ast
@@ -184,3 +186,38 @@ def test_an_unset_default_is_found():
         "a.py:solve(steps)",
         "a.py:solve(exact)",
     ]
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes of errors_source that no raise statement of the sources
+    names, directly or through a subclass defined there."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = {
+        getattr(node.exc, "func", node.exc).id
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+    }
+    while True:
+        grown = live | {base for name in live for base in bases.get(name, ())}
+        if grown == live:
+            return [name for name in bases if name not in live]
+        live = grown
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text() for p in MODULES]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def test_an_unraised_error_is_found():
+    errors = (
+        "class Base(Exception):\n    pass\n\nclass Bad(Base):\n    pass\n\n"
+        "class Used(Bad, ValueError):\n    pass\n\nclass Stale(Base):\n    pass\n"
+    )
+    sources = ["def f(x):\n    if x:\n        raise Used('no') from None\n    raise ValueError\n"]
+    assert unraised_errors(errors, sources) == ["Stale"]

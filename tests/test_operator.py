@@ -8,12 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_test_models
-from ou_spectra.errors import (
-    BasisUnavailable,
-    DimensionMismatch,
-    NotNormalized,
-    UnsupportedDimension,
-)
+from ou_spectra.errors import BasisUnavailable, DimensionMismatch
 from ou_spectra.gaussian import inner_product
 from ou_spectra.model import solve_lyapunov, validate_model
 from ou_spectra.operator import (
@@ -27,6 +22,7 @@ from ou_spectra.operator import (
     poly_coordinates,
     rotation_split,
     semigroup_apply,
+    wick_powers,
 )
 from ou_spectra.polynomials import ORDERINGS, SparsePolynomial, monomial_basis
 from ou_spectra.worked_examples import section5_eigenfunctions
@@ -144,9 +140,17 @@ class TestOperatorMatrix:
             assert np.abs(om.as_array() - expected).max() < 1e-12
 
     def test_hermite_requires_normalized_model(self):
+        """Q != I and S not diagonal: the Hermite matrix is served, and it is
+        the monomial matrix of L in the basis of the orthonormal Hermite
+        tensors of w = R^(-1) x, S = R R^T, built as the Wick powers of the
+        forms w under their pairing I."""
         skew = validate_model([[2, 1], [1, 3]], [[-2, 1], [0, -1]])
-        with pytest.raises(BasisUnavailable):
-            operator_matrix(skew, 2, "hermite-normal-form")
+        om = operator_matrix(skew, 3, "hermite-normal-form")
+        R = np.linalg.cholesky(solve_lyapunov(skew).sigma)
+        H = wick_powers(np.linalg.inv(R).T, np.eye(2), om.basis)
+        H /= np.sqrt([math.prod(map(math.factorial, a)) for a in om.basis.indices])
+        expected = np.linalg.solve(H, operator_matrix(skew, 3).as_array() @ H)
+        assert np.abs(om.as_array() - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_homogeneous_monomial_with_full_generator_rejected(self, model5):
         with pytest.raises(BasisUnavailable):
@@ -287,23 +291,36 @@ class TestRotationSplit:
         assert np.abs(split.C).max() == 0.0
         assert np.abs(split.D_lambda - np.diag([0.5, 0.25])).max() < 1e-15
 
+    @staticmethod
+    def assert_whitened_skew_part(model, split):
+        """C is exactly skew and R C R^T = B S - S B^T, S = R R^T: the image
+        of C = B' - B'^T, B' = R^(-1) B R, back in the model's coordinates."""
+        S = solve_lyapunov(model).sigma
+        R = np.linalg.cholesky(S)
+        assert np.array_equal(split.D_lambda, S)
+        assert np.array_equal(split.C, -split.C.T)
+        expected = model.B @ S - S @ model.B.T
+        assert np.abs(R @ split.C @ R.T - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+
     def test_not_normalized_rejected(self, model5):
-        with pytest.raises(NotNormalized):
-            rotation_split(model5)
+        """A stationary covariance that is not diagonal is served."""
+        self.assert_whitened_skew_part(model5, rotation_split(model5))
 
     def test_non_diagonal_stationary_covariance_rejected(self):
         model = validate_model([[1, 0], [0, 1]], [[-1, 1], [0, -2]])
-        with pytest.raises(NotNormalized):
-            rotation_split(model)
+        self.assert_whitened_skew_part(model, rotation_split(model))
 
     def test_mixing_distinct_variances_rejected(self):
-        # Q = I with stationary covariance diag(1/2, 1/4), but the drift mixes
-        # the two coordinates, so C = 2B + D^-1 cannot be skew
+        # Q = I with stationary covariance diag(1/2, 1/4) and a drift that
+        # mixes the two coordinates: 2B + D^-1 is not skew, but the whitened
+        # C is, with R = diag(1/sqrt 2, 1/2) and C_01 = -2 sqrt 2
         model = validate_model([[1, 0], [0, 1]], [[-1, -2], [1, -2]])
         cov = solve_lyapunov(model).sigma_exact
         assert cov == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 4)]]
-        with pytest.raises(NotNormalized, match="skew"):
-            rotation_split(model)
+        split = rotation_split(model)
+        r = 2 * math.sqrt(2)
+        assert np.abs(split.C - np.array([[0.0, -r], [r, 0.0]])).max() <= 1e-15 * r
+        self.assert_whitened_skew_part(model, split)
 
 
 class TestHermiteRotation:
@@ -335,10 +352,19 @@ class TestHermiteRotation:
             )
 
     def test_dimension_guard(self):
+        """Three dimensions are served: no rotation for B = -I, and for
+        B = -I + K, K skew (S = I/2, C = 2K), the doubled operator on each
+        Hermite space is -2nI plus the skew rotation of C."""
         model = validate_model(np.eye(3), (-np.eye(3)).astype(int).tolist())
+        assert np.array_equal(hermite_rotation_matrix(rotation_split(model), 2).as_array(), np.zeros((6, 6)))
+        model = validate_model(np.eye(3), [[-1, 1, 0], [-1, -1, 2], [0, -2, -1]])
         split = rotation_split(model)
-        with pytest.raises(UnsupportedDimension):
-            hermite_rotation_matrix(split, 2)
+        assert np.array_equal(split.C, 2 * (model.B + np.eye(3)))
+        for n in range(4):
+            m = hermite_rotation_matrix(split, n).as_array()
+            assert m.shape == (math.comb(n + 2, 2),) * 2 and np.array_equal(m, -m.T)
+            om = operator_matrix(model, n, "hermite-normal-form", operator="A", homogeneous=True)
+            assert np.abs(om.as_array() - (-2.0 * n * np.eye(len(m)) + m)).max() < 1e-12
 
 
 class TestSemigroup:
